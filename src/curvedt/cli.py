@@ -17,7 +17,9 @@ re-serializing parsed output is byte-identical), or CSV.
 
 Exit codes: 0 success; 1 verification failure (a consistency assertion
 tripped, a division left a remainder, a certificate or suite failed);
-2 usage error.
+2 usage error, including a class (g, r, d) outside the domain: rank
+below 1 (rank 0 is allowed by ``hdt``), negative genus, or negative
+dim M(r,d) = (g-1) r^2 + 1.
 
 Exact numbers only: integers print as integers, rationals as p/q, and
 half-integer exponents as ^(1/2), ^(-3/2), and so on.  Polynomials
@@ -34,9 +36,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .invariants import (
+    DTResult,
     VerificationError,
     determinant_factor,
     dim_moduli,
@@ -44,7 +47,7 @@ from .invariants import (
     torsion_dt,
 )
 from .ring import LaurentPoly, NotDivisibleError, UniPoly, specialize_y
-from .strata import certify_virtual_smallness
+from .strata import SmallnessReport, certify_virtual_smallness
 from .verify import run_suite
 
 __all__ = ["main", "RunConfig", "ReportTable"]
@@ -219,7 +222,7 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
     checks = args.checks
     if args.force_genus and args.genus < 2 and checks == "on":
         checks = "warn"
-    return RunConfig(
+    cfg = RunConfig(
         genus=args.genus,
         rank=args.rank,
         degree=args.degree,
@@ -231,6 +234,19 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         generic=getattr(args, "generic_bound", False),
         checks=checks,
     )
+    torsion_ok = args.command == "hdt"
+    for r, d in _classes(cfg):
+        where = f"class (g, r, d) = ({cfg.genus}, {r}, {d})"
+        if cfg.genus < 0:
+            parser.error(f"{where}: genus must be >= 0")
+        if r < 1 and not (torsion_ok and r == 0):
+            parser.error(
+                f"{where}: rank must be >= 1" + (" (0 selects torsion mode)" if torsion_ok else "")
+            )
+        dim = dim_moduli(cfg.genus, r)
+        if dim < 0:
+            parser.error(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
+    return cfg
 
 
 def _classes(cfg: RunConfig) -> List[Tuple[int, int]]:
@@ -247,94 +263,105 @@ def _emit(text: str) -> None:
     print(text)
 
 
+def _report(cfg: RunConfig, items: list, payload: Callable, block: Callable) -> None:
+    """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
+
+    payload(item) and block(item) are only called for the format printed.
+    """
+    if cfg.fmt == "json":
+        payloads = [payload(item) for item in items]
+        _emit(_canonical_json(payloads[0] if cfg.slope is None else payloads))
+    else:
+        _emit("\n\n".join(block(item) for item in items))
+
+
 def cmd_betti(cfg: RunConfig) -> int:
     results = [ih_poincare(cfg.genus, r, d, checks=cfg.checks) for r, d in _classes(cfg)]
-    if cfg.fmt == "json":
-        payload = [res.as_json() for res in results]
-        _emit(_canonical_json(payload[0] if cfg.slope is None else payload))
-        return 0
-    blocks = []
-    for res in results:
+
+    def block(res: DTResult) -> str:
         shown = res.betti[: res.dim + 1] if cfg.half else res.betti
         if cfg.fmt == "csv":
             table = ReportTable(
                 ("k", "b_k"), tuple((str(k), str(b)) for k, b in enumerate(shown))
             )
-            blocks.append(table.render_csv())
-        else:
-            label = "half Betti" if cfg.half else "Betti"
-            blocks.append(
-                f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
-                f"{label}: " + ", ".join(str(b) for b in shown)
-            )
-    _emit("\n\n".join(blocks))
+            return table.render_csv()
+        label = "half Betti" if cfg.half else "Betti"
+        return (
+            f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
+            f"{label}: " + ", ".join(str(b) for b in shown)
+        )
+
+    _report(cfg, results, DTResult.as_json, block)
     return 0
 
 
 def cmd_hdt(cfg: RunConfig) -> int:
-    blocks, payloads = [], []
+    # one (degree, DTResult or None in torsion mode, HDT polynomial) per class
+    items = []
     for r, d in _classes(cfg):
         if r == 0:
             if d < 1:
                 raise VerificationError("torsion mode needs degree >= 1")
-            h = torsion_dt(cfg.genus, d, checks=cfg.checks)[d]
-            payloads.append(
-                {"genus": cfg.genus, "rank": 0, "degree": d, "hdt": h.records()}
-            )
-            blocks.append(
-                f"genus={cfg.genus} rank=0 degree={d} (torsion)\nHDT = {render_poly(h)}"
-            )
-            table_rows = h.records()
+            items.append((d, None, torsion_dt(cfg.genus, d, checks=cfg.checks)[d]))
         else:
             res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
-            payloads.append(res.as_json())
-            neg = specialize_y(res.hdt).at_neg_y()
-            blocks.append(
-                f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
-                f"HDT = {render_poly(res.hdt)}\n"
-                f"HDT(-y,-y) = {render_uni(neg)}"
-            )
-            table_rows = res.hdt.records()
+            items.append((d, res, res.hdt))
+
+    def payload(item) -> dict:
+        d, res, h = item
+        if res is None:
+            return {"genus": cfg.genus, "rank": 0, "degree": d, "hdt": h.records()}
+        return res.as_json()
+
+    def block(item) -> str:
+        d, res, h = item
         if cfg.fmt == "csv":
             table = ReportTable(
                 ("eu2", "ev2", "num", "den"),
                 tuple(
                     (str(t["eu2"]), str(t["ev2"]), str(t["num"]), str(t["den"]))
-                    for t in table_rows
+                    for t in h.records()
                 ),
             )
-            blocks[-1] = table.render_csv()
-    if cfg.fmt == "json":
-        _emit(_canonical_json(payloads[0] if cfg.slope is None else payloads))
-    else:
-        _emit("\n\n".join(blocks))
+            return table.render_csv()
+        if res is None:
+            return f"genus={cfg.genus} rank=0 degree={d} (torsion)\nHDT = {render_poly(h)}"
+        neg = specialize_y(h).at_neg_y()
+        return (
+            f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
+            f"HDT = {render_poly(h)}\n"
+            f"HDT(-y,-y) = {render_uni(neg)}"
+        )
+
+    _report(cfg, items, payload, block)
     return 0
 
 
 def cmd_detfactor(cfg: RunConfig) -> int:
-    blocks, payloads = [], []
+    items = []
     for r, d in _classes(cfg):
         res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
-        coeffs = determinant_factor(cfg.genus, res.betti)
-        payloads.append(
-            {"genus": cfg.genus, "rank": r, "degree": d, "detfactor": coeffs}
-        )
+        items.append((r, d, determinant_factor(cfg.genus, res.betti)))
+
+    def payload(item) -> dict:
+        r, d, coeffs = item
+        return {"genus": cfg.genus, "rank": r, "degree": d, "detfactor": coeffs}
+
+    def block(item) -> str:
+        r, d, coeffs = item
         shown = coeffs[: len(coeffs) // 2 + 1] if cfg.half else coeffs
         if cfg.fmt == "csv":
             table = ReportTable(
                 ("k", "c_k"), tuple((str(k), str(c)) for k, c in enumerate(shown))
             )
-            blocks.append(table.render_csv())
-        else:
-            label = "half factor" if cfg.half else "factor"
-            blocks.append(
-                f"genus={cfg.genus} rank={r} degree={d}\n"
-                f"{label}: " + ", ".join(str(c) for c in shown)
-            )
-    if cfg.fmt == "json":
-        _emit(_canonical_json(payloads[0] if cfg.slope is None else payloads))
-    else:
-        _emit("\n\n".join(blocks))
+            return table.render_csv()
+        label = "half factor" if cfg.half else "factor"
+        return (
+            f"genus={cfg.genus} rank={r} degree={d}\n"
+            f"{label}: " + ", ".join(str(c) for c in shown)
+        )
+
+    _report(cfg, items, payload, block)
     return 0
 
 
@@ -348,36 +375,31 @@ def cmd_strata(cfg: RunConfig) -> int:
             )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if cfg.fmt == "json":
-        payload = [rep.as_json() for rep in reports]
-        _emit(_canonical_json(payload[0] if cfg.slope is None else payload))
-    else:
-        blocks = []
-        for rep in reports:
-            table = ReportTable(
-                ("parts", "codim", "bound", "maximal", "pass"),
-                tuple(
-                    (
-                        rec.stratum.label(),
-                        str(rec.codim),
-                        str(rec.bound),
-                        "yes" if rec.is_maximal else "no",
-                        "yes" if rec.passes else "no",
-                    )
-                    for rec in rep.records
-                ),
-            )
-            body = table.render_csv() if cfg.fmt == "csv" else table.render()
-            if cfg.fmt == "csv":
-                blocks.append(body)
-            else:
-                blocks.append(
-                    f"genus={rep.genus} rank={rep.rank} degree={rep.degree} "
-                    f"d0={rep.d0} in-theorem-range={'yes' if rep.in_theorem_range else 'no'}"
-                    f"{' (generic bound)' if rep.generic else ''}\n"
-                    f"{body}\nverdict: {rep.verdict}"
+
+    def block(rep) -> str:
+        table = ReportTable(
+            ("parts", "codim", "bound", "maximal", "pass"),
+            tuple(
+                (
+                    rec.stratum.label(),
+                    str(rec.codim),
+                    str(rec.bound),
+                    "yes" if rec.is_maximal else "no",
+                    "yes" if rec.passes else "no",
                 )
-        _emit("\n\n".join(blocks))
+                for rec in rep.records
+            ),
+        )
+        if cfg.fmt == "csv":
+            return table.render_csv()
+        return (
+            f"genus={rep.genus} rank={rep.rank} degree={rep.degree} "
+            f"d0={rep.d0} in-theorem-range={'yes' if rep.in_theorem_range else 'no'}"
+            f"{' (generic bound)' if rep.generic else ''}\n"
+            f"{table.render()}\nverdict: {rep.verdict}"
+        )
+
+    _report(cfg, reports, SmallnessReport.as_json, block)
     return 0 if all(rep.passes for rep in reports) else 1
 
 

@@ -25,7 +25,7 @@ multivariate pipeline beyond the ring primitives.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from .invariants import ih_poincare, q_rank, composition_prefactors
 from .ring import UniPoly, specialize_elem

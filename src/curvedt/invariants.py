@@ -262,7 +262,12 @@ def ih_epoly(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
     Integer powers of u and v only; the half-integer contributions of
     HDT must cancel against the dimension shift.
     """
-    p = hdt(g, r, d, checks) * half_lefschetz(dim_moduli(g, r))
+    return _shift_to_ih(hdt(g, r, d, checks), g, r, d, checks)
+
+
+def _shift_to_ih(h: LaurentPoly, g: int, r: int, d: int, checks: str) -> LaurentPoly:
+    """L^(dim/2) * HDT_{r,d}, whose exponents must all be integers."""
+    p = h * half_lefschetz(dim_moduli(g, r))
     _ensure(
         all(a % 2 == 0 and b % 2 == 0 for a, b in p.terms),
         f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents",
@@ -299,12 +304,7 @@ def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
     """Betti numbers of IH*(M(r,d)) via specialize, shift, sign flip."""
     h = hdt(g, r, d, checks)
     dim = dim_moduli(g, r)
-    ih = h * half_lefschetz(dim)
-    _ensure(
-        all(a % 2 == 0 and b % 2 == 0 for a, b in ih.terms),
-        f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents",
-        checks,
-    )
+    ih = _shift_to_ih(h, g, r, d, checks)
     spec = specialize_y(h)
     betti = [0] * (2 * dim + 1)
     dim_sign = -1 if dim % 2 else 1

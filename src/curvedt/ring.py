@@ -17,6 +17,9 @@ Conventions used throughout the package:
   cross-multiplication.
 
 Coefficients are fractions.Fraction; all arithmetic is exact.
+LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
+by the doubled exponent of y) share one kernel, _SparsePoly, and differ
+only in their monomial type.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Monomial = Tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -41,8 +44,26 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with doubled exponents and Fraction coefficients.
+def _accumulate(out: Dict, pairs: Iterable) -> Dict:
+    """Add each (key, nonzero coefficient) pair into out; zero sums drop out."""
+    get = out.get
+    for m, c in pairs:
+        s = get(m, _ZERO) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+class _SparsePoly:
+    """Sparse polynomial: a dict from monomial keys to nonzero Fractions.
+
+    This is the one arithmetic kernel.  A subclass fixes the monomial
+    type by declaring ``_UNIT`` (the key of the constant 1), ``_key``
+    (coercion of an input key) and ``_shift_keys`` (a list of keys each
+    multiplied by one monomial).  Operands of two different subclasses
+    never mix: equality is False and +, -, * raise TypeError.
 
     The term dict is treated as immutable after construction; operations
     always build fresh instances.
@@ -50,34 +71,35 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: Dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping | None = None):
+        clean: Dict = {}
         if terms:
+            key = self._key
             for mon, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    clean[(int(mon[0]), int(mon[1]))] = c
+                    clean[key(mon)] = c
         self.terms = clean
 
-    @staticmethod
-    def _raw(terms: Dict[Monomial, Fraction]) -> "LaurentPoly":
+    @classmethod
+    def _raw(cls, terms: Dict):
         # internal fast path: caller guarantees no zero coefficients
-        p = LaurentPoly.__new__(LaurentPoly)
+        p = cls.__new__(cls)
         p.terms = terms
         return p
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls):
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls._raw({(0, 0): Fraction(1)})
+    def one(cls):
+        return cls._raw({cls._UNIT: Fraction(1)})
 
     @classmethod
-    def const(cls, c: Scalar) -> "LaurentPoly":
+    def const(cls, c: Scalar):
         c = Fraction(c)
-        return cls._raw({(0, 0): c} if c else {})
+        return cls._raw({cls._UNIT: c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -89,66 +111,54 @@ class LaurentPoly:
         return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, type(self)):
             return self.terms == other.terms
         return NotImplemented
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return self._raw({m: -c for m, c in self.terms.items()})
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentPoly._raw(out)
+        return self._raw(_accumulate(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentPoly._raw(out)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return self._raw(_accumulate(dict(self.terms), negated))
 
-    def __mul__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
             if len(self.terms) > len(other.terms):
                 big, small = self.terms, other.terms
             else:
                 big, small = other.terms, self.terms
-            out: Dict[Monomial, Fraction] = {}
-            for (a1, b1), c1 in small.items():
-                for (a2, b2), c2 in big.items():
-                    key = (a1 + a2, b1 + b2)
+            keys, coeffs = list(big), list(big.values())
+            shift_keys = self._shift_keys
+            out: Dict = {}
+            for m1, c1 in small.items():
+                for key, c2 in zip(shift_keys(keys, m1), coeffs):
                     s = out.get(key, _ZERO) + c1 * c2
                     if s:
                         out[key] = s
                     else:
                         del out[key]
-            return LaurentPoly._raw(out)
+            return self._raw(out)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return LaurentPoly.zero()
-            return LaurentPoly._raw({m: k * c for m, k in self.terms.items()})
+                return self.zero()
+            return self._raw({m: k * c for m, k in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
+        result = self.one()
         base = self
         while n:
             if n & 1:
@@ -156,6 +166,26 @@ class LaurentPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{m}: {c}" for m, c in sorted(self.terms.items()))
+        return f"{type(self).__name__}({{{items}}})"
+
+
+class LaurentPoly(_SparsePoly):
+    """Laurent polynomial in u^(1/2), v^(1/2): keys are doubled exponent pairs."""
+
+    __slots__ = ()
+    _UNIT = (0, 0)
+
+    @staticmethod
+    def _key(mon) -> Monomial:
+        return (int(mon[0]), int(mon[1]))
+
+    @staticmethod
+    def _shift_keys(keys: List[Monomial], by: Monomial) -> List[Monomial]:
+        a, b = by
+        return [(a + x, b + y) for x, y in keys]
 
     def adams(self, n: int) -> "LaurentPoly":
         """Adams operation: scale every exponent key by n (coefficients fixed)."""
@@ -171,16 +201,6 @@ class LaurentPoly:
         """Multiply by the plain monomial u^(da2/2) v^(db2/2)."""
         return LaurentPoly._raw({(a + da2, b + db2): c for (a, b), c in self.terms.items()})
 
-    def max_total(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(a + b for a, b in self.terms)
-
-    def min_total(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return min(a + b for a, b in self.terms)
-
     def records(self) -> list:
         """JSON-friendly term list sorted by (eu2, ev2)."""
         out = []
@@ -189,9 +209,40 @@ class LaurentPoly:
             out.append({"eu2": a, "ev2": b, "num": c.numerator, "den": c.denominator})
         return out
 
-    def __repr__(self) -> str:
-        items = ", ".join(f"{m}: {c}" for m, c in sorted(self.terms.items()))
-        return f"LaurentPoly({{{items}}})"
+
+class UniPoly(_SparsePoly):
+    """Univariate Laurent polynomial in y, exponents stored doubled."""
+
+    __slots__ = ()
+    _UNIT = 0
+
+    @staticmethod
+    def _key(e) -> int:
+        return int(e)
+
+    @staticmethod
+    def _shift_keys(keys: List[int], by: int) -> List[int]:
+        return [by + e for e in keys]
+
+    @classmethod
+    def y_pow(cls, e2: int, coeff: Scalar = 1) -> "UniPoly":
+        """coeff * y^(e2/2)."""
+        return cls({e2: coeff})
+
+    def at_neg_y(self) -> "UniPoly":
+        """Substitute y -> -y; requires all exponents integral (even keys)."""
+        out: Dict[int, Fraction] = {}
+        for e, c in self.terms.items():
+            if e % 2:
+                raise ValueError("y -> -y needs integer exponents")
+            out[e] = c if (e // 2) % 2 == 0 else -c
+        return UniPoly._raw(out)
+
+    def records(self) -> list:
+        return [
+            {"e2": e, "num": self.terms[e].numerator, "den": self.terms[e].denominator}
+            for e in sorted(self.terms)
+        ]
 
 
 def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
@@ -247,14 +298,8 @@ def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
         if tb is None:
             tb = buckets[target] = {}
             heapq.heappush(heap, target)
-        for (a, b), c in stratum.items():
-            out[(a, b)] = c
-            key = (a + shift, b + shift)
-            s = tb.get(key, _ZERO) + c
-            if s:
-                tb[key] = s
-            else:
-                del tb[key]
+        out.update(stratum)
+        _accumulate(tb, (((a + shift, b + shift), c) for (a, b), c in stratum.items()))
     return LaurentPoly._raw(out)
 
 
@@ -276,9 +321,6 @@ class CycloDenominator:
     @classmethod
     def of(cls, *ks: int) -> "CycloDenominator":
         return cls(tuple(ks))
-
-    def is_empty(self) -> bool:
-        return not self.factors
 
     def __mul__(self, other: "CycloDenominator") -> "CycloDenominator":
         return CycloDenominator(self.factors + other.factors)
@@ -305,15 +347,18 @@ class CycloDenominator:
 
     def expand(self) -> LaurentPoly:
         """The product of the factors as an actual polynomial."""
-        out = LaurentPoly.one()
-        for k in self.factors:
-            out = out * (LaurentPoly.one() - lefschetz(k))
-        return out
+        return _expand_onto(LaurentPoly.one(), self.factors)
 
 
 def _expand_onto(num: LaurentPoly, missing: Iterable[int]) -> LaurentPoly:
+    """num * prod_k (1 - L^k), one O(len) shift-and-subtract per factor.
+
+    L^k is the key (2k, 2k) with coefficient +1, so multiplying by
+    (1 - L^k) subtracts a shifted copy; this is the only place a
+    numerator meets a cyclotomic factor.
+    """
     for k in missing:
-        num = num * (LaurentPoly.one() - lefschetz(k))
+        num = num - num.shift(2 * k, 2 * k)
     return num
 
 
@@ -392,11 +437,6 @@ class RingElem:
         return out
 
 
-def adams(n: int, x: Union[RingElem, LaurentPoly]) -> Union[RingElem, LaurentPoly]:
-    """Adams operation on either representation."""
-    return x.adams(n)
-
-
 def ring_sum(items: Iterable[RingElem]) -> RingElem:
     """Sum with a single expansion to the common (multiset-max) denominator."""
     items = list(items)
@@ -415,142 +455,11 @@ def to_polynomial(x: RingElem) -> LaurentPoly:
     return x.to_polynomial()
 
 
-class UniPoly:
-    """Univariate Laurent polynomial in y, exponents stored doubled."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        clean: Dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
-
-    @staticmethod
-    def _raw(terms: Dict[int, Fraction]) -> "UniPoly":
-        p = UniPoly.__new__(UniPoly)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls._raw({0: Fraction(1)})
-
-    @classmethod
-    def const(cls, c: Scalar) -> "UniPoly":
-        c = Fraction(c)
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
-    def y_pow(cls, e2: int, coeff: Scalar = 1) -> "UniPoly":
-        """coeff * y^(e2/2)."""
-        return cls({e2: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._raw({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return UniPoly._raw(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            out: Dict[int, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = e1 + e2
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return UniPoly._raw(out)
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return UniPoly.zero()
-            return UniPoly._raw({e: k * c for e, k in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def at_neg_y(self) -> "UniPoly":
-        """Substitute y -> -y; requires all exponents integral (even keys)."""
-        out: Dict[int, Fraction] = {}
-        for e, c in self.terms.items():
-            if e % 2:
-                raise ValueError("y -> -y needs integer exponents")
-            out[e] = c if (e // 2) % 2 == 0 else -c
-        return UniPoly._raw(out)
-
-    def records(self) -> list:
-        return [
-            {"e2": e, "num": self.terms[e].numerator, "den": self.terms[e].denominator}
-            for e in sorted(self.terms)
-        ]
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
-        return f"UniPoly({{{items}}})"
-
-
 def specialize_y(p: LaurentPoly) -> UniPoly:
     """Set u = v = y: the monomial (a, b) lands on y^((a+b)/2)."""
-    out: Dict[int, Fraction] = {}
-    for (a, b), c in p.terms.items():
-        key = a + b
-        s = out.get(key, _ZERO) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return UniPoly._raw(out)
+    return UniPoly._raw(_accumulate({}, ((a + b, c) for (a, b), c in p.terms.items())))
 
 
 def specialize_elem(x: RingElem) -> Tuple[UniPoly, UniPoly]:
     """Specialize num and den separately; (1 - L^k) becomes (1 - y^(2k))."""
-    den = UniPoly.one()
-    for k in x.den.factors:
-        den = den * (UniPoly.one() - UniPoly.y_pow(4 * k))
-    return specialize_y(x.num), den
+    return specialize_y(x.num), specialize_y(x.den.expand())

@@ -62,11 +62,6 @@ def series_add(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     return GradedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
 
 
-def series_sub(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    _same_order(f, g)
-    return GradedSeries(tuple(a - b for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def series_scale(f: GradedSeries, c: Fraction | int) -> GradedSeries:
     return GradedSeries(tuple(a * c for a in f.coeffs))
 

@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .invariants import VerificationError, dim_moduli
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .closedforms import (
     CLOSED_FORM_CLASSES,
@@ -46,13 +46,7 @@ from .ring import (
     monomial,
     specialize_y,
 )
-from .series import (
-    GradedSeries,
-    pleth_exp,
-    pleth_log,
-    series_mul,
-    zero_series,
-)
+from .series import GradedSeries, pleth_exp, pleth_log
 from .strata import certify_virtual_smallness
 
 GOLDEN_BETTI: Dict[int, Dict[Tuple[int, int], List[int]]] = {

@@ -150,6 +150,26 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        ("strata -g 2 -r 0 -d 1", "(2, 0, 1)"),
+        ("betti -g 2 -r 0 -d 1", "(2, 0, 1)"),
+        ("detfactor -g 2 -r 0 -d 1", "(2, 0, 1)"),
+        ("hdt -g 2 -r -1 -d 1", "(2, -1, 1)"),
+        ("betti -g -3 -r 2 -d 1 --force-genus", "(-3, 2, 1)"),
+        ("betti -g 0 -r 2 -d 2 --force-genus", "(0, 2, 2)"),
+    ],
+)
+def test_domain_errors_exit_two(capsys, argv, where):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"(g, r, d) = {where}" in err
+    assert "Traceback" not in err
+
+
 def test_verification_failure_exits_one(capsys):
     code, _, err = run(capsys, "hdt", "-g", "2", "-r", "0", "-d", "0")
     assert code == 1

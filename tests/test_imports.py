@@ -1,0 +1,46 @@
+"""Every name a curvedt module imports is used in that module.
+
+Parsed with the standard-library ``ast``, so nothing is imported or run.
+``from __future__`` imports are exempt, and so are names a module lists in
+``__all__`` (the package ``__init__`` imports only to re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curvedt"
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _used(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations ("LaurentPoly") and __all__ entries
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{path.name}:{line} {name}" for line, name in _imported(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
