@@ -36,6 +36,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .invariants import (
@@ -46,7 +47,7 @@ from .invariants import (
     ih_poincare,
     torsion_dt,
 )
-from .ring import LaurentPoly, NotDivisibleError, UniPoly, specialize_y
+from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly, specialize_y
 from .strata import SmallnessReport, certify_virtual_smallness
 from .verify import run_suite
 
@@ -112,11 +113,11 @@ def _exp_str(e2: int) -> str:
     return f"^({e2}/2)"
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: Scalar) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 
-def _join_terms(terms: List[Tuple[Fraction, str]]) -> str:
+def _join_terms(terms: List[Tuple[Scalar, str]]) -> str:
     """Assemble [(coefficient, monomial-string), ...] into a sum."""
     if not terms:
         return "0"
@@ -246,6 +247,9 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         dim = dim_moduli(cfg.genus, r)
         if dim < 0:
             parser.error(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
+        if cfg.genus <= 1 and gcd(r, d) != 1 and args.command != "hdt":
+            parser.error(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
+                         "dim M(r,d) = (g-1)r^2 + 1 does not hold")
     return cfg
 
 

@@ -16,10 +16,14 @@ Conventions used throughout the package:
   multiplication concatenates multisets, and equality is decided by
   cross-multiplication.
 
-Coefficients are fractions.Fraction; all arithmetic is exact.
-LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
-by the doubled exponent of y) share one kernel, _SparsePoly, and differ
-only in their monomial type.
+All arithmetic is exact: a coefficient is an int when integral, else a
+fractions.Fraction.  LaurentPoly and UniPoly (one variable y, the image
+of u = v = y, keyed by the doubled exponent of y) share one kernel,
+_SparsePoly, and differ only in their monomial type.  Products use
+Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand, its
+denominators cleared, is packed into one Python int with a byte-aligned
+slot per point of the product's exponent box; one big-int product does
+the work.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Monomial = Tuple[int, int]
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+# Pack a product only with at least this many coefficient pairs per slot of its
+# exponent box; below that the dict loop measured faster than the big-int product.
+_PAIRS_PER_SLOT = 4
 
 
 class NotDivisibleError(ArithmeticError):
@@ -44,26 +51,101 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _canon(c: Scalar) -> Scalar:
+    """The canonical coefficient: an int when c is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _accumulate(out: Dict, pairs: Iterable) -> Dict:
     """Add each (key, nonzero coefficient) pair into out; zero sums drop out."""
     get = out.get
     for m, c in pairs:
-        s = get(m, _ZERO) + c
+        s = get(m, 0) + c
         if s:
-            out[m] = s
+            out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
         else:
             del out[m]
     return out
 
 
+def _integral(coeffs: List[Scalar]) -> Tuple[List[int], int]:
+    """coeffs scaled by the lcm of their denominators, and that lcm."""
+    if all(type(c) is int for c in coeffs):
+        return coeffs, 1
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(slots: List[int], coeffs: List[int], width: int) -> int:
+    """sum c * 2^(8 * width * slot), built in linear time through bytes."""
+    size = (max(slots) + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for i, c in zip(slots, coeffs):
+        (neg if c < 0 else pos)[i * width:(i + 1) * width] = abs(c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
+    """The product of two nonempty term dicts, in canonical coefficients.
+
+    A term's slot is its point in the product's exponent box: exponents are
+    shifted to start at zero and divided by their common step per variable.
+    ``columns`` maps a key list to one exponent list per variable, and
+    ``from_columns`` maps back.
+    """
+    ka, kb = list(a), list(b)
+    ca, den_a = _integral(list(a.values()))
+    cb, den_b = _integral(list(b.values()))
+    axes = []  # (low exponent of the product, step, stride, extent), last axis first
+    slots_a, slots_b = [0] * len(ka), [0] * len(kb)
+    box = 1
+    for xa, xb in zip(reversed(columns(ka)), reversed(columns(kb))):
+        lo_a, lo_b = min(xa), min(xb)
+        step = gcd(*(x - lo_a for x in xa), *(x - lo_b for x in xb)) or 1
+        slots_a = [s + (x - lo_a) // step * box for s, x in zip(slots_a, xa)]
+        slots_b = [s + (x - lo_b) // step * box for s, x in zip(slots_b, xb)]
+        extent = (max(xa) - lo_a + max(xb) - lo_b) // step + 1
+        axes.append((lo_a + lo_b, step, box, extent))
+        box *= extent
+    if box * _PAIRS_PER_SLOT <= len(ka) * len(kb):
+        width = (max(c.bit_length() for c in ca) + max(c.bit_length() for c in cb)
+                 + min(len(ca), len(cb)).bit_length() + 8) // 8
+        # Every product slot holds |c| < 2^(8 * width - 1); adding half of the
+        # slot range to each makes all slots nonnegative, so no slot borrows.
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * box, "little")
+        raw = (_pack(slots_a, ca, width) * _pack(slots_b, cb, width) + bias).to_bytes(
+            box * width, "little")
+        values = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        ks = [k for k, c in enumerate(values) if c != half]
+        cs = [values[k] - half for k in ks]
+    else:
+        if len(slots_a) < len(slots_b):
+            slots_a, ca, slots_b, cb = slots_b, cb, slots_a, ca
+        out: Dict[int, int] = {}
+        for t, c in zip(slots_b, cb):
+            _accumulate(out, zip([t + s for s in slots_a], [c * x for x in ca]))
+        ks, cs = list(out), list(out.values())
+    den = den_a * den_b
+    if den != 1:
+        cs = [_canon(Fraction(c, den)) for c in cs]
+    keys = from_columns([[lo + step * (k // stride % extent) for k in ks]
+                         for lo, step, stride, extent in reversed(axes)])
+    return dict(zip(keys, cs))
+
+
 class _SparsePoly:
-    """Sparse polynomial: a dict from monomial keys to nonzero Fractions.
+    """Sparse polynomial: a dict from monomial keys to nonzero coefficients.
 
     This is the one arithmetic kernel.  A subclass fixes the monomial
     type by declaring ``_UNIT`` (the key of the constant 1), ``_key``
-    (coercion of an input key) and ``_shift_keys`` (a list of keys each
-    multiplied by one monomial).  Operands of two different subclasses
-    never mix: equality is False and +, -, * raise TypeError.
+    (coercion of an input key) and ``_columns``/``_from_columns`` (a key
+    list as one exponent list per variable, and back).  Operands of two
+    different subclasses never mix: equality is False and +, -, * raise
+    TypeError.
 
     The term dict is treated as immutable after construction; operations
     always build fresh instances.
@@ -76,7 +158,7 @@ class _SparsePoly:
         if terms:
             key = self._key
             for mon, c in terms.items():
-                c = Fraction(c)
+                c = _canon(c)
                 if c:
                     clean[key(mon)] = c
         self.terms = clean
@@ -94,11 +176,11 @@ class _SparsePoly:
 
     @classmethod
     def one(cls):
-        return cls._raw({cls._UNIT: Fraction(1)})
+        return cls._raw({cls._UNIT: 1})
 
     @classmethod
     def const(cls, c: Scalar):
-        c = Fraction(c)
+        c = _canon(c)
         return cls._raw({cls._UNIT: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -131,26 +213,14 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            if len(self.terms) > len(other.terms):
-                big, small = self.terms, other.terms
-            else:
-                big, small = other.terms, self.terms
-            keys, coeffs = list(big), list(big.values())
-            shift_keys = self._shift_keys
-            out: Dict = {}
-            for m1, c1 in small.items():
-                for key, c2 in zip(shift_keys(keys, m1), coeffs):
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return self._raw(out)
+            if not self.terms or not other.terms:
+                return self.zero()
+            return self._raw(_product(self.terms, other.terms, self._columns, self._from_columns))
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _canon(other)
             if not c:
                 return self.zero()
-            return self._raw({m: k * c for m, k in self.terms.items()})
+            return self._raw({m: _canon(k * c) for m, k in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,10 +252,7 @@ class LaurentPoly(_SparsePoly):
     def _key(mon) -> Monomial:
         return (int(mon[0]), int(mon[1]))
 
-    @staticmethod
-    def _shift_keys(keys: List[Monomial], by: Monomial) -> List[Monomial]:
-        a, b = by
-        return [(a + x, b + y) for x, y in keys]
+    _columns = _from_columns = staticmethod(lambda rows: list(zip(*rows)))  # a transpose
 
     def adams(self, n: int) -> "LaurentPoly":
         """Adams operation: scale every exponent key by n (coefficients fixed)."""
@@ -220,9 +287,8 @@ class UniPoly(_SparsePoly):
     def _key(e) -> int:
         return int(e)
 
-    @staticmethod
-    def _shift_keys(keys: List[int], by: int) -> List[int]:
-        return [by + e for e in keys]
+    _columns = staticmethod(lambda keys: [keys])
+    _from_columns = staticmethod(lambda columns: columns[0])
 
     @classmethod
     def y_pow(cls, e2: int, coeff: Scalar = 1) -> "UniPoly":
@@ -231,7 +297,7 @@ class UniPoly(_SparsePoly):
 
     def at_neg_y(self) -> "UniPoly":
         """Substitute y -> -y; requires all exponents integral (even keys)."""
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, Scalar] = {}
         for e, c in self.terms.items():
             if e % 2:
                 raise ValueError("y -> -y needs integer exponents")
@@ -252,7 +318,7 @@ def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
 
 def half_lefschetz(e2: int) -> LaurentPoly:
     """L^(e2/2) under the convention L^(1/2) = -(uv)^(1/2)."""
-    return LaurentPoly._raw({(e2, e2): Fraction(_sign(e2))})
+    return LaurentPoly._raw({(e2, e2): _sign(e2)})
 
 
 def lefschetz(k: int) -> LaurentPoly:
@@ -278,14 +344,14 @@ def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
         raise ValueError("cyclotomic factors are indexed by k >= 1")
     if p.is_zero():
         return LaurentPoly.zero()
-    buckets: Dict[int, Dict[Monomial, Fraction]] = {}
+    buckets: Dict[int, Dict[Monomial, Scalar]] = {}
     for mon, c in p.terms.items():
         buckets.setdefault(mon[0] + mon[1], {})[mon] = c
     heap = list(buckets)
     heapq.heapify(heap)
     limit = max(buckets) - 4 * k
     shift = 2 * k
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Scalar] = {}
     while heap:
         deg = heapq.heappop(heap)
         stratum = buckets.pop(deg, None)

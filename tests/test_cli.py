@@ -186,3 +186,26 @@ def test_render_poly_ordering_and_halves():
 def test_render_uni():
     p = UniPoly({-2: 1, 0: 2, 3: -3})
     assert render_uni(p) == "y^(-1) + 2 - 3y^(3/2)"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        ("strata -g 1 -r 2 -d 0 --force-genus", "(1, 2, 0)"),
+        ("betti -g 1 -r 3 -d 0 --force-genus", "(1, 3, 0)"),
+        ("detfactor -g 1 -r 2 -d 0 --force-genus", "(1, 2, 0)"),
+        ("betti -g 1 --slope 1 --rmax 2 --force-genus", "(1, 2, 2)"),
+    ],
+)
+def test_low_genus_non_coprime_classes_exit_two(capsys, argv, where):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"(g, r, d) = {where}" in err and "does not hold" in err
+    assert "Traceback" not in err
+
+
+def test_hdt_keeps_low_genus_non_coprime_zero(capsys):
+    code, out, _ = run(capsys, "hdt", "-g", "1", "-r", "2", "-d", "0", "--force-genus")
+    assert code == 0 and "HDT = 0" in out

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvedt.invariants import (
     VerificationError,
@@ -226,3 +227,18 @@ def test_dtresult_json_shape():
     assert list(obj) == ["genus", "rank", "degree", "dim", "hdt", "ih_epoly", "betti"]
     assert obj["betti"] == [1, 4, 6, 4, 1]
     assert all(set(t) == {"eu2", "ev2", "num", "den"} for t in obj["hdt"])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 5).flatmap(lambda r: st.tuples(st.just(r), st.integers(-r, 2 * r - 1))),
+)
+def test_hdt_degree_symmetries(g, rd):
+    # M(r,d) is isomorphic to M(r,-d) (dual bundles) and to M(r,d+r)
+    # (twist by a degree-one line bundle); Hodge symmetry swaps u and v.
+    r, d = rd
+    h = hdt(g, r, d)
+    assert hdt(g, r, -d) == h
+    assert hdt(g, r, d + r) == h
+    assert {(b, a): c for (a, b), c in h.terms.items()} == h.terms

@@ -6,11 +6,13 @@ derandomized, so the examples are the same on every run.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyref as ref
+from curvedt import ring
 from curvedt.ring import (
     CycloDenominator,
     LaurentPoly,
@@ -18,6 +20,7 @@ from curvedt.ring import (
     RingElem,
     UniPoly,
     exact_divide_cyclo,
+    half_lefschetz,
     specialize_elem,
     specialize_y,
 )
@@ -114,3 +117,118 @@ def test_negative_power_is_refused():
     for cls in (LaurentPoly, UniPoly):
         with pytest.raises(ValueError):
             cls.one() ** -1
+
+
+# ------------------------------------------------ canonical coefficients and packed products
+
+big_ints = st.integers(-(2**200), 2**200).filter(bool)
+rich_coeffs = st.one_of(
+    big_ints,
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, big_ints, st.integers(1, 2**40)),  # may be integral: Fraction(6, 1)
+    coeffs.filter(bool),
+)
+# Dense enough that products of 40 or more terms are packed; odd and even
+# exponents mixed, so no common step divides them.
+DENSE = {
+    LaurentPoly: st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    UniPoly: st.integers(-30, 30),
+}
+# Spread so wide that every product takes the dict loop.
+FAR = {
+    LaurentPoly: st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    UniPoly: st.integers(-10**6, 10**6),
+}
+
+
+def canonical(p):
+    """p's terms, after checking that no integral coefficient is a Fraction."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    return p.terms
+
+
+def packed(p, q):
+    """Whether p * q is packed into big ints rather than taking the dict
+    loop: the product's exponent box, with the common step of each
+    variable divided out, holds at most 1/_PAIRS_PER_SLOT slot per pair."""
+    axes = [zip(*((k,) if isinstance(k, int) else k for k in t)) for t in (p.terms, q.terms)]
+    box = 1
+    for xa, xb in zip(*axes):
+        step = gcd(*(x - min(xa) for x in xa), *(x - min(xb) for x in xb)) or 1
+        box *= (max(xa) - min(xa) + max(xb) - min(xb)) // step + 1
+    return box * ring._PAIRS_PER_SLOT <= len(p) * len(q)
+
+
+def operands(keys, min_size, max_size):
+    """Strategy for (class, terms, terms) over the key strategies in ``keys``."""
+    def pair(cls):
+        terms = st.dictionaries(keys[cls], rich_coeffs, min_size=min_size, max_size=max_size)
+        return st.tuples(st.just(cls), terms.map(clean), terms.map(clean))
+
+    return st.sampled_from(list(keys)).flatmap(pair)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(operands(DENSE, 40, 60))
+def test_large_products_match_reference(case):
+    cls, a, b = case
+    pa, pb = cls(a), cls(b)
+    assert packed(pa, pb)
+    assert canonical(pa) == a
+    assert canonical(pa * pb) == ref.mul(a, b)
+    assert canonical(pb * pa) == ref.mul(a, b)
+
+
+@SETTINGS
+@given(operands(DENSE, 1, 20))
+def test_cancelling_products_match_reference(case):
+    cls, a, b = case
+    p, q = cls(a), cls(b)
+    # (p + q)(p - q) = p^2 - q^2: the cross terms cancel slot by slot
+    want = ref.sub(ref.mul(a, a), ref.mul(b, b))
+    assert canonical((p + q) * (p - q)) == want == canonical(p * p - q * q)
+    assert canonical(p * (-p) + p * p) == {}
+    assert canonical(p * cls.zero()) == {} == canonical(cls.zero() * q)
+
+
+@SETTINGS
+@given(operands({LaurentPoly: DENSE[LaurentPoly]}, 1, 20), st.integers(2, 5))
+def test_adams_images_times_polynomials(case, n):
+    _, a, b = case
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    assert canonical(p.adams(n) * q) == ref.mul(ref.adams(a, n), b)
+    assert canonical(p.adams(n) * q.adams(n)) == ref.adams(ref.mul(a, b), n)
+    ua, ub = {n * e: c for e, c in ref.specialize(a).items()}, ref.specialize(b)
+    assert canonical(UniPoly(ua) * UniPoly(ub)) == ref.mul(ua, ub)
+
+
+@SETTINGS
+@given(operands(FAR, 2, 10))
+def test_sparse_products_take_the_dict_loop(case):
+    cls, a, b = case
+    pa, pb = cls(a), cls(b)
+    assert not packed(pa, pb)
+    assert canonical(pa * pb) == ref.mul(a, b)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(KINDS)).flatmap(pairs_of), scalars, st.integers(0, 3),
+       st.integers(1, 3))
+def test_every_operation_returns_canonical_coefficients(case, c, n, k):
+    cls, unit, a, b = case
+    # integral Fractions on the way in must not survive construction
+    pa, pb = cls({m: Fraction(2 * v.numerator, 2) for m, v in a.items()}), cls(b)
+    for p in (pa, pb, pa + pb, pa - pb, -pa, pa * pb, pa * c, c * pb, pa ** n,
+              cls.const(Fraction(6, 3)), cls.one()):
+        canonical(p)
+    if cls is LaurentPoly:
+        for p in (pa.adams(n + 1), pa.dual(), pa.shift(1, -1), half_lefschetz(n)):
+            canonical(p)
+        canonical(specialize_y(pa))
+        product = pa * LaurentPoly(ref.one_minus_lefschetz(k))
+        canonical(product)
+        assert canonical(exact_divide_cyclo(product, k)) == pa.terms
+        assert canonical(RingElem(product, CycloDenominator.of(k)).to_polynomial()) == pa.terms
+    else:
+        canonical(UniPoly({2 * e: v for e, v in a.items()}).at_neg_y())

@@ -7,6 +7,7 @@ the specialization images.
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
@@ -297,3 +298,23 @@ def test_records_sorted():
         {"e2": 0, "num": 1, "den": 1},
         {"e2": 4, "num": -2, "den": 3},
     ]
+
+
+
+def test_far_apart_exponents_multiply_quickly():
+    # Packed by Kronecker substitution, the last two products would need
+    # a box of about 10^12 and 10^6 slots; they must take the dict loop.
+    n = 10**6
+    u, v, y = monomial(2 * n, 0), monomial(0, 2 * n), UniPoly.y_pow(2 * n)
+    y_one = UniPoly.one()
+    cases = [
+        (ONE + u, ONE + v, {(0, 0), (2 * n, 0), (0, 2 * n), (2 * n, 2 * n)}),
+        (y_one + y, y_one + y * y * y, {0, 2 * n, 6 * n, 8 * n}),
+        (ONE + U + u, ONE + V + v, {(a, b) for a in (0, 2, 2 * n) for b in (0, 2, 2 * n)}),
+        (y_one + UniPoly.y_pow(1), y_one + y, {0, 1, 2 * n, 2 * n + 1}),
+    ]
+    for a, b, keys in cases:
+        start = time.perf_counter()
+        product = a * b
+        assert time.perf_counter() - start < 0.5
+        assert product.terms == dict.fromkeys(keys, 1)
