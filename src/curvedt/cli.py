@@ -18,8 +18,8 @@ re-serializing parsed output is byte-identical), or CSV.
 Exit codes: 0 success; 1 verification failure (a consistency assertion
 tripped, a division left a remainder, a certificate or suite failed);
 2 usage error, including a class (g, r, d) outside the domain: rank
-below 1 (rank 0 is allowed by ``hdt``), negative genus, or negative
-dim M(r,d) = (g-1) r^2 + 1.
+below 1 (``hdt`` allows rank 0, torsion mode, with degree >= 1),
+negative genus, or negative dim M(r,d) = (g-1) r^2 + 1.
 
 Exact numbers only: integers print as integers, rationals as p/q, and
 half-integer exponents as ^(1/2), ^(-3/2), and so on.  Polynomials
@@ -180,7 +180,8 @@ def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
     parser.add_argument(
         "--slope",
         type=_parse_slope,
-        help="slope p/q; with --rmax, runs every rank q, 2q, ... up to N",
+        help="slope p/q; with --rmax, runs every rank q, 2q, ... up to N "
+        "(write a negative slope as --slope=-p/q)",
     )
     parser.add_argument("--rmax", type=int, help="largest rank in slope mode")
     parser.add_argument(
@@ -244,6 +245,8 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
             parser.error(
                 f"{where}: rank must be >= 1" + (" (0 selects torsion mode)" if torsion_ok else "")
             )
+        if r == 0 and d < 1:
+            parser.error(f"{where}: torsion mode (rank 0) needs degree >= 1")
         dim = dim_moduli(cfg.genus, r)
         if dim < 0:
             parser.error(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
@@ -304,8 +307,6 @@ def cmd_hdt(cfg: RunConfig) -> int:
     items = []
     for r, d in _classes(cfg):
         if r == 0:
-            if d < 1:
-                raise VerificationError("torsion mode needs degree >= 1")
             items.append((d, None, torsion_dt(cfg.genus, d, checks=cfg.checks)[d]))
         else:
             res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)

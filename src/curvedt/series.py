@@ -2,24 +2,34 @@
 
 A GradedSeries holds the coefficients of t^0 .. t^rmax; the truncation
 order is part of the value and binary operations require matching
-orders.  The plethystic exponential is
+orders.  The plethystic exponential of a series f with constant term 0
+is
 
-    Exp(f) = exp( sum_{n >= 1} psi_n(f) / n ),
+    E = Exp(f) = exp( sum_{k >= 1} psi_k(f) / k ),
 
-where psi_n acts on coefficients through their Adams operation and on t
-by t -> t^n.  Its inverse Log is computed by Moebius inversion of the
-ordinary series logarithm:
+where psi_k acts on coefficients through their Adams operation and on t
+by t -> t^k.  Comparing t d/dt log E on both sides gives the Newton
+identity
 
-    Log(f) = sum_{k >= 1} (mu(k) / k) psi_k(log f).
+    n E_n = sum_{k=1..n} P_k E_{n-k},   P_n = sum_{d | n} psi_{n/d}(d f_d),
 
-Everything is exact; ordinary log/exp are the finite truncated sums.
+with E_0 = 1.  pleth_exp runs it forward.  pleth_log solves it backward
+for f: the k = n term holds P_n, whose d = n part is n f_n, so
+
+    n f_n = n E_n - sum_{k<n} P_k E_{n-k} - sum_{d | n, d < n} psi_{n/d}(d f_d).
+
+Both take O(rmax^2) ring products, skip zero coefficients, and divide
+by n only once per output coefficient; the running P_k and d f_d carry
+no 1/n.  A Log coefficient with no correction terms is E_n itself and
+is returned as it is: the slope series of a coprime class has a single
+nonzero coefficient.  Everything is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .ring import RingElem, ring_sum
 
@@ -44,26 +54,9 @@ def series(coeffs: Iterable[RingElem]) -> GradedSeries:
     return GradedSeries(tuple(coeffs))
 
 
-def unit_series(rmax: int) -> GradedSeries:
-    return GradedSeries((RingElem.one(),) + (RingElem.zero(),) * rmax)
-
-
-def zero_series(rmax: int) -> GradedSeries:
-    return GradedSeries((RingElem.zero(),) * (rmax + 1))
-
-
 def _same_order(f: GradedSeries, g: GradedSeries) -> None:
     if f.rmax != g.rmax:
         raise ValueError("series truncation orders differ")
-
-
-def series_add(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    _same_order(f, g)
-    return GradedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
-def series_scale(f: GradedSeries, c: Fraction | int) -> GradedSeries:
-    return GradedSeries(tuple(a * c for a in f.coeffs))
 
 
 def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
@@ -79,82 +72,57 @@ def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     return GradedSeries(tuple(out))
 
 
-def series_log(f: GradedSeries) -> GradedSeries:
-    """log f = sum_{m>=1} (-1)^(m+1) (f-1)^m / m, needs constant term 1."""
-    if not (f.coeffs[0] == RingElem.one()):
-        raise ValueError("series_log needs constant term 1")
-    g = GradedSeries((RingElem.zero(),) + f.coeffs[1:])
-    acc = zero_series(f.rmax)
-    power = g
-    for m in range(1, f.rmax + 1):
-        acc = series_add(acc, series_scale(power, Fraction((-1) ** (m + 1), m)))
-        if m < f.rmax:
-            power = series_mul(power, g)
-    return acc
+def _sum(parts: List[RingElem]) -> RingElem:
+    """Sum of the nonzero parts; a lone nonzero part is returned as it is."""
+    parts = [x for x in parts if not x.is_zero()]
+    return parts[0] if len(parts) == 1 else ring_sum(parts)
 
 
-def series_exp(f: GradedSeries) -> GradedSeries:
-    """exp f = sum_{m>=0} f^m / m!, needs constant term 0."""
-    if not f.coeffs[0].is_zero():
-        raise ValueError("series_exp needs constant term 0")
-    acc = unit_series(f.rmax)
-    power = f
-    factorial = 1
-    for m in range(1, f.rmax + 1):
-        factorial *= m
-        acc = series_add(acc, series_scale(power, Fraction(1, factorial)))
-        if m < f.rmax:
-            power = series_mul(power, f)
-    return acc
+def _convolution(p: List[RingElem], e: List[RingElem], n: int) -> List[RingElem]:
+    """The products P_k E_{n-k}, 0 < k < n, of nonzero factors."""
+    return [p[k] * e[n - k] for k in range(1, n) if not (p[k].is_zero() or e[n - k].is_zero())]
 
 
-def adams_series(n: int, f: GradedSeries) -> GradedSeries:
-    """psi_n on a series: coefficients through their Adams map, t -> t^n.
-
-    Indices beyond the truncation order are dropped, so the result keeps
-    the same rmax.
-    """
-    if n < 1:
-        raise ValueError("Adams operations are indexed by n >= 1")
-    out = [RingElem.zero()] * (f.rmax + 1)
-    for r in range(0, f.rmax // n + 1):
-        out[n * r] = f.coeffs[r].adams(n)
-    return GradedSeries(tuple(out))
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius is defined on positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+def _adams_images(scaled: List[RingElem], n: int) -> List[RingElem]:
+    """psi_{n/d}(d f_d) for the divisors d < n of n with f_d nonzero."""
+    return [
+        scaled[d].adams(n // d)
+        for d in range(1, n // 2 + 1)
+        if n % d == 0 and not scaled[d].is_zero()
+    ]
 
 
 def pleth_exp(f: GradedSeries) -> GradedSeries:
     if not f.coeffs[0].is_zero():
         raise ValueError("pleth_exp needs constant term 0")
-    acc = zero_series(f.rmax)
+    scaled = [c * d for d, c in enumerate(f.coeffs)]
+    p = [RingElem.zero()] * (f.rmax + 1)
+    e = [RingElem.one()] + [RingElem.zero()] * f.rmax
     for n in range(1, f.rmax + 1):
-        acc = series_add(acc, series_scale(adams_series(n, f), Fraction(1, n)))
-    return series_exp(acc)
+        p[n] = _sum(_adams_images(scaled, n) + [scaled[n]])
+        e[n] = _sum(_convolution(p, e, n) + [p[n]]) * Fraction(1, n)
+    return GradedSeries(tuple(e))
 
 
 def pleth_log(f: GradedSeries) -> GradedSeries:
     if not (f.coeffs[0] == RingElem.one()):
         raise ValueError("pleth_log needs constant term 1")
-    lg = series_log(f)
-    acc = zero_series(f.rmax)
-    for k in range(1, f.rmax + 1):
-        mu = mobius(k)
-        if mu:
-            acc = series_add(acc, series_scale(adams_series(k, lg), Fraction(mu, k)))
-    return acc
+    e = f.coeffs
+    p = [RingElem.zero()] * (f.rmax + 1)
+    scaled = list(p)
+    out = list(p)
+    for n in range(1, f.rmax + 1):
+        conv = _convolution(p, e, n)
+        images = _adams_images(scaled, n)
+        if not conv and not images:
+            out[n] = e[n]  # no correction: returned as it is
+            if n < f.rmax:
+                p[n] = scaled[n] = e[n] * n
+            continue
+        parts = [e[n] * n] + [-x for x in conv]
+        if n < f.rmax:  # P_n is read again at higher ranks
+            p[n] = _sum(parts)
+            parts = [p[n]]
+        scaled[n] = _sum(parts + [-x for x in images])
+        out[n] = scaled[n] * Fraction(1, n)
+    return GradedSeries(tuple(out))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from curvedt import cli
 from curvedt.cli import main, render_poly, render_uni
+from curvedt.invariants import VerificationError
 from curvedt.ring import LaurentPoly, UniPoly, monomial
 
 
@@ -159,6 +161,8 @@ def test_usage_errors_exit_two():
         ("hdt -g 2 -r -1 -d 1", "(2, -1, 1)"),
         ("betti -g -3 -r 2 -d 1 --force-genus", "(-3, 2, 1)"),
         ("betti -g 0 -r 2 -d 2 --force-genus", "(0, 2, 2)"),
+        ("hdt -g 2 -r 0 -d 0", "(2, 0, 0)"),
+        ("hdt -g 2 -r 0 -d -1", "(2, 0, -1)"),
     ],
 )
 def test_domain_errors_exit_two(capsys, argv, where):
@@ -170,10 +174,26 @@ def test_domain_errors_exit_two(capsys, argv, where):
     assert "Traceback" not in err
 
 
-def test_verification_failure_exits_one(capsys):
-    code, _, err = run(capsys, "hdt", "-g", "2", "-r", "0", "-d", "0")
+def test_verification_failure_exits_one(capsys, monkeypatch):
+    def not_self_dual(g, r, d, checks="on"):
+        raise VerificationError(f"HDT at rank {r}, slope {d}/{r}, genus {g} is not self-dual")
+
+    monkeypatch.setattr(cli, "ih_poincare", not_self_dual)
+    code, _, err = run(capsys, "hdt", "-g", "2", "-r", "2", "-d", "1")
     assert code == 1
     assert "error:" in err
+
+
+def test_negative_slope_needs_equals_sign(capsys):
+    code, out, _ = run(capsys, "betti", "-g", "2", "--slope=-3/2", "--rmax", "4", "--half")
+    assert code == 0
+    assert "genus=2 rank=2 degree=-3 dim=5" in out and "rank=4 degree=-6" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "-g", "2", "--slope", "-3/2", "--rmax", "4"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--slope: expected one argument" in err
+    assert "Traceback" not in err
 
 
 def test_render_poly_ordering_and_halves():

@@ -2,7 +2,10 @@
 
 The Exp(L^(1/2) t) = 1 + L^(1/2) t oracle pins the sign convention: the
 Adams images of L^(1/2) alternate, so the plethystic exponential of a
-single half-Lefschetz term telescopes to a two-term polynomial.
+single half-Lefschetz term telescopes to a two-term polynomial.  The
+ordinary log/exp, Adams-series and Moebius tests exercise the power-sum
+reference in ``seriesref``, which ``test_series_diff`` compares with
+``pleth_exp``/``pleth_log``.
 """
 
 from fractions import Fraction
@@ -17,17 +20,13 @@ from curvedt.ring import (
     half_lefschetz,
     monomial,
 )
-from curvedt.series import (
-    GradedSeries,
+from curvedt.series import GradedSeries, pleth_exp, pleth_log, series, series_mul
+from seriesref import (
     adams_series,
     mobius,
-    pleth_exp,
-    pleth_log,
-    series,
     series_add,
     series_exp,
     series_log,
-    series_mul,
     series_scale,
     unit_series,
     zero_series,
