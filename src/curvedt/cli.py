@@ -36,6 +36,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -273,13 +274,42 @@ def _emit(text: str) -> None:
 def _report(cfg: RunConfig, items: list, payload: Callable, block: Callable) -> None:
     """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
 
-    payload(item) and block(item) are only called for the format printed.
+    payload(item) is canonical JSON text; payload and block are only called
+    for the format printed.  A list is written one payload at a time, nested
+    by indenting its lines (JSON escapes every newline inside a string).
     """
-    if cfg.fmt == "json":
-        payloads = [payload(item) for item in items]
-        _emit(_canonical_json(payloads[0] if cfg.slope is None else payloads))
-    else:
+    if cfg.fmt != "json":
         _emit("\n\n".join(block(item) for item in items))
+    elif cfg.slope is None:
+        _emit(payload(items[0]))
+    else:
+        sep = "[\n  "
+        for item in items:
+            sys.stdout.write(sep + payload(item).replace("\n", "\n  "))
+            sep = ",\n  "
+        _emit("\n]" if items else "[]")
+
+
+@lru_cache(maxsize=None)
+def _part_json(part) -> str:
+    """A ((r, d), m) part as canonical JSON, indented to the depth of a report's parts."""
+    return "        " + _canonical_json(part).replace("\n", "\n        ")
+
+
+def _strata_json(rep: SmallnessReport) -> str:
+    """_canonical_json(rep.as_json()), assembled without building the dict."""
+    sep = ",\n"
+    records = sep.join(
+        f'    {{\n      "bound": "{rec.bound!s}",\n      "codim": {rec.codim},\n'
+        f'      "maximal": {"true" if rec.is_maximal else "false"},\n'
+        f'      "parts": [\n{sep.join(map(_part_json, rec.stratum.parts))}\n      ],\n'
+        f'      "pass": {"true" if rec.passes else "false"}\n    }}'
+        for rec in rep.records
+    )
+    return (
+        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n  "genus": {rep.genus},\n'
+        f'  "rank": {rep.rank},\n  "strata": [\n{records}\n  ],\n  "verdict": "{rep.verdict}"\n}}'
+    )
 
 
 def cmd_betti(cfg: RunConfig) -> int:
@@ -298,7 +328,7 @@ def cmd_betti(cfg: RunConfig) -> int:
             f"{label}: " + ", ".join(str(b) for b in shown)
         )
 
-    _report(cfg, results, DTResult.as_json, block)
+    _report(cfg, results, lambda res: _canonical_json(res.as_json()), block)
     return 0
 
 
@@ -312,11 +342,11 @@ def cmd_hdt(cfg: RunConfig) -> int:
             res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
             items.append((d, res, res.hdt))
 
-    def payload(item) -> dict:
+    def payload(item) -> str:
         d, res, h = item
         if res is None:
-            return {"genus": cfg.genus, "rank": 0, "degree": d, "hdt": h.records()}
-        return res.as_json()
+            return _canonical_json({"genus": cfg.genus, "rank": 0, "degree": d, "hdt": h.records()})
+        return _canonical_json(res.as_json())
 
     def block(item) -> str:
         d, res, h = item
@@ -348,9 +378,9 @@ def cmd_detfactor(cfg: RunConfig) -> int:
         res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
         items.append((r, d, determinant_factor(cfg.genus, res.betti)))
 
-    def payload(item) -> dict:
+    def payload(item) -> str:
         r, d, coeffs = item
-        return {"genus": cfg.genus, "rank": r, "degree": d, "detfactor": coeffs}
+        return _canonical_json({"genus": cfg.genus, "rank": r, "degree": d, "detfactor": coeffs})
 
     def block(item) -> str:
         r, d, coeffs = item
@@ -404,7 +434,7 @@ def cmd_strata(cfg: RunConfig) -> int:
             f"{table.render()}\nverdict: {rep.verdict}"
         )
 
-    _report(cfg, reports, SmallnessReport.as_json, block)
+    _report(cfg, reports, _strata_json, block)
     return 0 if all(rep.passes for rep in reports) else 1
 
 

@@ -32,8 +32,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .invariants import VerificationError, dim_moduli
 
@@ -80,29 +81,43 @@ class StratumType:
 
 @dataclass(frozen=True)
 class FramedQuiver:
-    """Symmetric quiver with framing vector attached to a stratum type."""
+    """Symmetric framed quiver of a stratum type; arrows are built on first use."""
 
-    n: int
-    arrows: Tuple[Tuple[int, ...], ...]
+    genus: int
+    ranks: Tuple[int, ...]
     framing: Tuple[int, ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.ranks)
 
-def _pair_multisets(total: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Multisets of (k, m) pairs, k, m >= 1, with sum k*m = total."""
-    pairs = [(k, m) for k in range(1, total + 1) for m in range(1, total // k + 1)]
+    @cached_property
+    def arrows(self) -> Tuple[Tuple[int, ...], ...]:
+        """a_ij = delta_ij + (g-1) r_i r_j."""
+        g1, ranks = self.genus - 1, self.ranks
+        return tuple(
+            tuple((i == j) + g1 * r_i * r_j for j, r_j in enumerate(ranks))
+            for i, r_i in enumerate(ranks)
+        )
 
-    def rec(remaining: int, start: int, acc: List[Tuple[int, int]]):
+
+def _pair_multisets(total: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """Multisets of (k, m) pairs, k, m >= 1, with sum k*m = total.
+
+    Each is a non-decreasing tuple; the list is in lexicographic order.
+    """
+    out: List[Tuple[Tuple[int, int], ...]] = []
+
+    def rec(remaining: int, k0: int, m0: int, acc: Tuple[Tuple[int, int], ...]):
         if remaining == 0:
-            yield tuple(acc)
+            out.append(acc)
             return
-        for idx in range(start, len(pairs)):
-            k, m = pairs[idx]
-            if k * m <= remaining:
-                acc.append((k, m))
-                yield from rec(remaining - k * m, idx, acc)
-                acc.pop()
+        for k in range(k0, remaining + 1):
+            for m in range(m0 if k == k0 else 1, remaining // k + 1):
+                rec(remaining - k * m, k, m, acc + ((k, m),))
 
-    yield from rec(total, 0, [])
+    rec(total, 1, 1, ())
+    return out
 
 
 def enumerate_strata(r: int, d: int) -> List[StratumType]:
@@ -117,10 +132,8 @@ def enumerate_strata(r: int, d: int) -> List[StratumType]:
         raise ValueError(f"rank must be positive, got {r}")
     t = gcd(r, abs(d)) if d else r
     q, p = r // t, d // t
-    types = []
-    for pairs in _pair_multisets(t):
-        parts = tuple((((k * q), (k * p)), m) for k, m in pairs)
-        types.append(StratumType(parts))
+    part = {(k, m): ((k * q, k * p), m) for k in range(1, t + 1) for m in range(1, t // k + 1)}
+    types = [StratumType(tuple(map(part.__getitem__, pairs))) for pairs in _pair_multisets(t)]
     types.sort(key=lambda s: (not s.is_maximal, s.parts))
     return types
 
@@ -131,15 +144,11 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
     Vertex i per part; a_ij = delta_ij + (g-1) r_i r_j arrows; framing
     w_i = d_i + (1-g) r_i.
     """
-    ranks = [r_i for (r_i, _), _ in s.parts]
-    degrees = [d_i for (_, d_i), _ in s.parts]
-    n = s.n
-    arrows = tuple(
-        tuple((1 if i == j else 0) + (g - 1) * ranks[i] * ranks[j] for j in range(n))
-        for i in range(n)
+    return FramedQuiver(
+        genus=g,
+        ranks=tuple(r_i for (r_i, _), _ in s.parts),
+        framing=tuple(d_i + (1 - g) * r_i for (r_i, d_i), _ in s.parts),
     )
-    framing = tuple(degrees[i] + (1 - g) * ranks[i] for i in range(n))
-    return FramedQuiver(n=n, arrows=arrows, framing=framing)
 
 
 def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
@@ -186,11 +195,11 @@ def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
     estimate) when generic=True.  Virtual smallness needs 0 at the
     maximal type and < 0 elsewhere.
     """
-    total = Fraction(1, 2)
+    twice = 1
     for (r_i, _), m_i in s.parts:
         chi_ii = 1 if generic else -(g - 1) * r_i * r_i
-        total += Fraction((m_i - 1) * chi_ii + 1 - 2 * m_i, 2)
-    return total
+        twice += (m_i - 1) * chi_ii + 1 - 2 * m_i
+    return Fraction(twice, 2)
 
 
 @dataclass(frozen=True)
@@ -257,10 +266,11 @@ def certify_virtual_smallness(
     dense stratum, non-positive framing in range) raise instead of
     being reported.
     """
-    in_range = Fraction(d, r) > 2 * g - 2
+    slope = Fraction(d, r)
+    in_range = slope > 2 * g - 2
     if not in_range:
         warnings.warn(
-            f"slope {d}/{r} is not above {2 * g - 2}: smallness is certified "
+            f"slope {slope} is not above {2 * g - 2}: smallness is certified "
             "arithmetic only, outside the theorem's hypothesis",
             stacklevel=2,
         )

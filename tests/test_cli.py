@@ -102,6 +102,13 @@ def test_strata_out_of_range_warning_on_stderr(capsys):
     assert "warning" in err and "slope" in err
 
 
+def test_strata_warning_prints_reduced_slope(capsys):
+    code, _, err = run(capsys, "strata", "-g", "2", "-r", "4", "-d", "-6")
+    assert code == 0 and "warning: slope -3/2 is not above 2:" in err
+    code, _, err = run(capsys, "strata", "-g", "2", "--slope=0", "--rmax", "2")
+    assert code == 0 and err.count("warning: slope 0 is not above 2:") == 2
+
+
 def test_strata_json(capsys):
     code, out, _ = run(
         capsys, "strata", "-g", "2", "-r", "2", "-d", "5", "--format", "json"

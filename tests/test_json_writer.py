@@ -1,0 +1,115 @@
+"""Canonical JSON from the CLI: the strata writer and slope-mode lists.
+
+``strata --format json`` assembles each report's text from templates
+and writes a slope-mode list one report at a time.  Both must equal
+``json.dumps(..., sort_keys=True, indent=2)`` of the library form
+``SmallnessReport.as_json``.  Every JSON output of the class commands
+must also survive a parse and re-dump byte for byte.  Hypothesis runs
+derandomized.
+"""
+
+import contextlib
+import io
+import json
+import os
+import warnings
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from curvedt import cli
+from curvedt.strata import certify_virtual_smallness
+
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+def canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first difference only: pytest's own
+    diff of two long texts takes minutes, once per shrinking step."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        raise AssertionError(f"texts differ at {i}: {got[i - 60:i + 60]!r} != {want[i - 60:i + 60]!r}")
+
+
+def certify(g, r, d, generic):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return certify_virtual_smallness(g, r, d, generic=generic)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@SETTINGS
+@given(
+    g=st.integers(2, 5),
+    r=st.integers(1, 12),
+    slope=st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    generic=st.booleans(),
+)
+def test_strata_text_equals_canonical_dump(g, r, slope, generic):
+    d = int(slope * r)  # either sign, in and out of the theorem range
+    rep = certify(g, r, d, generic)
+    assert_same_text(cli._strata_json(rep), canonical(rep.as_json()))
+
+
+@SETTINGS
+@given(
+    g=st.integers(0, 1),
+    r=st.integers(1, 6),
+    d=st.integers(-12, 12),
+    generic=st.booleans(),
+)
+def test_strata_text_low_genus_coprime(g, r, d, generic):
+    assume(Fraction(d, r).denominator == r)
+    # at genus 0 the framing d + r is not positive on slopes in (-2, -1]
+    assume(not (g == 0 and -2 * r < d <= -r))
+    rep = certify(g, r, d, generic)
+    assert len(rep.records) == 1
+    assert_same_text(cli._strata_json(rep), canonical(rep.as_json()))
+
+
+@SETTINGS
+@given(
+    g=st.integers(2, 4),
+    slope=st.fractions(min_value=-6, max_value=12, max_denominator=3),
+    extra=st.integers(0, 6),
+    generic=st.booleans(),
+)
+def test_strata_cli_matches_canonical_dump(g, slope, extra, generic):
+    q = slope.denominator
+    rmax = q + extra
+    flags = ["--generic-bound"] if generic else []
+    code, out = run_cli("strata", "-g", str(g), f"--slope={slope}", "--rmax", str(rmax),
+                        "--format", "json", *flags)
+    reports = [certify(g, r, r * slope.numerator // q, generic) for r in range(q, rmax + 1, q)]
+    assert code == 0
+    assert_same_text(out, canonical([rep.as_json() for rep in reports]) + "\n")
+    last = reports[-1]
+    code, out = run_cli("strata", "-g", str(g), "-r", str(last.rank), "-d", str(last.degree),
+                        "--format", "json", *flags)
+    assert code == 0
+    assert_same_text(out, canonical(last.as_json()) + "\n")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    command=st.sampled_from(("betti", "detfactor", "hdt", "strata")),
+    g=st.integers(2, 3),
+    slope=st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    rmax=st.integers(1, 4),
+)
+def test_cli_json_round_trip(command, g, slope, rmax):
+    assume(slope.denominator <= rmax)
+    code, out = run_cli(command, "-g", str(g), f"--slope={slope}", "--rmax", str(rmax),
+                        "--format", "json")
+    assert code == 0
+    assert_same_text(out, canonical(json.loads(out)) + "\n")

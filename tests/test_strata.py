@@ -8,7 +8,9 @@ bound values 0, -1/2, -3/2; and d0 = d + (1-g) r - 1 spot values.
 """
 
 import warnings
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -204,3 +206,81 @@ def test_report_json_shape():
     row = obj["strata"][0]
     assert list(row) == ["parts", "codim", "bound", "maximal", "pass"]
     assert row["parts"] == [[[2, 6], 1]] and row["bound"] == "0"
+
+
+def _type_counts(tmax):
+    """Coefficients of prod_{n>=1} (1 - x^n)^(-tau(n)) up to x^tmax.
+
+    A type of (r, d) with t = gcd(r, d) is a multiset of (k, m) pairs with
+    sum k*m = t, and a part of size n = k*m comes in tau(n) kinds (k | n).
+    """
+    coeffs = [1] + [0] * tmax
+    for n in range(1, tmax + 1):
+        for _ in range(sum(1 for k in range(1, n + 1) if n % k == 0)):
+            for i in range(n, tmax + 1):
+                coeffs[i] += coeffs[i - n]
+    return coeffs
+
+
+def test_stratum_type_counts_match_generating_function():
+    counts = _type_counts(20)
+    assert counts[1:7] == [1, 3, 5, 11, 17, 34] and counts[20] == 14750
+    assert sum(counts[1:]) == 45560
+    for t in range(1, 21):
+        assert len(enumerate_strata(t, 0)) == counts[t], f"d = 0, r = {t}"
+    for t in range(1, 13):
+        # slope 3/2 (q = 2), and a negative slope with q = 3
+        assert len(enumerate_strata(2 * t, 3 * t)) == counts[t]
+        assert len(enumerate_strata(3 * t, -5 * t)) == counts[t]
+
+
+def test_pair_multisets_match_reference():
+    from curvedt.strata import _pair_multisets
+    from strataref import _pair_multisets as reference
+
+    for t in range(1, 13):
+        assert list(_pair_multisets(t)) == list(reference(t)), f"t = {t}"
+
+
+def test_enumeration_order_matches_reference():
+    from strataref import _pair_multisets as reference
+
+    for r, d in [(12, 0), (8, 12), (9, -6)]:
+        t = gcd(r, abs(d)) if d else r
+        q, p = r // t, d // t
+        expected = [
+            StratumType(tuple(((k * q, k * p), m) for k, m in pairs)) for pairs in reference(t)
+        ]
+        expected.sort(key=lambda s: (not s.is_maximal, s.parts))
+        assert enumerate_strata(r, d) == expected
+
+
+def test_certify_calls_layers_through_module_globals(monkeypatch):
+    """The benchmark's traced child times these by rebinding module globals."""
+    import curvedt.strata as strata
+
+    calls = Counter()
+    for name in ("enumerate_strata", "smallness_bound", "build_fiber_quiver"):
+
+        def counted(*args, _name=name, _fn=getattr(strata, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(strata, name, counted)
+    rep = strata.certify_virtual_smallness(2, 6, 18)
+    n = len(rep.records)
+    assert rep.in_theorem_range and n == 34
+    assert dict(calls) == {"enumerate_strata": 1, "smallness_bound": n, "build_fiber_quiver": n}
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = strata.certify_virtual_smallness(3, 6, -6, generic=True)
+    assert not rep.in_theorem_range
+    assert dict(calls) == {"enumerate_strata": 1, "smallness_bound": len(rep.records)}
+
+
+def test_fiber_quiver_low_genus():
+    s = stratum(((1, 7), 2), ((2, 14), 1), ((3, 21), 1))
+    q1, q0 = build_fiber_quiver(1, s), build_fiber_quiver(0, s)
+    assert q1.arrows == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and q1.framing == (7, 14, 21)
+    assert q0.arrows == ((0, -2, -3), (-2, -3, -6), (-3, -6, -8)) and q0.framing == (8, 16, 24)
