@@ -254,6 +254,10 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         if cfg.genus <= 1 and gcd(r, d) != 1 and args.command != "hdt":
             parser.error(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
                          "dim M(r,d) = (g-1)r^2 + 1 does not hold")
+        framing = d + (1 - cfg.genus) * r
+        if args.command == "strata" and d > (2 * cfg.genus - 2) * r and framing <= 0:
+            parser.error(f"{where}: framing d + (1-g)r = {framing} is not positive although "
+                         "d/r > 2g-2; the stratum model needs d/r > g-1")
     return cfg
 
 

@@ -11,10 +11,11 @@ Conventions used throughout the package:
   exponent keys by n, automatically satisfies
   psi_n(L^(1/2)) = (-1)^(n-1) L^(n/2).
 * Denominators are products of factors (1 - L^k), kept unexpanded as a
-  multiset of the integers k.  Fractions are never reduced: addition
-  expands both numerators to the multiset-wise maximum denominator,
-  multiplication concatenates multisets, and equality is decided by
-  cross-multiplication.
+  multiset of the integers k.  Fractions are never reduced:
+  multiplication concatenates multisets; a sum (and equality, as a zero
+  difference) clears every coefficient denominator by one lcm, brings
+  each numerator to the multiset-wise maximum denominator in integers,
+  and divides by that lcm once.
 
 All arithmetic is exact: a coefficient is an int when integral, else a
 fractions.Fraction.  LaurentPoly and UniPoly (one variable y, the image
@@ -413,24 +414,53 @@ class CycloDenominator:
 
     def expand(self) -> LaurentPoly:
         """The product of the factors as an actual polynomial."""
-        return _expand_onto(LaurentPoly.one(), self.factors)
+        return _sum_elem([RingElem.one(), RingElem(LaurentPoly.zero(), self)]).num
 
 
-def _expand_onto(num: LaurentPoly, missing: Iterable[int]) -> LaurentPoly:
-    """num * prod_k (1 - L^k), one O(len) shift-and-subtract per factor.
+def _divided(terms: Dict, den: int) -> Dict:
+    """A dict of int coefficients divided by den, canonically (terms itself if den is 1)."""
+    if den == 1:
+        return terms
+    return {m: _canon(Fraction(c, den)) for m, c in terms.items()}
 
-    L^k is the key (2k, 2k) with coefficient +1, so multiplying by
-    (1 - L^k) subtracts a shifted copy; this is the only place a
-    numerator meets a cyclotomic factor.
+
+def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, int, CycloDenominator]:
+    """(N, D, lcd) with sum_i sign_i * item_i = N / (D * lcd).
+
+    lcd is the multiset-max denominator, D the lcm of every coefficient
+    denominator and N a dict of nonzero ints.  Each numerator is scaled to
+    integers once; each missing (1 - L^k) is then an integer shift-and-
+    subtract, L^k being the key (2k, 2k) with coefficient +1.  This is the
+    only place a numerator meets a cyclotomic factor.
     """
-    for k in missing:
-        num = num - num.shift(2 * k, 2 * k)
-    return num
+    lcd = items[0].den
+    for x in items[1:]:
+        lcd = lcd.lcm(x.den)
+    cleared = [_integral(list(x.num.terms.values())) for x in items]
+    den = lcm(*(d for _, d in cleared))
+    scales = [sign * (den // d) for sign, (_, d) in zip(signs, cleared)]
+    scaled = [cs if f == 1 else [c * f for c in cs] for (cs, _), f in zip(cleared, scales)]
+    missing = [lcd.diff(x.den) for x in items]
+    total: Dict[Monomial, int] = {}
+    for x, cs, ks in zip(items, scaled, missing):
+        terms = dict(zip(x.num.terms, cs))
+        get = terms.get
+        for k in ks:
+            s = 2 * k
+            for (a, b), c in list(terms.items()):
+                terms[a + s, b + s] = get((a + s, b + s), 0) - c
+        if not total:
+            total = terms
+            continue
+        get = total.get
+        for m, c in terms.items():
+            total[m] = get(m, 0) + c
+    return {m: c for m, c in total.items() if c}, den, lcd
 
 
 @dataclass(frozen=True, eq=False)
 class RingElem:
-    """num / prod_k (1 - L^k), never reduced; equality by cross-multiplication."""
+    """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0."""
 
     num: LaurentPoly
     den: CycloDenominator = CycloDenominator.empty()
@@ -460,10 +490,7 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
             return NotImplemented
-        lcd = self.den.lcm(other.den)
-        a = _expand_onto(self.num, lcd.diff(self.den))
-        b = _expand_onto(other.num, lcd.diff(other.den))
-        return RingElem(a + b, lcd)
+        return _sum_elem([self, other])
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
@@ -481,14 +508,10 @@ class RingElem:
         return self.__mul__(other)
 
     def __eq__(self, other: object) -> bool:
-        """Cross-multiplication equality, after cancelling the common multiset."""
+        """self - other has a zero numerator over the multiset-max denominator."""
         if not isinstance(other, RingElem):
             return NotImplemented
-        ca, cb = Counter(self.den.factors), Counter(other.den.factors)
-        common = ca & cb
-        extra_self = (cb - common).elements()   # factors to push onto self.num
-        extra_other = (ca - common).elements()  # factors to push onto other.num
-        return _expand_onto(self.num, extra_self) == _expand_onto(other.num, extra_other)
+        return not _cleared_sum([self, other], (1, -1))[0]
 
     __hash__ = None  # mathematical equality is not hash-compatible
 
@@ -503,18 +526,15 @@ class RingElem:
         return out
 
 
+def _sum_elem(items: List[RingElem]) -> RingElem:
+    total, den, lcd = _cleared_sum(items, [1] * len(items))
+    return RingElem(LaurentPoly._raw(_divided(total, den)), lcd)
+
+
 def ring_sum(items: Iterable[RingElem]) -> RingElem:
     """Sum with a single expansion to the common (multiset-max) denominator."""
     items = list(items)
-    if not items:
-        return RingElem.zero()
-    lcd = items[0].den
-    for x in items[1:]:
-        lcd = lcd.lcm(x.den)
-    total = LaurentPoly.zero()
-    for x in items:
-        total = total + _expand_onto(x.num, lcd.diff(x.den))
-    return RingElem(total, lcd)
+    return _sum_elem(items) if items else RingElem.zero()
 
 
 def to_polynomial(x: RingElem) -> LaurentPoly:

@@ -290,7 +290,7 @@ def certify_virtual_smallness(
             if any(w <= 0 for w in quiver.framing):
                 raise VerificationError(
                     f"non-positive framing {quiver.framing} for {s.label()} "
-                    f"despite slope {d}/{r} > {2 * g - 2}"
+                    f"despite slope {slope} > {2 * g - 2}"
                 )
         passes = bound == 0 if maximal else bound < 0
         records.append(

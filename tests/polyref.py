@@ -7,7 +7,7 @@ obvious way, independently of ``curvedt.ring``, so that it can serve as
 an oracle for any faster kernel.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 
@@ -87,6 +87,25 @@ def records(a):
 def one_minus_lefschetz(k):
     """1 - L^k, with L^k = (uv)^k the doubled key (2k, 2k)."""
     return {(0, 0): Fraction(1), (2 * k, 2 * k): Fraction(-1)}
+
+
+def times_cyclo(a, ks):
+    """a * prod_k (1 - L^k), one shift-and-subtract per factor."""
+    for k in ks:
+        a = sub(a, {(x + 2 * k, y + 2 * k): c for (x, y), c in a.items()})
+    return a
+
+
+def fraction_sum(items):
+    """Sum of fractions (numerator, factor list), each numerator expanded
+    to the multiset-max denominator: (numerator, sorted factor list)."""
+    lcd = Counter()
+    for _, ks in items:
+        lcd |= Counter(ks)
+    total = {}
+    for num, ks in items:
+        total = add(total, times_cyclo(num, (lcd - Counter(ks)).elements()))
+    return total, sorted(lcd.elements())
 
 
 def divide_cyclo(a, k):

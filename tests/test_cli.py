@@ -233,6 +233,27 @@ def test_low_genus_non_coprime_classes_exit_two(capsys, argv, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        ("strata -g 0 -r 1 -d -1 --force-genus", "(0, 1, -1)"),
+        ("strata -g 0 --slope=-1 --rmax 1 --force-genus", "(0, 1, -1)"),
+    ],
+)
+def test_genus_zero_non_positive_framing_exits_two(capsys, argv, where):
+    # d/r > 2g - 2 = -2 holds, but the framing d + (1 - g)r = 0 needs d/r > g - 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"(g, r, d) = {where}" in err and "framing d + (1-g)r = 0" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "strata", "-g", "0", "-r", "1", "-d", "-2", "--force-genus")
+    assert code == 0 and "verdict: PASS" in out
+    code, out, _ = run(capsys, "betti", "-g", "0", "-r", "1", "-d", "-1", "--force-genus")
+    assert code == 0 and "Betti: 1" in out
+
+
 def test_hdt_keeps_low_genus_non_coprime_zero(capsys):
     code, out, _ = run(capsys, "hdt", "-g", "1", "-r", "2", "-d", "0", "--force-genus")
     assert code == 0 and "HDT = 0" in out

@@ -242,3 +242,16 @@ def test_hdt_degree_symmetries(g, rd):
     assert hdt(g, r, -d) == h
     assert hdt(g, r, d + r) == h
     assert {(b, a): c for (a, b), c in h.terms.items()} == h.terms
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), st.integers(-3 * r, 3 * r))),
+)
+def test_hdt_is_self_dual(g, rd):
+    # Poincare duality of the intersection cohomology: u -> 1/u, v -> 1/v
+    # fixes HDT_{r,d} for every class, of either sign of degree.
+    r, d = rd
+    h = hdt(g, r, d)
+    assert not h.is_zero() and dualize(h) == h

@@ -232,3 +232,64 @@ def test_every_operation_returns_canonical_coefficients(case, c, n, k):
         assert canonical(RingElem(product, CycloDenominator.of(k)).to_polynomial()) == pa.terms
     else:
         canonical(UniPoly({2 * e: v for e, v in a.items()}).at_neg_y())
+
+
+# ------------------------------------------------ sums over cyclotomic denominators
+
+def elem(num, ks):
+    return RingElem(LaurentPoly(num), CycloDenominator(tuple(ks)))
+
+
+def fractions_over(keys, max_terms, factors, max_factors=14, min_terms=0):
+    """Strategy for (numerator, factor list) pairs with int and Fraction
+    coefficients."""
+    nums = st.dictionaries(keys, rich_coeffs, min_size=min_terms, max_size=max_terms)
+    return st.tuples(nums.map(clean), st.lists(factors, max_size=max_factors))
+
+
+def check_sum(items):
+    elems = [elem(*x) for x in items]
+    want_num, want_den = ref.fraction_sum(items)
+    total = ring.ring_sum(elems)
+    assert (canonical(total.num), list(total.den.factors)) == (want_num, want_den)
+    return elems, want_num
+
+
+def ref_equal(x, y):
+    """Whether the fractions x and y, as (numerator, factor list), are equal."""
+    return ref.fraction_sum([x, (ref.neg(y[0]), y[1])])[0] == {}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(fractions_over(DENSE[LaurentPoly], 8, st.integers(1, 4)), min_size=1, max_size=5))
+def test_sums_match_reference(items):
+    elems, _ = check_sum(items)
+    a, b = elems[0], elems[-1]
+    want_num, want_den = ref.fraction_sum([items[0], items[-1]])
+    assert (canonical((a + b).num), list((a + b).den.factors)) == (want_num, want_den)
+    assert (a == b) == ref_equal(items[0], items[-1])
+    assert a == a + elem({}, items[-1][1])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(fractions_over(DENSE[LaurentPoly], 8, st.integers(1, 4)), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_cancelling_sums_are_zero(items, rnd):
+    terms = items + [(ref.neg(num), ks) for num, ks in items]
+    rnd.shuffle(terms)
+    elems, want = check_sum(terms)
+    assert want == {} and ring.ring_sum(elems).is_zero()
+    half = len(items)
+    assert ring.ring_sum(elems[:half]) == -ring.ring_sum(elems[half:])
+    # the same fraction over a larger denominator
+    num, ks = items[0]
+    wider = elem(ref.times_cyclo(num, [3, 5]), ks + [5, 3])
+    assert wider == elem(num, ks) and (wider - elem(num, ks)).is_zero()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(fractions_over(FAR[LaurentPoly], 6, st.integers(1, 10**5), 3, min_terms=2),
+                min_size=2, max_size=4))
+def test_far_apart_sums_match_reference(items):
+    a, b = check_sum(items)[0][:2]
+    assert (a == b) == ref_equal(items[0], items[1])

@@ -8,6 +8,7 @@ the specialization images.
 from fractions import Fraction
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -318,3 +319,25 @@ def test_far_apart_exponents_multiply_quickly():
         product = a * b
         assert time.perf_counter() - start < 0.5
         assert product.terms == dict.fromkeys(keys, 1)
+
+
+def test_far_apart_exponents_add_quickly():
+    # Exponents 10^6 + 1 apart and shifts by a prime k: sums and equality
+    # must cost time and memory in the number of terms, not in the exponents.
+    n, k = 10**6 + 1, 99991
+    u, v = monomial(2 * n, 0), monomial(0, 2 * n)
+    a = RingElem(ONE + u, CycloDenominator.of(k))
+    b = RingElem(ONE + v, CycloDenominator.of(k, 3 * k))
+    b_over_a = (ONE + u) * (ONE - lefschetz(3 * k))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        total, sums = a + b, [ring_sum([a, b, -a]), b - a + a]
+        equal = [a == a + b - b, b == a, a + b == b + a]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 2**20
+    assert total.num == b_over_a + ONE + v and total.den == CycloDenominator.of(k, 3 * k)
+    assert all(s.num == (ONE + v) for s in sums) and equal == [True, False, True]

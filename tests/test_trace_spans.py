@@ -29,3 +29,31 @@ def test_every_span_names_a_function(trace_child):
 def test_every_cached_function_has_cache_info(trace_child):
     for key, fn in trace_child.CACHED.items():
         assert callable(getattr(fn, "cache_info", None)), f"{key} is no longer cached"
+
+
+def test_sums_do_not_nest_elem_add_spans(monkeypatch):
+    # The traced child times ring_sum and RingElem.__add__ under one span
+    # name, ring.elem_add.  Neither may call the other, nor may == or a
+    # denominator's expansion call either; the spans would then nest, and
+    # ring.elem_add.calls would count work that the parent did not count.
+    from curvedt import ring
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ring, "ring_sum", counting("ring_sum", ring.ring_sum))
+    a = ring.RingElem(ring.lefschetz(1), ring.CycloDenominator.of(1))
+    b = ring.RingElem.one()
+    assert a + b == ring.RingElem(ring.LaurentPoly.one(), ring.CycloDenominator.of(1))
+    assert not (a == b) and a - b == a + (-b)
+    assert calls == []
+    monkeypatch.setattr(ring.RingElem, "__add__", counting("add", ring.RingElem.__add__))
+    ring.ring_sum([a, b])
+    assert a == a and ring.CycloDenominator.of(1, 2).expand() == ring.CycloDenominator.of(2, 1).expand()
+    assert ring.specialize_elem(a)[1] == ring.UniPoly({0: 1, 4: -1})
+    assert calls == ["ring_sum"]
