@@ -66,7 +66,6 @@ class RunConfig:
     rmax: Optional[int]
     fmt: str  # "table" | "json" | "csv"
     half: bool
-    force_genus: bool
     generic: bool
     checks: str  # "on" | "warn" | "off"
 
@@ -233,7 +232,6 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         rmax=args.rmax,
         fmt=args.fmt,
         half=getattr(args, "half", False),
-        force_genus=args.force_genus,
         generic=getattr(args, "generic_bound", False),
         checks=checks,
     )
@@ -271,10 +269,6 @@ def _classes(cfg: RunConfig) -> List[Tuple[int, int]]:
     return [(cfg.rank, cfg.degree)]
 
 
-def _emit(text: str) -> None:
-    print(text)
-
-
 def _report(cfg: RunConfig, items: list, payload: Callable, block: Callable) -> None:
     """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
 
@@ -283,15 +277,15 @@ def _report(cfg: RunConfig, items: list, payload: Callable, block: Callable) -> 
     by indenting its lines (JSON escapes every newline inside a string).
     """
     if cfg.fmt != "json":
-        _emit("\n\n".join(block(item) for item in items))
+        print("\n\n".join(block(item) for item in items))
     elif cfg.slope is None:
-        _emit(payload(items[0]))
+        print(payload(items[0]))
     else:
         sep = "[\n  "
         for item in items:
             sys.stdout.write(sep + payload(item).replace("\n", "\n  "))
             sep = ",\n  "
-        _emit("\n]" if items else "[]")
+        print("\n]" if items else "[]")
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +446,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "rmax": rmax,
             "verdict": "PASS" if all(res.ok for res in results) else "FAIL",
         }
-        _emit(_canonical_json(payload))
+        print(_canonical_json(payload))
     else:
         table = ReportTable(
             ("check", "status", "detail"),
@@ -460,7 +454,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         body = table.render_csv() if fmt == "csv" else table.render()
         verdict = "PASS" if all(res.ok for res in results) else "FAIL"
-        _emit(body + ("" if fmt == "csv" else f"\nverdict: {verdict}"))
+        print(body + ("" if fmt == "csv" else f"\nverdict: {verdict}"))
     return 0 if all(res.ok for res in results) else 1
 
 

@@ -43,7 +43,7 @@ from .ring import (
     ring_sum,
     specialize_y,
 )
-from .series import GradedSeries, pleth_exp, pleth_log, series
+from .series import GradedSeries, pleth_exp, pleth_log
 
 
 class VerificationError(AssertionError):
@@ -90,7 +90,7 @@ def zeta_series(g: int, rmax: int) -> GradedSeries:
     # divide by (1 - Lt): running L-weighted sum
     for j in range(1, rmax + 1):
         coeffs[j] = coeffs[j] + coeffs[j - 1] * lefschetz(1)
-    return series(RingElem.from_poly(p) for p in coeffs)
+    return GradedSeries(tuple(RingElem.from_poly(p) for p in coeffs))
 
 
 def zeta_at_lefschetz(g: int, i: int) -> RingElem:
@@ -192,41 +192,25 @@ def slope_series(g: int, tau: Fraction, rmax: int) -> GradedSeries:
 
 
 @lru_cache(maxsize=None)
-def _dt_polys(g: int, tau: Fraction, rmax: int) -> Tuple[Tuple[int, LaurentPoly], ...]:
-    f = slope_series(g, tau, rmax)
-    logf = pleth_log(f)
-    kappa = _kappa()
-    out = []
-    for r in range(tau.denominator, rmax + 1, tau.denominator):
-        out.append((r, (logf[r] * kappa).to_polynomial()))
-    return tuple(out)
+def _hdt(g: int, tau: Fraction, r: int) -> LaurentPoly:
+    """The t^r coefficient of kappa Log(Q_tau), its denominators divided out."""
+    return (pleth_log(slope_series(g, tau, r))[r] * _kappa()).to_polynomial()
 
 
-def dt_series(
-    g: int, tau: Fraction, rmax: int, checks: str = "on"
-) -> Dict[int, LaurentPoly]:
-    """HDT_{r, r*tau} for all r <= rmax with r*tau integral.
+def hdt(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
+    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1).
 
     Integrality (clearing the cyclotomic denominators) is structural and
     always enforced; self-duality under u,v -> 1/u,1/v is a consistency
     check governed by the checks mode.
     """
-    out = dict(_dt_polys(g, Fraction(tau), rmax))
-    if checks != "off":
-        for r, p in out.items():
-            _ensure(
-                p.dual() == p,
-                f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual",
-                checks,
-            )
-    return out
-
-
-def hdt(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
-    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1)."""
     if r < 1:
         raise ValueError("hdt needs rank >= 1; rank 0 is the torsion case")
-    return dt_series(g, Fraction(d, r), r, checks)[r]
+    tau = Fraction(d, r)
+    p = _hdt(g, tau, r)
+    if checks != "off":
+        _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual", checks)
+    return p
 
 
 def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:

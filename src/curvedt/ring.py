@@ -327,11 +327,6 @@ def lefschetz(k: int) -> LaurentPoly:
     return half_lefschetz(2 * k)
 
 
-def dualize(p: LaurentPoly) -> LaurentPoly:
-    """Exponent negation u -> 1/u, v -> 1/v; an involution."""
-    return p.dual()
-
-
 def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
     """Divide p by (1 - L^k) exactly, raising NotDivisibleError on failure.
 
@@ -535,10 +530,6 @@ def ring_sum(items: Iterable[RingElem]) -> RingElem:
     """Sum with a single expansion to the common (multiset-max) denominator."""
     items = list(items)
     return _sum_elem(items) if items else RingElem.zero()
-
-
-def to_polynomial(x: RingElem) -> LaurentPoly:
-    return x.to_polynomial()
 
 
 def specialize_y(p: LaurentPoly) -> UniPoly:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from .ring import RingElem, ring_sum
 
@@ -48,10 +48,6 @@ class GradedSeries:
 
     def __getitem__(self, r: int) -> RingElem:
         return self.coeffs[r]
-
-
-def series(coeffs: Iterable[RingElem]) -> GradedSeries:
-    return GradedSeries(tuple(coeffs))
 
 
 def _same_order(f: GradedSeries, g: GradedSeries) -> None:

@@ -18,8 +18,10 @@ cannot pass silently.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Tuple
 
 from .closedforms import (
@@ -41,7 +43,6 @@ from .ring import (
     CycloDenominator,
     LaurentPoly,
     RingElem,
-    dualize,
     half_lefschetz,
     monomial,
     specialize_y,
@@ -284,7 +285,7 @@ def check_dt_corollaries(rmax: int = 4) -> CheckResult:
                 except Exception as exc:  # integrality is a hard error inside
                     failures.append(f"g={g} ({r},{d}): {exc}")
                     continue
-                if dualize(h) != h:
+                if h.dual() != h:
                     failures.append(f"g={g} ({r},{d}): not self-dual")
                 neg = specialize_y(h).at_neg_y()
                 if not all(
@@ -344,11 +345,9 @@ def check_elliptic() -> CheckResult:
     r <= 3, and 0 otherwise.  The closed composition formula is not
     proven at genus 1, so a mismatch demotes to a warning.
     """
-    import warnings as _warnings
-
     mismatches = []
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         for r in (1, 2, 3):
             for d in range(r):
                 try:
@@ -356,8 +355,6 @@ def check_elliptic() -> CheckResult:
                 except Exception as exc:
                     mismatches.append(f"({r},{d}): {type(exc).__name__}")
                     continue
-                from math import gcd
-
                 if gcd(r, d) == 1:
                     if h != ELLIPTIC_COPRIME_HDT:
                         mismatches.append(f"({r},{d}): not -(1-u)(1-v)(uv)^(-1/2)")

@@ -36,7 +36,7 @@ from curvedt.invariants import (
     ih_poincare,
     torsion_dt,
 )
-from curvedt.ring import UniPoly, dualize, half_lefschetz, specialize_elem, specialize_y
+from curvedt.ring import UniPoly, half_lefschetz, specialize_elem, specialize_y
 from curvedt.strata import (
     build_fiber_quiver,
     certify_virtual_smallness,
@@ -166,7 +166,7 @@ def test_criterion_6_main_corollary_suite_rank_five():
         for r in range(1, 6):
             for d in range(r):
                 h = hdt(g, r, d)  # construction enforces integrality
-                assert dualize(h) == h, f"g={g} ({r},{d}) not self-dual"
+                assert h.dual() == h, f"g={g} ({r},{d}) not self-dual"
                 neg = specialize_y(h).at_neg_y()
                 assert all(
                     c >= 0 and c.denominator == 1 for c in neg.terms.values()

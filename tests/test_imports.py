@@ -1,4 +1,5 @@
-"""Every name a curvedt module imports is used in that module.
+"""Every name a curvedt module imports is used in that module, and every
+module-level private definition is referenced somewhere in the package.
 
 Parsed with the standard-library ``ast``, so nothing is imported or run.
 ``from __future__`` imports are exempt, and so are names a module lists in
@@ -44,3 +45,36 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{path.name}:{line} {name}" for line, name in _imported(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _module_private_names(tree):
+    """Module-level ``_private`` functions, classes and constants (no dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_no_unused_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = [
+        f"{name}:{line} {private}"
+        for name, tree in sorted(trees.items())
+        for line, private in _module_private_names(tree)
+        if private not in referenced
+    ]
+    assert not unused, "private definitions never referenced: " + ", ".join(unused)

@@ -19,6 +19,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvedt import invariants
 from curvedt.invariants import (
     VerificationError,
     composition_prefactors,
@@ -41,13 +42,12 @@ from curvedt.ring import (
     CycloDenominator,
     LaurentPoly,
     RingElem,
-    dualize,
     half_lefschetz,
     lefschetz,
     monomial,
     specialize_y,
 )
-from curvedt.series import pleth_exp, GradedSeries
+from curvedt.series import pleth_exp, pleth_log, GradedSeries
 
 
 def one_minus_u(g):
@@ -171,7 +171,7 @@ def test_jacobian_betti_binomials():
 def test_hdt_self_dual_and_positive():
     for (g, r, d) in [(2, 2, 0), (2, 3, 1), (3, 2, 1)]:
         h = hdt(g, r, d)
-        assert dualize(h) == h
+        assert h.dual() == h
         neg = specialize_y(h).at_neg_y()
         assert all(c >= 0 and c.denominator == 1 for c in neg.terms.values())
 
@@ -182,7 +182,7 @@ def test_ih_epoly_even_exponents_and_symmetry():
         assert all(a % 2 == 0 and b % 2 == 0 for a, b in p.terms)
         dim = dim_moduli(g, r)
         # coefficients symmetric under (i,j) -> (dim-i, dim-j)
-        assert p == dualize(p) * monomial(2 * dim, 2 * dim)
+        assert p == p.dual() * monomial(2 * dim, 2 * dim)
         # lowest total degree is the constant 1 (one-dimensional IH^0)
         low = min(a + b for a, b in p.terms)
         bottom = [m for m in p.terms if m[0] + m[1] == low]
@@ -254,4 +254,34 @@ def test_hdt_is_self_dual(g, rd):
     # fixes HDT_{r,d} for every class, of either sign of degree.
     r, d = rd
     h = hdt(g, r, d)
-    assert not h.is_zero() and dualize(h) == h
+    assert not h.is_zero() and h.dual() == h
+
+
+def test_slope_mode_divides_each_class_once(monkeypatch):
+    # Slope mode asks for ranks 1, 2, 3, 4 of slope 0 in turn; each class
+    # clears its cyclotomic denominators once, not once per lower rank too.
+    for cached in vars(invariants).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    calls = []
+    divide = RingElem.to_polynomial
+
+    def counting(self):
+        calls.append(self)
+        return divide(self)
+
+    monkeypatch.setattr(RingElem, "to_polynomial", counting)
+    for r in range(1, 5):
+        ih_poincare(2, r, 0)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("g", (2, 3))
+@pytest.mark.parametrize("tau", (Fraction(0), Fraction(1, 2), Fraction(1, 3)), ids=str)
+def test_hdt_does_not_depend_on_truncation(g, tau):
+    # The t^r coefficient of a plethystic Log reads only t^1 .. t^r, so a
+    # slope series truncated beyond rank r gives the same HDT_{r, r tau}.
+    kappa = half_lefschetz(1) - half_lefschetz(-1)
+    logf = pleth_log(slope_series(g, tau, 6 if tau.denominator == 3 else 5))
+    for r in range(tau.denominator, 5, tau.denominator):
+        assert hdt(g, r, int(r * tau)) == (logf[r] * kappa).to_polynomial()
