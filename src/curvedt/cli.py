@@ -52,22 +52,7 @@ from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly, specialize_y
 from .strata import SmallnessReport, certify_virtual_smallness
 from .verify import run_suite
 
-__all__ = ["main", "RunConfig", "ReportTable"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-command options."""
-
-    genus: int
-    rank: Optional[int]
-    degree: Optional[int]
-    slope: Optional[Fraction]
-    rmax: Optional[int]
-    fmt: str  # "table" | "json" | "csv"
-    half: bool
-    generic: bool
-    checks: str  # "on" | "warn" | "off"
+__all__ = ["main", "ReportTable"]
 
 
 @dataclass(frozen=True)
@@ -203,7 +188,14 @@ def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
     )
 
 
-def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+def _add_half_args(parser: argparse.ArgumentParser, half_help: str, full_help: str):
+    half = parser.add_mutually_exclusive_group()
+    half.add_argument("--half", action="store_true", help=half_help)
+    half.add_argument("--full", dest="half", action="store_false", help=full_help)
+
+
+def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """args, validated; --force-genus below genus 2 turns checks "on" into "warn"."""
     slope_mode = args.slope is not None or args.rmax is not None
     class_mode = args.rank is not None or args.degree is not None
     if slope_mode and class_mode:
@@ -221,24 +213,12 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         parser.error(
             f"genus {args.genus} is below 2; pass --force-genus for exploratory runs"
         )
-    checks = args.checks
-    if args.force_genus and args.genus < 2 and checks == "on":
-        checks = "warn"
-    cfg = RunConfig(
-        genus=args.genus,
-        rank=args.rank,
-        degree=args.degree,
-        slope=args.slope,
-        rmax=args.rmax,
-        fmt=args.fmt,
-        half=getattr(args, "half", False),
-        generic=getattr(args, "generic_bound", False),
-        checks=checks,
-    )
+    if args.force_genus and args.genus < 2 and args.checks == "on":
+        args.checks = "warn"
     torsion_ok = args.command == "hdt"
-    for r, d in _classes(cfg):
-        where = f"class (g, r, d) = ({cfg.genus}, {r}, {d})"
-        if cfg.genus < 0:
+    for r, d in _classes(args):
+        where = f"class (g, r, d) = ({args.genus}, {r}, {d})"
+        if args.genus < 0:
             parser.error(f"{where}: genus must be >= 0")
         if r < 1 and not (torsion_ok and r == 0):
             parser.error(
@@ -246,39 +226,39 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
             )
         if r == 0 and d < 1:
             parser.error(f"{where}: torsion mode (rank 0) needs degree >= 1")
-        dim = dim_moduli(cfg.genus, r)
+        dim = dim_moduli(args.genus, r)
         if dim < 0:
             parser.error(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
-        if cfg.genus <= 1 and gcd(r, d) != 1 and args.command != "hdt":
+        if args.genus <= 1 and gcd(r, d) != 1 and args.command != "hdt":
             parser.error(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
                          "dim M(r,d) = (g-1)r^2 + 1 does not hold")
-        framing = d + (1 - cfg.genus) * r
-        if args.command == "strata" and d > (2 * cfg.genus - 2) * r and framing <= 0:
+        framing = d + (1 - args.genus) * r
+        if args.command == "strata" and d > (2 * args.genus - 2) * r and framing <= 0:
             parser.error(f"{where}: framing d + (1-g)r = {framing} is not positive although "
                          "d/r > 2g-2; the stratum model needs d/r > g-1")
-    return cfg
+    return args
 
 
-def _classes(cfg: RunConfig) -> List[Tuple[int, int]]:
-    if cfg.slope is not None:
-        q = cfg.slope.denominator
+def _classes(args: argparse.Namespace) -> List[Tuple[int, int]]:
+    if args.slope is not None:
+        q = args.slope.denominator
         return [
-            (r, r * cfg.slope.numerator // q)
-            for r in range(q, cfg.rmax + 1, q)
+            (r, r * args.slope.numerator // q)
+            for r in range(q, args.rmax + 1, q)
         ]
-    return [(cfg.rank, cfg.degree)]
+    return [(args.rank, args.degree)]
 
 
-def _report(cfg: RunConfig, items: list, payload: Callable, block: Callable) -> None:
+def _report(args: argparse.Namespace, items: list, payload: Callable, block: Callable) -> None:
     """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
 
     payload(item) is canonical JSON text; payload and block are only called
     for the format printed.  A list is written one payload at a time, nested
     by indenting its lines (JSON escapes every newline inside a string).
     """
-    if cfg.fmt != "json":
+    if args.fmt != "json":
         print("\n\n".join(block(item) for item in items))
-    elif cfg.slope is None:
+    elif args.slope is None:
         print(payload(items[0]))
     else:
         sep = "[\n  "
@@ -310,45 +290,45 @@ def _strata_json(rep: SmallnessReport) -> str:
     )
 
 
-def cmd_betti(cfg: RunConfig) -> int:
-    results = [ih_poincare(cfg.genus, r, d, checks=cfg.checks) for r, d in _classes(cfg)]
+def cmd_betti(args: argparse.Namespace) -> int:
+    results = [ih_poincare(args.genus, r, d, checks=args.checks) for r, d in _classes(args)]
 
     def block(res: DTResult) -> str:
-        shown = res.betti[: res.dim + 1] if cfg.half else res.betti
-        if cfg.fmt == "csv":
+        shown = res.betti[: res.dim + 1] if args.half else res.betti
+        if args.fmt == "csv":
             table = ReportTable(
                 ("k", "b_k"), tuple((str(k), str(b)) for k, b in enumerate(shown))
             )
             return table.render_csv()
-        label = "half Betti" if cfg.half else "Betti"
+        label = "half Betti" if args.half else "Betti"
         return (
             f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
             f"{label}: " + ", ".join(str(b) for b in shown)
         )
 
-    _report(cfg, results, lambda res: _canonical_json(res.as_json()), block)
+    _report(args, results, lambda res: _canonical_json(res.as_json()), block)
     return 0
 
 
-def cmd_hdt(cfg: RunConfig) -> int:
+def cmd_hdt(args: argparse.Namespace) -> int:
     # one (degree, DTResult or None in torsion mode, HDT polynomial) per class
     items = []
-    for r, d in _classes(cfg):
+    for r, d in _classes(args):
         if r == 0:
-            items.append((d, None, torsion_dt(cfg.genus, d, checks=cfg.checks)[d]))
+            items.append((d, None, torsion_dt(args.genus, d, checks=args.checks)[d]))
         else:
-            res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
+            res = ih_poincare(args.genus, r, d, checks=args.checks)
             items.append((d, res, res.hdt))
 
     def payload(item) -> str:
         d, res, h = item
         if res is None:
-            return _canonical_json({"genus": cfg.genus, "rank": 0, "degree": d, "hdt": h.records()})
+            return _canonical_json({"genus": args.genus, "rank": 0, "degree": d, "hdt": h.records()})
         return _canonical_json(res.as_json())
 
     def block(item) -> str:
         d, res, h = item
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             table = ReportTable(
                 ("eu2", "ev2", "num", "den"),
                 tuple(
@@ -358,7 +338,7 @@ def cmd_hdt(cfg: RunConfig) -> int:
             )
             return table.render_csv()
         if res is None:
-            return f"genus={cfg.genus} rank=0 degree={d} (torsion)\nHDT = {render_poly(h)}"
+            return f"genus={args.genus} rank=0 degree={d} (torsion)\nHDT = {render_poly(h)}"
         neg = specialize_y(h).at_neg_y()
         return (
             f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
@@ -366,45 +346,45 @@ def cmd_hdt(cfg: RunConfig) -> int:
             f"HDT(-y,-y) = {render_uni(neg)}"
         )
 
-    _report(cfg, items, payload, block)
+    _report(args, items, payload, block)
     return 0
 
 
-def cmd_detfactor(cfg: RunConfig) -> int:
+def cmd_detfactor(args: argparse.Namespace) -> int:
     items = []
-    for r, d in _classes(cfg):
-        res = ih_poincare(cfg.genus, r, d, checks=cfg.checks)
-        items.append((r, d, determinant_factor(cfg.genus, res.betti)))
+    for r, d in _classes(args):
+        res = ih_poincare(args.genus, r, d, checks=args.checks)
+        items.append((r, d, determinant_factor(args.genus, res.betti)))
 
     def payload(item) -> str:
         r, d, coeffs = item
-        return _canonical_json({"genus": cfg.genus, "rank": r, "degree": d, "detfactor": coeffs})
+        return _canonical_json({"genus": args.genus, "rank": r, "degree": d, "detfactor": coeffs})
 
     def block(item) -> str:
         r, d, coeffs = item
-        shown = coeffs[: len(coeffs) // 2 + 1] if cfg.half else coeffs
-        if cfg.fmt == "csv":
+        shown = coeffs[: len(coeffs) // 2 + 1] if args.half else coeffs
+        if args.fmt == "csv":
             table = ReportTable(
                 ("k", "c_k"), tuple((str(k), str(c)) for k, c in enumerate(shown))
             )
             return table.render_csv()
-        label = "half factor" if cfg.half else "factor"
+        label = "half factor" if args.half else "factor"
         return (
-            f"genus={cfg.genus} rank={r} degree={d}\n"
+            f"genus={args.genus} rank={r} degree={d}\n"
             f"{label}: " + ", ".join(str(c) for c in shown)
         )
 
-    _report(cfg, items, payload, block)
+    _report(args, items, payload, block)
     return 0
 
 
-def cmd_strata(cfg: RunConfig) -> int:
+def cmd_strata(args: argparse.Namespace) -> int:
     reports = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for r, d in _classes(cfg):
+        for r, d in _classes(args):
             reports.append(
-                certify_virtual_smallness(cfg.genus, r, d, generic=cfg.generic)
+                certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
             )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -423,7 +403,7 @@ def cmd_strata(cfg: RunConfig) -> int:
                 for rec in rep.records
             ),
         )
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             return table.render_csv()
         return (
             f"genus={rep.genus} rank={rep.rank} degree={rep.degree} "
@@ -432,30 +412,28 @@ def cmd_strata(cfg: RunConfig) -> int:
             f"{table.render()}\nverdict: {rep.verdict}"
         )
 
-    _report(cfg, reports, _strata_json, block)
+    _report(args, reports, _strata_json, block)
     return 0 if all(rep.passes for rep in reports) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rmax = 3 if args.quick else 4
     results = run_suite(rmax=rmax)
-    fmt = "json" if args.json else args.fmt
-    if fmt == "json":
-        payload = {
-            "checks": [res.as_json() for res in results],
-            "rmax": rmax,
-            "verdict": "PASS" if all(res.ok for res in results) else "FAIL",
-        }
-        print(_canonical_json(payload))
+    ok = all(res.ok for res in results)
+    verdict = "PASS" if ok else "FAIL"
+    if args.fmt == "json":
+        checks = [res.as_json() for res in results]
+        print(_canonical_json({"checks": checks, "rmax": rmax, "verdict": verdict}))
     else:
         table = ReportTable(
             ("check", "status", "detail"),
             tuple((res.name, res.status, res.detail) for res in results),
         )
-        body = table.render_csv() if fmt == "csv" else table.render()
-        verdict = "PASS" if all(res.ok for res in results) else "FAIL"
-        print(body + ("" if fmt == "csv" else f"\nverdict: {verdict}"))
-    return 0 if all(res.ok for res in results) else 1
+        if args.fmt == "csv":
+            print(table.render_csv())
+        else:
+            print(f"{table.render()}\nverdict: {verdict}")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,16 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         "betti", help="Betti numbers of IH*(M(r,d))"
     )
     _add_class_args(p_betti)
-    half = p_betti.add_mutually_exclusive_group()
-    half.add_argument(
-        "--half", action="store_true", help="print b_0..b_dim only"
-    )
-    half.add_argument(
-        "--full",
-        dest="half",
-        action="store_false",
-        help="print the whole palindrome (default)",
-    )
+    _add_half_args(p_betti, "print b_0..b_dim only", "print the whole palindrome (default)")
     p_betti.set_defaults(func=lambda a, p: cmd_betti(_config(a, p)))
 
     p_hdt = sub.add_parser("hdt", help="Donaldson-Thomas invariant HDT_{r,d}")
@@ -494,11 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed-determinant factor: Poincare polynomial over (1-y)^(2g)",
     )
     _add_class_args(p_det)
-    half = p_det.add_mutually_exclusive_group()
-    half.add_argument("--half", action="store_true", help="print the first half only")
-    half.add_argument(
-        "--full", dest="half", action="store_false", help="print everything (default)"
-    )
+    _add_half_args(p_det, "print the first half only", "print everything (default)")
     p_det.set_defaults(func=lambda a, p: cmd_detfactor(_config(a, p)))
 
     p_strata = sub.add_parser(
@@ -517,13 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--quick", action="store_true", help="cap golden/property checks at rank 3"
     )
-    p_verify.add_argument(
-        "--json", action="store_true", help="shorthand for --format json"
+    fmt = p_verify.add_mutually_exclusive_group()
+    fmt.add_argument(
+        "--json", action="store_const", dest="fmt", const="json",
+        help="shorthand for --format json",
     )
-    p_verify.add_argument(
-        "--format", dest="fmt", choices=("table", "json", "csv"), default="table"
-    )
-    p_verify.set_defaults(func=lambda a, p: cmd_verify(a))
+    fmt.add_argument("--format", dest="fmt", choices=("table", "json", "csv"))
+    p_verify.set_defaults(fmt="table", func=lambda a, p: cmd_verify(a))
 
     return parser
 

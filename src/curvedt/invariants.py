@@ -285,20 +285,18 @@ class DTResult:
 
 
 def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
-    """Betti numbers of IH*(M(r,d)) via specialize, shift, sign flip."""
+    """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs."""
     h = hdt(g, r, d, checks)
     dim = dim_moduli(g, r)
     ih = _shift_to_ih(h, g, r, d, checks)
-    spec = specialize_y(h)
     betti = [0] * (2 * dim + 1)
-    dim_sign = -1 if dim % 2 else 1
-    for e2, c in spec.terms.items():
+    # in ascending powers of y, so that failed checks report in degree order
+    for e2, c in sorted(specialize_y(ih).terms.items()):
         if e2 % 2:
             _ensure(False, f"specialized HDT of M({r},{d}) has a half-integer power", checks)
             continue
-        k2 = e2 + 2 * dim
-        k = k2 // 2
-        value = c * dim_sign * (-1 if k % 2 else 1)
+        k = e2 // 2
+        value = -c if k % 2 else c
         if not (0 <= k <= 2 * dim):
             _ensure(False, f"Betti index {k} of M({r},{d}) out of range [0, {2*dim}]", checks)
             continue

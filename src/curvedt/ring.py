@@ -29,7 +29,6 @@ the work.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -330,38 +329,28 @@ def lefschetz(k: int) -> LaurentPoly:
 def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
     """Divide p by (1 - L^k) exactly, raising NotDivisibleError on failure.
 
-    Works stratum by stratum in ascending total degree: the minimal-degree
-    block of the remainder must belong to the quotient, because (1 - L^k)
-    has constant term 1 and its other term raises total degree.  In an
-    exact division every extracted block sits at least 4k (doubled) below
-    the top of p, which gives the termination test.
+    Multiplying by (1 - L^k) moves each key (a, b) to (a + 2k, b + 2k), so
+    it keeps every line {(a + 2kj, b + 2kj)} to itself.  On one line p is a
+    Laurent polynomial in L^k: it is divisible exactly when its coefficients
+    sum to 0, and the quotient's coefficients are the running sums, walked
+    in steps of 2k from the lowest key of the line to the step below its top.
     """
     if k < 1:
         raise ValueError("cyclotomic factors are indexed by k >= 1")
-    if p.is_zero():
-        return LaurentPoly.zero()
-    buckets: Dict[int, Dict[Monomial, Scalar]] = {}
-    for mon, c in p.terms.items():
-        buckets.setdefault(mon[0] + mon[1], {})[mon] = c
-    heap = list(buckets)
-    heapq.heapify(heap)
-    limit = max(buckets) - 4 * k
-    shift = 2 * k
+    step = 2 * k
+    lines: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for (a, b), c in p.terms.items():
+        lines.setdefault((a - b, a % step), {})[a] = c
     out: Dict[Monomial, Scalar] = {}
-    while heap:
-        deg = heapq.heappop(heap)
-        stratum = buckets.pop(deg, None)
-        if not stratum:
-            continue
-        if deg > limit:
+    for (delta, _), line in lines.items():
+        top = max(line)
+        total = 0
+        for a in range(min(line), top, step):
+            total += line.get(a, 0)
+            if total:
+                out[a, a - delta] = _canon(total)
+        if total + line[top]:
             raise NotDivisibleError(f"not divisible by 1 - L^{k}")
-        target = deg + 4 * k
-        tb = buckets.get(target)
-        if tb is None:
-            tb = buckets[target] = {}
-            heapq.heappush(heap, target)
-        out.update(stratum)
-        _accumulate(tb, (((a + shift, b + shift), c) for (a, b), c in stratum.items()))
     return LaurentPoly._raw(out)
 
 

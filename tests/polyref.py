@@ -7,6 +7,7 @@ obvious way, independently of ``curvedt.ring``, so that it can serve as
 an oracle for any faster kernel.
 """
 
+import heapq
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -137,4 +138,37 @@ def divide_cyclo(a, k):
             prev = key
         if total:
             return None
+    return out
+
+
+def divide_cyclo_heap(a, k):
+    """a / (1 - L^k), or None when the division leaves a remainder.
+
+    A second algorithm, by total degree: the lowest-degree block of the
+    remainder belongs to the quotient, because 1 - L^k has constant term 1
+    and its other term raises the doubled total degree by 4k.  The block
+    is moved to the quotient and added, shifted, 4k higher.  In an exact
+    division every block so moved sits at least 4k below the top of a.
+    """
+    if not a:
+        return {}
+    buckets = defaultdict(dict)
+    for key, c in a.items():
+        buckets[key[0] + key[1]][key] = c
+    heap = list(buckets)
+    heapq.heapify(heap)
+    limit = max(buckets) - 4 * k
+    out = {}
+    while heap:
+        deg = heapq.heappop(heap)
+        block = buckets.pop(deg, None)
+        if not block:
+            continue
+        if deg > limit:
+            return None
+        if deg + 4 * k not in buckets:
+            heapq.heappush(heap, deg + 4 * k)
+        out.update(block)
+        shifted = {(x + 2 * k, y + 2 * k): c for (x, y), c in block.items()}
+        buckets[deg + 4 * k] = add(buckets[deg + 4 * k], shifted)
     return out

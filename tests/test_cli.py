@@ -144,6 +144,15 @@ def test_verify_json(capsys):
     assert all(c["status"] in {"PASS", "WARN"} for c in obj["checks"])
 
 
+def test_verify_json_conflicts_with_format(capsys):
+    # --json is --format json; asking for both must not silently drop one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--json", "--format", "csv"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --format: not allowed with argument --json" in err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["betti", "-g", "2", "-r", "2"])  # missing -d

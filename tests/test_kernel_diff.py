@@ -79,17 +79,28 @@ def test_at_neg_y_matches_reference(a):
 def test_exact_division_of_products(q, k):
     p = ref.mul(q, ref.one_minus_lefschetz(k))
     assert exact_divide_cyclo(LaurentPoly(p), k).terms == q == ref.divide_cyclo(p, k)
+    assert ref.divide_cyclo_heap(p, k) == q
 
 
 @SETTINGS
 @given(pair_terms.map(clean), st.integers(1, 3))
 def test_exact_division_matches_reference(a, k):
+    # two oracles: running sums along each line, and blocks by total degree
     want = ref.divide_cyclo(a, k)
+    assert ref.divide_cyclo_heap(a, k) == want
     if want is None:
         with pytest.raises(NotDivisibleError):
             exact_divide_cyclo(LaurentPoly(a), k)
     else:
         assert exact_divide_cyclo(LaurentPoly(a), k).terms == want
+
+
+@SETTINGS
+@given(pair_terms.map(clean), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_to_polynomial_divides_repeated_factors(q, ks):
+    # repeated factors and Fraction coefficients, one division per factor
+    x = RingElem(LaurentPoly(ref.times_cyclo(q, ks)), CycloDenominator(tuple(ks)))
+    assert canonical(x.to_polynomial()) == q
 
 
 @SETTINGS

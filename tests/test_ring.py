@@ -169,6 +169,28 @@ def test_divide_not_divisible():
         exact_divide_cyclo(U - L, 1)  # u - uv = u(1 - v) only vanishes on v = 1
 
 
+def test_divide_running_sum_returns_to_zero():
+    # (1 - L)(1 + L^5) / (1 - L): the running sum along the diagonal is 1
+    # at L^0, then 0 from L^1 to L^4, then 1 at L^5 again
+    L5 = lefschetz(5)
+    assert exact_divide_cyclo((ONE - L) * (ONE + L5), 1) == ONE + L5
+
+
+def test_divide_running_sums_are_canonical():
+    # (1/2 + L)(1 - L) = 1/2 + L/2 - L^2: the running sum 1/2 + 1/2 is the int 1
+    half = Fraction(1, 2)
+    q = exact_divide_cyclo(half * ONE + half * L - lefschetz(2), 1)
+    assert q == half * ONE + L and type(q.terms[(2, 2)]) is int
+
+
+def test_divide_one_line_divisible_one_not():
+    # the line of 1 - L sums to 0; the line of u (alone on it) does not
+    with pytest.raises(NotDivisibleError, match=r"not divisible by 1 - L\^1"):
+        exact_divide_cyclo(ONE - L + U, 1)
+    with pytest.raises(NotDivisibleError):
+        exact_divide_cyclo(U - U * L + V, 1)
+
+
 # ------------------------------------------------------------- denominators
 
 
