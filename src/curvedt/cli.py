@@ -452,11 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_class_args(p_betti)
     _add_half_args(p_betti, "print b_0..b_dim only", "print the whole palindrome (default)")
-    p_betti.set_defaults(func=lambda a, p: cmd_betti(_config(a, p)))
+    p_betti.set_defaults(func=lambda a: cmd_betti(_config(a, p_betti)))
 
     p_hdt = sub.add_parser("hdt", help="Donaldson-Thomas invariant HDT_{r,d}")
     _add_class_args(p_hdt, torsion_ok=True)
-    p_hdt.set_defaults(func=lambda a, p: cmd_hdt(_config(a, p)))
+    p_hdt.set_defaults(func=lambda a: cmd_hdt(_config(a, p_hdt)))
 
     p_det = sub.add_parser(
         "detfactor",
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_class_args(p_det)
     _add_half_args(p_det, "print the first half only", "print everything (default)")
-    p_det.set_defaults(func=lambda a, p: cmd_detfactor(_config(a, p)))
+    p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a, p_det)))
 
     p_strata = sub.add_parser(
         "strata", help="Luna-stratum virtual-smallness certificate"
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the generic quiver estimate instead of the curve Euler form",
     )
-    p_strata.set_defaults(func=lambda a, p: cmd_strata(_config(a, p)))
+    p_strata.set_defaults(func=lambda a: cmd_strata(_config(a, p_strata)))
 
     p_verify = sub.add_parser("verify", help="run the built-in check suites")
     p_verify.add_argument(
@@ -488,16 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for --format json",
     )
     fmt.add_argument("--format", dest="fmt", choices=("table", "json", "csv"))
-    p_verify.set_defaults(fmt="table", func=lambda a, p: cmd_verify(a))
+    p_verify.set_defaults(fmt="table", func=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (VerificationError, NotDivisibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

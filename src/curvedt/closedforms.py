@@ -156,9 +156,9 @@ def poincare_closed_form(g: int, r: int, d: int) -> Tuple[UniPoly, UniPoly]:
     return _POINCARE_NUMS[key](g), _poincare_den(r)
 
 
-def ih_closed_form_check(g: int, r: int, d: int, checks: str = "on") -> bool:
+def ih_closed_form_check(g: int, r: int, d: int) -> bool:
     """True iff the pipeline Betti numbers satisfy the closed identity."""
-    betti = ih_poincare(g, r, d, checks=checks).betti
+    betti = ih_poincare(g, r, d).betti
     signed = UniPoly(
         {2 * k: -Fraction(b) if k % 2 else Fraction(b) for k, b in enumerate(betti)}
     )

@@ -43,7 +43,7 @@ from .ring import (
     ring_sum,
     specialize_y,
 )
-from .series import GradedSeries, pleth_exp, pleth_log
+from .series import Series, pleth_exp, pleth_log
 
 
 class VerificationError(AssertionError):
@@ -74,7 +74,7 @@ def _kappa() -> LaurentPoly:
     return half_lefschetz(1) - half_lefschetz(-1)
 
 
-def zeta_series(g: int, rmax: int) -> GradedSeries:
+def zeta_series(g: int, rmax: int) -> Series:
     """Z(t) = (1-ut)^g (1-vt)^g / ((1-t)(1-Lt)), truncated at t^rmax."""
     coeffs: List[LaurentPoly] = []
     for j in range(rmax + 1):
@@ -90,7 +90,7 @@ def zeta_series(g: int, rmax: int) -> GradedSeries:
     # divide by (1 - Lt): running L-weighted sum
     for j in range(1, rmax + 1):
         coeffs[j] = coeffs[j] + coeffs[j - 1] * lefschetz(1)
-    return GradedSeries(tuple(RingElem.from_poly(p) for p in coeffs))
+    return tuple(RingElem(p) for p in coeffs)
 
 
 def zeta_at_lefschetz(g: int, i: int) -> RingElem:
@@ -178,7 +178,7 @@ def q_class(g: int, r: int, d: int) -> RingElem:
     return ring_sum(terms)
 
 
-def slope_series(g: int, tau: Fraction, rmax: int) -> GradedSeries:
+def slope_series(g: int, tau: Fraction, rmax: int) -> Series:
     """Q_tau(t) = 1 + sum over ranks r with r*tau integral of Q_{r, r*tau} t^r."""
     tau = Fraction(tau)
     q = tau.denominator
@@ -188,7 +188,7 @@ def slope_series(g: int, tau: Fraction, rmax: int) -> GradedSeries:
     coeffs[0] = RingElem.one()
     for r in range(q, rmax + 1, q):
         coeffs[r] = q_class(g, r, int(r * tau))
-    return GradedSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +224,7 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
         raise ValueError("dmax >= 1")
     coeffs = [RingElem.zero()] * (dmax + 1)
     coeffs[1] = RingElem(-curve_epoly(g), CycloDenominator.of(1))
-    f = pleth_exp(GradedSeries(tuple(coeffs)))
+    f = pleth_exp(tuple(coeffs))
     logf = pleth_log(f)
     kappa = _kappa()
     out = {}

@@ -366,10 +366,6 @@ class CycloDenominator:
             raise ValueError("denominator factors must be positive integers")
 
     @classmethod
-    def empty(cls) -> "CycloDenominator":
-        return cls(())
-
-    @classmethod
     def of(cls, *ks: int) -> "CycloDenominator":
         return cls(tuple(ks))
 
@@ -447,7 +443,7 @@ class RingElem:
     """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0."""
 
     num: LaurentPoly
-    den: CycloDenominator = CycloDenominator.empty()
+    den: CycloDenominator = CycloDenominator()
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -460,10 +456,6 @@ class RingElem:
     @classmethod
     def const(cls, c: Scalar) -> "RingElem":
         return cls(LaurentPoly.const(c))
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RingElem":
-        return cls(p)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -1,8 +1,8 @@
 """Truncated graded series over the exact ring, with plethystic Exp/Log.
 
-A GradedSeries holds the coefficients of t^0 .. t^rmax; the truncation
-order is part of the value and binary operations require matching
-orders.  The plethystic exponential of a series f with constant term 0
+A series is the tuple of its coefficients of t^0 .. t^rmax, so
+rmax = len(f) - 1; series_mul needs both factors truncated at the same
+order.  The plethystic exponential of a series f with constant term 0
 is
 
     E = Exp(f) = exp( sum_{k >= 1} psi_k(f) / k ),
@@ -27,45 +27,26 @@ nonzero coefficient.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .ring import RingElem, ring_sum
 
-
-@dataclass(frozen=True)
-class GradedSeries:
-    coeffs: Tuple[RingElem, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def rmax(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, r: int) -> RingElem:
-        return self.coeffs[r]
+Series = Tuple[RingElem, ...]
 
 
-def _same_order(f: GradedSeries, g: GradedSeries) -> None:
-    if f.rmax != g.rmax:
+def series_mul(f: Series, g: Series) -> Series:
+    if len(f) != len(g):
         raise ValueError("series truncation orders differ")
-
-
-def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    _same_order(f, g)
     out = []
-    for r in range(f.rmax + 1):
+    for r in range(len(f)):
         parts = [
-            f.coeffs[i] * g.coeffs[r - i]
+            f[i] * g[r - i]
             for i in range(r + 1)
-            if not (f.coeffs[i].is_zero() or g.coeffs[r - i].is_zero())
+            if not (f[i].is_zero() or g[r - i].is_zero())
         ]
         out.append(ring_sum(parts))
-    return GradedSeries(tuple(out))
+    return tuple(out)
 
 
 def _sum(parts: List[RingElem]) -> RingElem:
@@ -74,7 +55,7 @@ def _sum(parts: List[RingElem]) -> RingElem:
     return parts[0] if len(parts) == 1 else ring_sum(parts)
 
 
-def _convolution(p: List[RingElem], e: List[RingElem], n: int) -> List[RingElem]:
+def _convolution(p: List[RingElem], e: Sequence[RingElem], n: int) -> List[RingElem]:
     """The products P_k E_{n-k}, 0 < k < n, of nonzero factors."""
     return [p[k] * e[n - k] for k in range(1, n) if not (p[k].is_zero() or e[n - k].is_zero())]
 
@@ -88,37 +69,38 @@ def _adams_images(scaled: List[RingElem], n: int) -> List[RingElem]:
     ]
 
 
-def pleth_exp(f: GradedSeries) -> GradedSeries:
-    if not f.coeffs[0].is_zero():
+def pleth_exp(f: Series) -> Series:
+    if not f or not f[0].is_zero():
         raise ValueError("pleth_exp needs constant term 0")
-    scaled = [c * d for d, c in enumerate(f.coeffs)]
-    p = [RingElem.zero()] * (f.rmax + 1)
-    e = [RingElem.one()] + [RingElem.zero()] * f.rmax
-    for n in range(1, f.rmax + 1):
+    rmax = len(f) - 1
+    scaled = [c * d for d, c in enumerate(f)]
+    p = [RingElem.zero()] * (rmax + 1)
+    e = [RingElem.one()] + [RingElem.zero()] * rmax
+    for n in range(1, rmax + 1):
         p[n] = _sum(_adams_images(scaled, n) + [scaled[n]])
         e[n] = _sum(_convolution(p, e, n) + [p[n]]) * Fraction(1, n)
-    return GradedSeries(tuple(e))
+    return tuple(e)
 
 
-def pleth_log(f: GradedSeries) -> GradedSeries:
-    if not (f.coeffs[0] == RingElem.one()):
+def pleth_log(e: Series) -> Series:
+    if not (e and e[0] == RingElem.one()):
         raise ValueError("pleth_log needs constant term 1")
-    e = f.coeffs
-    p = [RingElem.zero()] * (f.rmax + 1)
+    rmax = len(e) - 1
+    p = [RingElem.zero()] * (rmax + 1)
     scaled = list(p)
     out = list(p)
-    for n in range(1, f.rmax + 1):
+    for n in range(1, rmax + 1):
         conv = _convolution(p, e, n)
         images = _adams_images(scaled, n)
         if not conv and not images:
             out[n] = e[n]  # no correction: returned as it is
-            if n < f.rmax:
+            if n < rmax:
                 p[n] = scaled[n] = e[n] * n
             continue
         parts = [e[n] * n] + [-x for x in conv]
-        if n < f.rmax:  # P_n is read again at higher ranks
+        if n < rmax:  # P_n is read again at higher ranks
             p[n] = _sum(parts)
             parts = [p[n]]
         scaled[n] = _sum(parts + [-x for x in images])
         out[n] = scaled[n] * Fraction(1, n)
-    return GradedSeries(tuple(out))
+    return tuple(out)

@@ -18,7 +18,6 @@ cannot pass silently.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,7 +46,7 @@ from .ring import (
     monomial,
     specialize_y,
 )
-from .series import GradedSeries, pleth_exp, pleth_log
+from .series import Series, pleth_exp, pleth_log
 from .strata import certify_virtual_smallness
 
 GOLDEN_BETTI: Dict[int, Dict[Tuple[int, int], List[int]]] = {
@@ -199,29 +198,27 @@ def _rand_elem(rng: random.Random) -> RingElem:
     return RingElem(LaurentPoly(terms), den)
 
 
-def _rand_series(rng: random.Random, rmax: int, const: RingElem) -> GradedSeries:
-    return GradedSeries((const,) + tuple(_rand_elem(rng) for _ in range(rmax)))
+def _rand_series(rng: random.Random, rmax: int, const: RingElem) -> Series:
+    return (const,) + tuple(_rand_elem(rng) for _ in range(rmax))
 
 
-def check_plethystic_inverse(trials: int = 20, seed: int = 2027) -> CheckResult:
-    """pleth_log(pleth_exp(f)) = f and pleth_exp(pleth_log(g)) = g."""
-    rng = random.Random(seed)
+def check_plethystic_inverse() -> CheckResult:
+    """pleth_log(pleth_exp(f)) = f and pleth_exp(pleth_log(g)) = g, 20 seeded trials."""
+    rng = random.Random(2027)
     failures = []
-    for trial in range(trials):
+    for trial in range(20):
         rmax = rng.randint(1, 6)
         f = _rand_series(rng, rmax, RingElem.zero())
-        if pleth_log(pleth_exp(f)).coeffs != f.coeffs:
+        if pleth_log(pleth_exp(f)) != f:
             failures.append(f"trial {trial}: Log(Exp(f)) != f")
         g = _rand_series(rng, rmax, RingElem.one())
-        if pleth_exp(pleth_log(g)).coeffs != g.coeffs:
+        if pleth_exp(pleth_log(g)) != g:
             failures.append(f"trial {trial}: Exp(Log(g)) != g")
-    return _result(
-        "plethystic-inverse", failures, f"{trials} random series round-tripped"
-    )
+    return _result("plethystic-inverse", failures, "20 random series round-tripped")
 
 
-def check_log_coefficients(trials: int = 3, seed: int = 911) -> CheckResult:
-    """First four plethystic-Log coefficients against their closed formulas.
+def check_log_coefficients() -> CheckResult:
+    """First four plethystic-Log coefficients against their closed formulas, 3 seeded trials.
 
     With Log(1 + a1 t + a2 t^2 + ...) = b1 t + b2 t^2 + ...:
       b1 = a1
@@ -229,13 +226,12 @@ def check_log_coefficients(trials: int = 3, seed: int = 911) -> CheckResult:
       b3 = a3 - a1 a2 + a1^3/3 - psi3(a1)/3
       b4 = a4 - a1 a3 + a1^2 a2 - a2^2/2 - psi2(a2)/2 - a1^4/4 + psi2(a1)^2/4
     """
-    rng = random.Random(seed)
+    rng = random.Random(911)
     half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
     failures = []
-    for trial in range(trials):
+    for trial in range(3):
         a1, a2, a3, a4 = (_rand_elem(rng) for _ in range(4))
-        f = GradedSeries((RingElem.one(), a1, a2, a3, a4))
-        b = pleth_log(f)
+        b = pleth_log((RingElem.one(), a1, a2, a3, a4))
         want = {
             1: a1,
             2: a2 - a1 * a1 * half - a1.adams(2) * half,
@@ -247,24 +243,17 @@ def check_log_coefficients(trials: int = 3, seed: int = 911) -> CheckResult:
         for n, expected in want.items():
             if b[n] != expected:
                 failures.append(f"trial {trial}: b{n} formula mismatch")
-    return _result(
-        "log-coefficient-formulas", failures, f"{trials} random assignments verified"
-    )
+    return _result("log-coefficient-formulas", failures, "3 random assignments verified")
 
 
-def check_zeta_is_exp(gmax: int = 4, order: int = 6) -> CheckResult:
-    """Zeta series equals Exp(E(X) t) up to the given order."""
+def check_zeta_is_exp() -> CheckResult:
+    """Zeta series equals Exp(E(X) t) up to order 6, genera 0..4."""
     failures = []
-    for g in range(gmax + 1):
-        f = GradedSeries(
-            (RingElem.zero(), RingElem.from_poly(curve_epoly(g)))
-            + (RingElem.zero(),) * (order - 1)
-        )
-        if pleth_exp(f).coeffs != zeta_series(g, order).coeffs:
+    for g in range(5):
+        f = (RingElem.zero(), RingElem(curve_epoly(g))) + (RingElem.zero(),) * 5
+        if pleth_exp(f) != zeta_series(g, 6):
             failures.append(f"g={g}: Exp(E(X) t) != zeta series")
-    return _result(
-        "zeta-is-exp", failures, f"genera 0..{gmax} verified to order {order}"
-    )
+    return _result("zeta-is-exp", failures, "genera 0..4 verified to order 6")
 
 
 def check_dt_corollaries(rmax: int = 4) -> CheckResult:
@@ -301,24 +290,24 @@ def check_dt_corollaries(rmax: int = 4) -> CheckResult:
     return _result("dt-corollaries", failures, f"{count} classes verified")
 
 
-def check_torsion(dmax: int = 6) -> CheckResult:
-    """Torsion invariants: E(X)/L^(1/2) at d = 1, zero for d >= 2."""
+def check_torsion() -> CheckResult:
+    """Torsion invariants: E(X)/L^(1/2) at d = 1, zero for 2 <= d <= 6."""
     failures = []
     for g in (2, 3, 4):
-        vals = torsion_dt(g, dmax)
+        vals = torsion_dt(g, 6)
         want1 = curve_epoly(g) * half_lefschetz(-1)
         if vals[1] != want1:
             failures.append(f"g={g}: HDT_(0,1) != E(X)/L^(1/2)")
-        for d in range(2, dmax + 1):
+        for d in range(2, 7):
             if not vals[d].is_zero():
                 failures.append(f"g={g}: HDT_(0,{d}) != 0")
-    return _result("torsion", failures, f"g in {{2,3,4}}, d <= {dmax} verified")
+    return _result("torsion", failures, "g in {2,3,4}, d <= 6 verified")
 
 
-def check_strata(rmax: int = 6) -> CheckResult:
+def check_strata() -> CheckResult:
     """Virtual-smallness certificates over one full residue period.
 
-    For every r <= rmax, g in {2, 3}, both bound variants, and each of
+    For every r <= 6, g in {2, 3}, both bound variants, and each of
     the r degrees just above the slope threshold r(2g-2): the maximal
     stratum bound is exactly 0, all others strictly negative, and
     codimension vanishes only at the maximal type.
@@ -326,7 +315,7 @@ def check_strata(rmax: int = 6) -> CheckResult:
     failures, count = [], 0
     for generic in (False, True):
         for g in (2, 3):
-            for r in range(1, rmax + 1):
+            for r in range(1, 7):
                 base = r * (2 * g - 2) + 1
                 for d in range(base, base + r):
                     count += 1
@@ -346,20 +335,18 @@ def check_elliptic() -> CheckResult:
     proven at genus 1, so a mismatch demotes to a warning.
     """
     mismatches = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in (1, 2, 3):
-            for d in range(r):
-                try:
-                    h = hdt(1, r, d, checks="warn")
-                except Exception as exc:
-                    mismatches.append(f"({r},{d}): {type(exc).__name__}")
-                    continue
-                if gcd(r, d) == 1:
-                    if h != ELLIPTIC_COPRIME_HDT:
-                        mismatches.append(f"({r},{d}): not -(1-u)(1-v)(uv)^(-1/2)")
-                elif not h.is_zero():
-                    mismatches.append(f"({r},{d}): expected 0")
+    for r in (1, 2, 3):
+        for d in range(r):
+            try:
+                h = hdt(1, r, d, checks="off")
+            except Exception as exc:
+                mismatches.append(f"({r},{d}): {type(exc).__name__}")
+                continue
+            if gcd(r, d) == 1:
+                if h != ELLIPTIC_COPRIME_HDT:
+                    mismatches.append(f"({r},{d}): not -(1-u)(1-v)(uv)^(-1/2)")
+            elif not h.is_zero():
+                mismatches.append(f"({r},{d}): expected 0")
     if mismatches:
         return CheckResult(
             "elliptic-exploratory", "WARN", "; ".join(mismatches)

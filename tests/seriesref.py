@@ -3,84 +3,89 @@
 This is the series layer as it was before Exp and Log were computed by
 the Newton identity: ordinary truncated log/exp as sums of powers,
 plethystic Exp as the exp of an Adams sum, and plethystic Log as a
-Moebius sum of Adams images of the ordinary log.  It shares only
-``GradedSeries`` with ``curvedt.series`` and serves as the oracle for
+Moebius sum of Adams images of the ordinary log.  A series is the tuple
+of its coefficients of t^0 .. t^rmax, as in ``curvedt.series``, with
+which this module shares no code; it serves as the oracle for
 ``pleth_exp``/``pleth_log``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Tuple
 
 from curvedt.ring import RingElem, ring_sum
-from curvedt.series import GradedSeries
+
+Series = Tuple[RingElem, ...]
 
 
-def unit_series(rmax: int) -> GradedSeries:
-    return GradedSeries((RingElem.one(),) + (RingElem.zero(),) * rmax)
+def unit_series(rmax: int) -> Series:
+    return (RingElem.one(),) + (RingElem.zero(),) * rmax
 
 
-def zero_series(rmax: int) -> GradedSeries:
-    return GradedSeries((RingElem.zero(),) * (rmax + 1))
+def zero_series(rmax: int) -> Series:
+    return (RingElem.zero(),) * (rmax + 1)
 
 
-def _same_order(f: GradedSeries, g: GradedSeries) -> None:
-    if f.rmax != g.rmax:
+def _same_order(f: Series, g: Series) -> None:
+    if len(f) != len(g):
         raise ValueError("series truncation orders differ")
 
 
-def series_add(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+def series_add(f: Series, g: Series) -> Series:
     _same_order(f, g)
-    return GradedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+    return tuple(a + b for a, b in zip(f, g))
 
 
-def series_scale(f: GradedSeries, c: Fraction | int) -> GradedSeries:
-    return GradedSeries(tuple(a * c for a in f.coeffs))
+def series_scale(f: Series, c: Fraction | int) -> Series:
+    return tuple(a * c for a in f)
 
 
-def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+def series_mul(f: Series, g: Series) -> Series:
     _same_order(f, g)
     out = []
-    for r in range(f.rmax + 1):
+    for r in range(len(f)):
         parts = [
-            f.coeffs[i] * g.coeffs[r - i]
+            f[i] * g[r - i]
             for i in range(r + 1)
-            if not (f.coeffs[i].is_zero() or g.coeffs[r - i].is_zero())
+            if not (f[i].is_zero() or g[r - i].is_zero())
         ]
         out.append(ring_sum(parts))
-    return GradedSeries(tuple(out))
+    return tuple(out)
 
 
-def series_log(f: GradedSeries) -> GradedSeries:
+def series_log(f: Series) -> Series:
     """log f = sum_{m>=1} (-1)^(m+1) (f-1)^m / m, needs constant term 1."""
-    if not (f.coeffs[0] == RingElem.one()):
+    if not (f and f[0] == RingElem.one()):
         raise ValueError("series_log needs constant term 1")
-    g = GradedSeries((RingElem.zero(),) + f.coeffs[1:])
-    acc = zero_series(f.rmax)
+    rmax = len(f) - 1
+    g = (RingElem.zero(),) + f[1:]
+    acc = zero_series(rmax)
     power = g
-    for m in range(1, f.rmax + 1):
+    for m in range(1, rmax + 1):
         acc = series_add(acc, series_scale(power, Fraction((-1) ** (m + 1), m)))
-        if m < f.rmax:
+        if m < rmax:
             power = series_mul(power, g)
     return acc
 
 
-def series_exp(f: GradedSeries) -> GradedSeries:
+def series_exp(f: Series) -> Series:
     """exp f = sum_{m>=0} f^m / m!, needs constant term 0."""
-    if not f.coeffs[0].is_zero():
+    if not (f and f[0].is_zero()):
         raise ValueError("series_exp needs constant term 0")
-    acc = unit_series(f.rmax)
+    rmax = len(f) - 1
+    acc = unit_series(rmax)
     power = f
     factorial = 1
-    for m in range(1, f.rmax + 1):
+    for m in range(1, rmax + 1):
         factorial *= m
         acc = series_add(acc, series_scale(power, Fraction(1, factorial)))
-        if m < f.rmax:
+        if m < rmax:
             power = series_mul(power, f)
     return acc
 
 
-def adams_series(n: int, f: GradedSeries) -> GradedSeries:
+def adams_series(n: int, f: Series) -> Series:
     """psi_n on a series: coefficients through their Adams map, t -> t^n.
 
     Indices beyond the truncation order are dropped, so the result keeps
@@ -88,10 +93,10 @@ def adams_series(n: int, f: GradedSeries) -> GradedSeries:
     """
     if n < 1:
         raise ValueError("Adams operations are indexed by n >= 1")
-    out = [RingElem.zero()] * (f.rmax + 1)
-    for r in range(0, f.rmax // n + 1):
-        out[n * r] = f.coeffs[r].adams(n)
-    return GradedSeries(tuple(out))
+    out = [RingElem.zero()] * len(f)
+    for r in range(0, (len(f) - 1) // n + 1):
+        out[n * r] = f[r].adams(n)
+    return tuple(out)
 
 
 def mobius(n: int) -> int:
@@ -111,21 +116,21 @@ def mobius(n: int) -> int:
     return result
 
 
-def pleth_exp(f: GradedSeries) -> GradedSeries:
-    if not f.coeffs[0].is_zero():
+def pleth_exp(f: Series) -> Series:
+    if not (f and f[0].is_zero()):
         raise ValueError("pleth_exp needs constant term 0")
-    acc = zero_series(f.rmax)
-    for n in range(1, f.rmax + 1):
+    acc = zero_series(len(f) - 1)
+    for n in range(1, len(f)):
         acc = series_add(acc, series_scale(adams_series(n, f), Fraction(1, n)))
     return series_exp(acc)
 
 
-def pleth_log(f: GradedSeries) -> GradedSeries:
-    if not (f.coeffs[0] == RingElem.one()):
+def pleth_log(f: Series) -> Series:
+    if not (f and f[0] == RingElem.one()):
         raise ValueError("pleth_log needs constant term 1")
     lg = series_log(f)
-    acc = zero_series(f.rmax)
-    for k in range(1, f.rmax + 1):
+    acc = zero_series(len(f) - 1)
+    for k in range(1, len(f)):
         mu = mobius(k)
         if mu:
             acc = series_add(acc, series_scale(adams_series(k, lg), Fraction(mu, k)))

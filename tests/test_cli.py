@@ -190,6 +190,26 @@ def test_domain_errors_exit_two(capsys, argv, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "betti -g 2 -r 0 -d 1",
+        "hdt -g 2 -r 0 -d 0",
+        "detfactor -g 2 --slope 1/3 --rmax 2",
+        "strata -g 2 -r 2",
+    ],
+)
+def test_class_errors_print_the_subcommand_usage(capsys, argv):
+    # the same usage line and prefix as argparse's own errors for the subcommand
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: curvedt {command} [-h] -g GENUS")
+    assert f"\ncurvedt {command}: error: " in err
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     def not_self_dual(g, r, d, checks="on"):
         raise VerificationError(f"HDT at rank {r}, slope {d}/{r}, genus {g} is not self-dual")

@@ -1,0 +1,63 @@
+"""Byte-exact CLI output: stdout of fixed commands, each of which exits 0.
+
+Each command's stdout is stored in ``tests/golden/<name>.txt``.  The
+commands run in-process through ``curvedt.cli.main``.  To record the
+files again after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of ``tests/golden/``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from curvedt.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (name, argv)
+COMMANDS = [
+    ("betti_table", "betti -g 2 -r 3 -d 1"),
+    ("betti_json", "betti -g 2 -r 2 -d 1 --format json"),
+    ("betti_csv_half", "betti -g 2 -r 2 -d 0 --format csv --half"),
+    ("betti_slope_neg", "betti -g 2 --slope=-3/2 --rmax 4 --half"),
+    ("hdt_table", "hdt -g 2 -r 2 -d 1"),
+    ("hdt_json", "hdt -g 2 -r 2 -d 0 --format json"),
+    ("hdt_csv", "hdt -g 2 -r 2 -d 1 --format csv"),
+    ("hdt_torsion", "hdt -g 2 -r 0 -d 1"),
+    ("hdt_force_genus", "hdt -g 1 -r 2 -d 1 --force-genus"),
+    ("detfactor_table_half", "detfactor -g 3 -r 2 -d 1 --half"),
+    ("detfactor_csv", "detfactor -g 2 -r 3 -d 1 --format csv"),
+    ("detfactor_slope_json", "detfactor -g 2 --slope=0 --rmax 3 --format json"),
+    ("strata_table", "strata -g 2 -r 2 -d 6"),
+    ("strata_csv", "strata -g 2 -r 3 -d 7 --format csv"),
+    ("strata_slope_json_generic", "strata -g 2 --slope=5/2 --rmax 4 --format json --generic-bound"),
+]
+
+
+def _run(argv: str):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_cli_output_is_byte_identical(name, argv):
+    code, got = _run(argv)
+    assert code == 0
+    assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS:
+        code, got = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.txt").write_bytes(got.encode())

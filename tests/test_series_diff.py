@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import seriesref as ref
 from curvedt.invariants import slope_series
 from curvedt.ring import CycloDenominator, LaurentPoly, RingElem
-from curvedt.series import GradedSeries, pleth_exp, pleth_log
+from curvedt.series import pleth_exp, pleth_log
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -30,22 +30,22 @@ elems = st.builds(RingElem, polys, dens)
 
 
 def assert_same(got, want):
-    assert got.rmax == want.rmax
-    for r in range(got.rmax + 1):
+    assert len(got) == len(want)
+    for r in range(len(got)):
         assert got[r] == want[r], f"coefficient of t^{r} differs"
 
 
 @SETTINGS
 @given(st.lists(elems, min_size=1, max_size=5))
 def test_exp_matches_oracle(tail):
-    f = GradedSeries((RingElem.zero(), *tail))
+    f = (RingElem.zero(), *tail)
     assert_same(pleth_exp(f), ref.pleth_exp(f))
 
 
 @SETTINGS
 @given(st.lists(elems, min_size=1, max_size=5))
 def test_log_matches_oracle(tail):
-    f = GradedSeries((RingElem.one(), *tail))
+    f = (RingElem.one(), *tail)
     assert_same(pleth_log(f), ref.pleth_log(f))
 
 
@@ -56,10 +56,10 @@ def test_single_coefficient_matches_oracle(c, k, m):
     # Adams image or a power of the one coefficient
     coeffs = [RingElem.zero()] * (k * m + 1)
     coeffs[k] = c
-    f = GradedSeries(tuple(coeffs))
+    f = tuple(coeffs)
     assert_same(pleth_exp(f), ref.pleth_exp(f))
     coeffs[0] = RingElem.one()
-    g = GradedSeries(tuple(coeffs))
+    g = tuple(coeffs)
     got = pleth_log(g)
     assert_same(got, ref.pleth_log(g))
     assert got[k] is c  # no correction terms: returned as it is

@@ -57,3 +57,19 @@ def test_sums_do_not_nest_elem_add_spans(monkeypatch):
     assert a == a and ring.CycloDenominator.of(1, 2).expand() == ring.CycloDenominator.of(2, 1).expand()
     assert ring.specialize_elem(a)[1] == ring.UniPoly({0: 1, 4: -1})
     assert calls == ["ring_sum"]
+
+
+def test_run_suite_looks_up_each_check_by_name(monkeypatch):
+    # The traced child rebinds verify.check_* to timing wrappers.  A
+    # run_suite that held its own references to the functions (say, a
+    # module-level tuple) would bypass them, and every verify.check.* span
+    # would vanish without an error.
+    from curvedt import verify
+
+    names = [attr for attr in vars(verify) if attr.startswith("check_")]
+    assert "check_torsion" in names and len(names) == 12
+    for attr in names:
+        monkeypatch.setattr(verify, attr, lambda *a, name=attr: verify.CheckResult(name, "PASS", "stub"))
+    rows = verify.run_suite()
+    assert sorted(row.name for row in rows) == sorted(names)
+    assert verify.CheckResult("check_torsion", "PASS", "stub") in rows
