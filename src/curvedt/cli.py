@@ -19,7 +19,9 @@ Exit codes: 0 success; 1 verification failure (a consistency assertion
 tripped, a division left a remainder, a certificate or suite failed);
 2 usage error, including a class (g, r, d) outside the domain: rank
 below 1 (``hdt`` allows rank 0, torsion mode, with degree >= 1),
-negative genus, or negative dim M(r,d) = (g-1) r^2 + 1.
+negative genus, or negative dim M(r,d) = (g-1) r^2 + 1; 141 (128 +
+SIGPIPE) when the reader closes stdout early, e.g. ``| head``, with
+nothing on stderr.
 
 Exact numbers only: integers print as integers, rationals as p/q, and
 half-integer exponents as ^(1/2), ^(-3/2), and so on.  Polynomials
@@ -32,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -290,6 +293,27 @@ def _strata_json(rep: SmallnessReport) -> str:
     )
 
 
+def _terms_json(p: LaurentPoly) -> str:
+    """p.records() as canonical JSON, indented to the depth of a DTResult field."""
+    records = ",\n".join(
+        f'    {{\n      "den": {c.denominator},\n      "eu2": {a},\n      "ev2": {b},\n'
+        f'      "num": {c.numerator}\n    }}'
+        for (a, b), c in sorted(p.terms.items())
+    )
+    return f"[\n{records}\n  ]" if records else "[]"
+
+
+def _dt_json(res: DTResult) -> str:
+    """_canonical_json(res.as_json()), assembled without building the dict."""
+    betti = ",\n    ".join(map(str, res.betti))
+    return (
+        f'{{\n  "betti": [\n    {betti}\n  ],\n'
+        f'  "degree": {res.degree},\n  "dim": {res.dim},\n  "genus": {res.genus},\n'
+        f'  "hdt": {_terms_json(res.hdt)},\n  "ih_epoly": {_terms_json(res.ih)},\n'
+        f'  "rank": {res.rank}\n}}'
+    )
+
+
 def cmd_betti(args: argparse.Namespace) -> int:
     results = [ih_poincare(args.genus, r, d, checks=args.checks) for r, d in _classes(args)]
 
@@ -306,7 +330,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
             f"{label}: " + ", ".join(str(b) for b in shown)
         )
 
-    _report(args, results, lambda res: _canonical_json(res.as_json()), block)
+    _report(args, results, _dt_json, block)
     return 0
 
 
@@ -324,7 +348,7 @@ def cmd_hdt(args: argparse.Namespace) -> int:
         d, res, h = item
         if res is None:
             return _canonical_json({"genus": args.genus, "rank": 0, "degree": d, "hdt": h.records()})
-        return _canonical_json(res.as_json())
+        return _dt_json(res)
 
     def block(item) -> str:
         d, res, h = item
@@ -496,10 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (VerificationError, NotDivisibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit stays quiet, as the SIGPIPE note of the signal module docs shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -103,18 +103,20 @@ def zeta_at_lefschetz(g: int, i: int) -> RingElem:
 
 @lru_cache(maxsize=None)
 def q_rank(g: int, r: int) -> RingElem:
-    """The rank-r building block Q_r (degree-independent)."""
+    """The rank-r building block Q_r (degree-independent), built from Q_{r-1}.
+
+    Q_r = Q_{r-1} * L^((1-g)(2r-1)/2) * Z(L^(r-1)), since the L-exponents
+    (1-g) r^2 / 2 of consecutive ranks differ by (1-g)(2r-1)/2.
+    """
     if r < 1:
         raise ValueError("Q_r is defined for r >= 1")
+    if r > 1:
+        z = zeta_at_lefschetz(g, r - 1)
+        return q_rank(g, r - 1) * RingElem(z.num * half_lefschetz((1 - g) * (2 * r - 1)), z.den)
     one = LaurentPoly.one()
-    num = half_lefschetz((1 - g) * r * r) * (one - monomial(2, 0)) ** g * (
-        one - monomial(0, 2)
-    ) ** g
+    num = half_lefschetz(1 - g) * (one - monomial(2, 0)) ** g * (one - monomial(0, 2)) ** g
     # 1/(L-1) = -1/(1-L)
-    out = RingElem(-num, CycloDenominator.of(1))
-    for i in range(1, r):
-        out = out * zeta_at_lefschetz(g, i)
-    return out
+    return RingElem(-num, CycloDenominator.of(1))
 
 
 def compositions(r: int) -> Iterator[Tuple[int, ...]]:

@@ -15,7 +15,10 @@ Conventions used throughout the package:
   multiplication concatenates multisets; a sum (and equality, as a zero
   difference) clears every coefficient denominator by one lcm, brings
   each numerator to the multiset-wise maximum denominator in integers,
-  and divides by that lcm once.
+  and divides by that lcm once.  A small or sparse sum does this on a
+  dict of terms; one with at least _PACK_SHIFTS term shifts into a dense
+  box packs each numerator into one int, makes each missing (1 - L^k)
+  one shift and subtract, adds the ints and unpacks the total once.
 
 All arithmetic is exact: a coefficient is an int when integral, else a
 fractions.Fraction.  LaurentPoly and UniPoly (one variable y, the image
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Monomial = Tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -41,6 +44,10 @@ Scalar = Union[int, Fraction]
 # Pack a product only with at least this many coefficient pairs per slot of its
 # exponent box; below that the dict loop measured faster than the big-int product.
 _PAIRS_PER_SLOT = 4
+# Pack a sum over a common denominator only from this many term shifts on (the sum
+# over its items of terms * missing factors), and only into a box of at most one
+# slot per shift; below either the dict loop measured faster.
+_PACK_SHIFTS = 2000
 
 
 class NotDivisibleError(ArithmeticError):
@@ -88,6 +95,21 @@ def _pack(slots: List[int], coeffs: List[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _unpack(n: int, box: int, width: int) -> Tuple[List[int], List[int]]:
+    """The nonzero slots of n = sum c_k * 2^(8 * width * k), 0 <= k < box, as
+    (slot list, coefficient list), given every |c_k| < 2^(8 * width - 1).
+
+    Adding half of the slot range to each slot makes all slots nonnegative,
+    so no slot borrows from the next and each is read off its own bytes.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * box, "little")
+    raw = (n + bias).to_bytes(box * width, "little")
+    values = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    ks = [k for k, c in enumerate(values) if c != half]
+    return ks, [values[k] - half for k in ks]
+
+
 def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
     """The product of two nonempty term dicts, in canonical coefficients.
 
@@ -113,15 +135,7 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
     if box * _PAIRS_PER_SLOT <= len(ka) * len(kb):
         width = (max(c.bit_length() for c in ca) + max(c.bit_length() for c in cb)
                  + min(len(ca), len(cb)).bit_length() + 8) // 8
-        # Every product slot holds |c| < 2^(8 * width - 1); adding half of the
-        # slot range to each makes all slots nonnegative, so no slot borrows.
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes((bytes(width - 1) + b"\x80") * box, "little")
-        raw = (_pack(slots_a, ca, width) * _pack(slots_b, cb, width) + bias).to_bytes(
-            box * width, "little")
-        values = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-        ks = [k for k, c in enumerate(values) if c != half]
-        cs = [values[k] - half for k in ks]
+        ks, cs = _unpack(_pack(slots_a, ca, width) * _pack(slots_b, cb, width), box, width)
     else:
         if len(slots_a) < len(slots_b):
             slots_a, ca, slots_b, cb = slots_b, cb, slots_a, ca
@@ -404,14 +418,61 @@ def _divided(terms: Dict, den: int) -> Dict:
     return {m: _canon(Fraction(c, den)) for m, c in terms.items()}
 
 
+def _packed_sum(numerators: List[Dict], scaled: List[List[int]], missing: List[Tuple[int, ...]],
+                lcd: CycloDenominator) -> Optional[Dict]:
+    """sum_i numerators_i * prod_{k in missing_i} (1 - L^k) by Kronecker packing,
+    or None when the sum is small or its exponent box sparse.
+
+    A key (a, b) goes to its point in the box with a - b on the fast axis and
+    a + b on the slow one, each shifted to start at zero and divided by its
+    common step.  Multiplying by (1 - L^k) keeps a - b and raises a + b by
+    4k, so on a packed numerator y it is y - (y << bits).  Each factor at most
+    doubles the largest |coefficient|, so sum_i max|c_i| * 2^#missing_i, plus
+    a sign bit, bounds every slot of the total.
+    """
+    live = [(t, cs, ks) for t, cs, ks in zip(numerators, scaled, missing) if cs]
+    shifts = sum(len(cs) * len(ks) for _, cs, ks in live)
+    if shifts < _PACK_SHIFTS:
+        return None
+    diffs = [{a - b for a, b in t} for t, _, _ in live]
+    sums = [{a + b for a, b in t} for t, _, _ in live]
+    lo_d, lo_s = min(map(min, diffs)), min(map(min, sums))
+    step_d = gcd(*(d - lo_d for ds in diffs for d in ds)) or 1
+    step_s = gcd(*(s - lo_s for ss in sums for s in ss), *(4 * k for k in lcd.factors))
+    ext_d = (max(map(max, diffs)) - lo_d) // step_d + 1
+    hi_s = max(max(ss) + 4 * sum(ks) for ss, (_, _, ks) in zip(sums, live))
+    box = ext_d * ((hi_s - lo_s) // step_s + 1)
+    if box > shifts:
+        return None
+    bound = sum(max(map(abs, cs)) << len(ks) for _, cs, ks in live)
+    width = (bound.bit_length() + 8) // 8
+    # the slot (a - b - lo_d) / step_d + ext_d * (a + b - lo_s) / step_s, as (a p + b q - r) / m
+    m = step_d * step_s
+    p, q = step_s + ext_d * step_d, ext_d * step_d - step_s
+    r = lo_d * step_s + lo_s * ext_d * step_d
+    total = 0
+    for terms, cs, ks in live:
+        y = _pack([(a * p + b * q - r) // m for a, b in terms], cs, width)
+        for k in ks:
+            y -= y << 8 * width * ext_d * (4 * k // step_s)
+        total += y
+    out = {}
+    for k, c in zip(*_unpack(total, box, width)):
+        s, d = divmod(k, ext_d)
+        s, d = lo_s + step_s * s, lo_d + step_d * d
+        out[(s + d) // 2, (s - d) // 2] = c
+    return out
+
+
 def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, int, CycloDenominator]:
     """(N, D, lcd) with sum_i sign_i * item_i = N / (D * lcd).
 
     lcd is the multiset-max denominator, D the lcm of every coefficient
     denominator and N a dict of nonzero ints.  Each numerator is scaled to
     integers once; each missing (1 - L^k) is then an integer shift-and-
-    subtract, L^k being the key (2k, 2k) with coefficient +1.  This is the
-    only place a numerator meets a cyclotomic factor.
+    subtract, L^k being the key (2k, 2k) with coefficient +1: on packed ints
+    when _packed_sum takes the sum, else on term dicts.  This is the only
+    place a numerator meets a cyclotomic factor.
     """
     lcd = items[0].den
     for x in items[1:]:
@@ -421,6 +482,9 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
     scales = [sign * (den // d) for sign, (_, d) in zip(signs, cleared)]
     scaled = [cs if f == 1 else [c * f for c in cs] for (cs, _), f in zip(cleared, scales)]
     missing = [lcd.diff(x.den) for x in items]
+    packed = _packed_sum([x.num.terms for x in items], scaled, missing, lcd)
+    if packed is not None:
+        return packed, den, lcd
     total: Dict[Monomial, int] = {}
     for x, cs, ks in zip(items, scaled, missing):
         terms = dict(zip(x.num.terms, cs))

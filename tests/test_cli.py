@@ -1,6 +1,10 @@
 """Command-line surface: formats, flags, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,17 @@ def test_genus_zero_non_positive_framing_exits_two(capsys, argv, where):
 def test_hdt_keeps_low_genus_non_coprime_zero(capsys):
     code, out, _ = run(capsys, "hdt", "-g", "1", "-r", "2", "-d", "0", "--force-genus")
     assert code == 0 and "HDT = 0" in out
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 310 KB of JSON: more than any pipe buffer holds, so the write fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["strata", "-g", "2", "--slope=3", "--rmax", "10", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "curvedt.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'[\n  {\n    '
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""

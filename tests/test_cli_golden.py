@@ -31,6 +31,9 @@ COMMANDS = [
     ("hdt_csv", "hdt -g 2 -r 2 -d 1 --format csv"),
     ("hdt_torsion", "hdt -g 2 -r 0 -d 1"),
     ("hdt_force_genus", "hdt -g 1 -r 2 -d 1 --force-genus"),
+    ("hdt_slope_json", "hdt -g 2 --slope=1/2 --rmax 4 --format json"),
+    ("hdt_torsion_json", "hdt -g 2 -r 0 -d 2 --format json"),
+    ("betti_slope_json", "betti -g 2 --slope=0 --rmax 3 --format json"),
     ("detfactor_table_half", "detfactor -g 3 -r 2 -d 1 --half"),
     ("detfactor_csv", "detfactor -g 2 -r 3 -d 1 --format csv"),
     ("detfactor_slope_json", "detfactor -g 2 --slope=0 --rmax 3 --format json"),

@@ -103,6 +103,25 @@ def test_q_rank_hand_assembled():
     assert got == want
 
 
+def q_rank_direct(g, r):
+    """Reference Q_r: the whole product num * prod_{i<r} Z(L^i), rebuilt for every rank."""
+    num = half_lefschetz((1 - g) * r * r) * one_minus_u(g) * one_minus_v(g)
+    out = RingElem(-num, CycloDenominator.of(1))
+    for i in range(1, r):
+        out = out * zeta_at_lefschetz(g, i)
+    return out
+
+
+@pytest.mark.parametrize("g", range(6))
+def test_q_rank_rank_by_rank_matches_direct_product(g):
+    # from a cold cache, rank 7 first builds every rank below it
+    q_rank.cache_clear()
+    for r in range(7, 0, -1):
+        got, want = q_rank(g, r), q_rank_direct(g, r)
+        assert got.num.terms == want.num.terms
+        assert got.den.factors == want.den.factors
+
+
 def test_compositions_of_three():
     assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
 

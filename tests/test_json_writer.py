@@ -1,9 +1,9 @@
-"""Canonical JSON from the CLI: the strata writer and slope-mode lists.
+"""Canonical JSON from the CLI: the template writers and slope-mode lists.
 
-``strata --format json`` assembles each report's text from templates
-and writes a slope-mode list one report at a time.  Both must equal
-``json.dumps(..., sort_keys=True, indent=2)`` of the library form
-``SmallnessReport.as_json``.  Every JSON output of the class commands
+``strata``, ``betti`` and ``hdt --format json`` assemble each report's
+text from templates and write a slope-mode list one report at a time.
+Both must equal ``json.dumps(..., sort_keys=True, indent=2)`` of the
+library forms ``SmallnessReport.as_json`` and ``DTResult.as_json``.  Every JSON output of the class commands
 must also survive a parse and re-dump byte for byte.  Hypothesis runs
 derandomized.
 """
@@ -15,9 +15,11 @@ import os
 import warnings
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from curvedt import cli
+from curvedt.invariants import ih_poincare
 from curvedt.strata import certify_virtual_smallness
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -113,3 +115,24 @@ def test_cli_json_round_trip(command, g, slope, rmax):
                         "--format", "json")
     assert code == 0
     assert_same_text(out, canonical(json.loads(out)) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "hdt -g 2 -r 3 -d 1",
+    "betti -g 3 -r 2 -d -1",
+    "hdt -g 2 --slope=1/2 --rmax 4",
+    "betti -g 2 --slope=1/2 --rmax 4",
+    "hdt -g 1 -r 2 -d 1 --force-genus",
+    "hdt -g 1 -r 2 -d 0 --force-genus",  # HDT = 0: empty term lists
+])
+def test_dt_json_equals_canonical_dump(argv):
+    code, out = run_cli(*argv.split(), "--format", "json")
+    assert code == 0
+    args = cli.build_parser().parse_args(argv.split())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = [ih_poincare(args.genus, r, d, checks="warn") for r, d in cli._classes(args)]
+    for res in results:
+        assert_same_text(cli._dt_json(res), canonical(res.as_json()))
+    want = [res.as_json() for res in results] if args.slope is not None else results[0].as_json()
+    assert_same_text(out, canonical(want) + "\n")

@@ -5,8 +5,12 @@ compared with ``polyref`` on random sparse inputs.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
 
+import contextlib
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,3 +308,114 @@ def test_cancelling_sums_are_zero(items, rnd):
 def test_far_apart_sums_match_reference(items):
     a, b = check_sum(items)[0][:2]
     assert (a == b) == ref_equal(items[0], items[1])
+
+
+# ------------------------------------------------ packed sums over a common denominator
+
+@contextlib.contextmanager
+def packed_sums():
+    """A list that records, for each sum, whether it was packed."""
+    paths = []
+    real = ring._packed_sum
+
+    def spy(*args):
+        out = real(*args)
+        paths.append(out is not None)
+        return out
+
+    with mock.patch.object(ring, "_packed_sum", spy):
+        yield paths
+
+
+def term_shifts(items):
+    """sum over the items of terms * factors missing from the multiset-max denominator."""
+    lcd = Counter()
+    for _, ks in items:
+        lcd |= Counter(ks)
+    return sum(len(num) * sum((lcd - Counter(ks)).values()) for num, ks in items)
+
+
+def random_coefficient(rnd, big):
+    """A nonzero Fraction of either sign: a small int, a small rational or, if big,
+    sometimes an int of about 100 bits."""
+    c = rnd.choice([rnd.randint(1, 9), Fraction(rnd.randint(1, 9), rnd.randint(2, 5))]
+                   + [rnd.getrandbits(100) | 1] * big)
+    return Fraction(c if rnd.random() < 0.5 else -c)
+
+
+def random_sum(rnd, lcd, keys, n_items, n_terms):
+    """n_items fractions (numerator of n_terms terms, factor list) drawn from rnd.  The
+    first carries all of lcd, so no factor is missing from it; each other carries at
+    most one factor of lcd, so all others are missing."""
+    big = rnd.random() < 0.5
+    items = []
+    for i in range(n_items):
+        num = {k: random_coefficient(rnd, big) for k in keys(rnd, n_terms)}
+        items.append((num, list(lcd) if i == 0 else rnd.sample(lcd, rnd.randint(0, 1))))
+    return items
+
+
+def dense_keys(rnd, n):
+    return rnd.sample([(a, b) for a in range(-4, 5) for b in range(-4, 5)], n)
+
+
+def far_keys(rnd, n):
+    return {(rnd.randint(-10**6, 10**6), rnd.randint(-10**6, 10**6)) for _ in range(n)}
+
+
+# 7 items of 50 terms over a 9 x 9 box, six of them missing 7 or 8 of the 8 factors:
+# at least 2100 term shifts into a box of 17 * 97 slots.
+LCD = (1, 1, 1, 2, 2, 3, 4, 6)
+PACKED_SETTINGS = settings(derandomize=True, max_examples=8, deadline=None, database=None)
+# a seed for the random module draws the bulk of an example: Hypothesis itself would
+# draw each of its hundreds of terms, which makes examples slow to generate and shrink
+rngs = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@PACKED_SETTINGS
+@given(rngs)
+def test_packed_sums_match_reference(rnd):
+    items = random_sum(rnd, LCD, dense_keys, 7, 50)
+    assert term_shifts(items) >= ring._PACK_SHIFTS
+    with packed_sums() as paths:
+        check_sum(items)
+    assert paths == [True]
+
+
+@PACKED_SETTINGS
+@given(rngs)
+def test_packed_sums_cancel_to_zero(rnd):
+    items = random_sum(rnd, LCD, dense_keys, 4, 50)
+    terms = items + [(ref.neg(num), ks) for num, ks in items]
+    rnd.shuffle(terms)
+    with packed_sums() as paths:
+        elems, want = check_sum(terms)
+        assert want == {} and ring.ring_sum(elems).is_zero()
+    assert paths == [True, True]
+
+
+@PACKED_SETTINGS
+@given(rngs, st.sampled_from([(0, 0), (1, -1), (-4, 4), (40, 40)]))
+def test_equality_of_packed_size_operands(rnd, key):
+    total = ring.ring_sum([elem(*x) for x in random_sum(rnd, LCD, dense_keys, 7, 50)])
+    # the same fraction over a denominator with four more factors: 4 * len(total) shifts
+    extra = (1, 1, 2, 2)
+    wider = LaurentPoly(ref.times_cyclo(total.num.terms, extra))
+    bump = LaurentPoly({key: Fraction(1, 3)})
+    with packed_sums() as paths:
+        assert total == RingElem(wider, total.den * CycloDenominator(extra))
+        assert RingElem(wider, total.den * CycloDenominator(extra)) == total
+        assert total != RingElem(wider + bump, total.den * CycloDenominator(extra))
+    assert paths == [True, True, True]
+
+
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(rngs, st.lists(st.integers(1, 10**5), min_size=4, max_size=4))
+def test_sparse_sums_take_the_dict_loop(rnd, lcd):
+    # 8 items of 100 terms spread as far as FAR, seven of them missing 3 or 4 factors:
+    # at least 2100 term shifts, but into an astronomically sparse box
+    items = random_sum(rnd, lcd, far_keys, 8, 100)
+    assert term_shifts(items) >= ring._PACK_SHIFTS
+    with packed_sums() as paths, mock.patch.object(ring, "_pack", side_effect=AssertionError):
+        check_sum(items)
+    assert paths == [False]
