@@ -37,7 +37,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -212,7 +212,7 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argpar
             f"--rmax {args.rmax} is below the slope denominator "
             f"{args.slope.denominator}; no class has that slope"
         )
-    if args.genus < 2 and not args.force_genus:
+    if 0 <= args.genus < 2 and not args.force_genus:
         parser.error(
             f"genus {args.genus} is below 2; pass --force-genus for exploratory runs"
         )
@@ -278,7 +278,7 @@ def _part_json(part) -> str:
 
 
 def _strata_json(rep: SmallnessReport) -> str:
-    """_canonical_json(rep.as_json()), assembled without building the dict."""
+    """rep as canonical JSON, filled into a template: no dict is built."""
     sep = ",\n"
     records = sep.join(
         f'    {{\n      "bound": "{rec.bound!s}",\n      "codim": {rec.codim},\n'
@@ -294,7 +294,10 @@ def _strata_json(rep: SmallnessReport) -> str:
 
 
 def _terms_json(p: LaurentPoly) -> str:
-    """p.records() as canonical JSON, indented to the depth of a DTResult field."""
+    """p's terms as canonical JSON, indented to the depth of a top-level field.
+
+    One {den, eu2, ev2, num} object per term, sorted by (eu2, ev2); [] for 0.
+    """
     records = ",\n".join(
         f'    {{\n      "den": {c.denominator},\n      "eu2": {a},\n      "ev2": {b},\n'
         f'      "num": {c.numerator}\n    }}'
@@ -304,7 +307,7 @@ def _terms_json(p: LaurentPoly) -> str:
 
 
 def _dt_json(res: DTResult) -> str:
-    """_canonical_json(res.as_json()), assembled without building the dict."""
+    """res as canonical JSON, filled into a template: no dict is built."""
     betti = ",\n    ".join(map(str, res.betti))
     return (
         f'{{\n  "betti": [\n    {betti}\n  ],\n'
@@ -347,7 +350,8 @@ def cmd_hdt(args: argparse.Namespace) -> int:
     def payload(item) -> str:
         d, res, h = item
         if res is None:
-            return _canonical_json({"genus": args.genus, "rank": 0, "degree": d, "hdt": h.records()})
+            return (f'{{\n  "degree": {d},\n  "genus": {args.genus},\n'
+                    f'  "hdt": {_terms_json(h)},\n  "rank": 0\n}}')
         return _dt_json(res)
 
     def block(item) -> str:
@@ -356,8 +360,8 @@ def cmd_hdt(args: argparse.Namespace) -> int:
             table = ReportTable(
                 ("eu2", "ev2", "num", "den"),
                 tuple(
-                    (str(t["eu2"]), str(t["ev2"]), str(t["num"]), str(t["den"]))
-                    for t in h.records()
+                    (str(a), str(b), str(c.numerator), str(c.denominator))
+                    for (a, b), c in sorted(h.terms.items())
                 ),
             )
             return table.render_csv()
@@ -446,7 +450,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = all(res.ok for res in results)
     verdict = "PASS" if ok else "FAIL"
     if args.fmt == "json":
-        checks = [res.as_json() for res in results]
+        checks = [asdict(res) for res in results]
         print(_canonical_json({"checks": checks, "rmax": rmax, "verdict": verdict}))
     else:
         table = ReportTable(

@@ -274,17 +274,6 @@ class DTResult:
     ih: LaurentPoly
     betti: Tuple[int, ...]
 
-    def as_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "rank": self.rank,
-            "degree": self.degree,
-            "dim": self.dim,
-            "hdt": self.hdt.records(),
-            "ih_epoly": self.ih.records(),
-            "betti": list(self.betti),
-        }
-
 
 def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
     """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs."""

@@ -143,12 +143,9 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
         for t, c in zip(slots_b, cb):
             _accumulate(out, zip([t + s for s in slots_a], [c * x for x in ca]))
         ks, cs = list(out), list(out.values())
-    den = den_a * den_b
-    if den != 1:
-        cs = [_canon(Fraction(c, den)) for c in cs]
     keys = from_columns([[lo + step * (k // stride % extent) for k in ks]
                          for lo, step, stride, extent in reversed(axes)])
-    return dict(zip(keys, cs))
+    return _divided(dict(zip(keys, cs)), den_a * den_b)
 
 
 class _SparsePoly:
@@ -278,18 +275,6 @@ class LaurentPoly(_SparsePoly):
         """Substitute u -> 1/u, v -> 1/v (negate all exponents)."""
         return LaurentPoly._raw({(-a, -b): c for (a, b), c in self.terms.items()})
 
-    def shift(self, da2: int, db2: int) -> "LaurentPoly":
-        """Multiply by the plain monomial u^(da2/2) v^(db2/2)."""
-        return LaurentPoly._raw({(a + da2, b + db2): c for (a, b), c in self.terms.items()})
-
-    def records(self) -> list:
-        """JSON-friendly term list sorted by (eu2, ev2)."""
-        out = []
-        for (a, b) in sorted(self.terms):
-            c = self.terms[(a, b)]
-            out.append({"eu2": a, "ev2": b, "num": c.numerator, "den": c.denominator})
-        return out
-
 
 class UniPoly(_SparsePoly):
     """Univariate Laurent polynomial in y, exponents stored doubled."""
@@ -317,12 +302,6 @@ class UniPoly(_SparsePoly):
                 raise ValueError("y -> -y needs integer exponents")
             out[e] = c if (e // 2) % 2 == 0 else -c
         return UniPoly._raw(out)
-
-    def records(self) -> list:
-        return [
-            {"e2": e, "num": self.terms[e].numerator, "den": self.terms[e].denominator}
-            for e in sorted(self.terms)
-        ]
 
 
 def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:

@@ -212,15 +212,6 @@ class StratumRecord:
     is_maximal: bool
     passes: bool
 
-    def as_json(self) -> dict:
-        return {
-            "parts": [[[r_i, d_i], m] for (r_i, d_i), m in self.stratum.parts],
-            "codim": self.codim,
-            "bound": str(self.bound),
-            "maximal": self.is_maximal,
-            "pass": self.passes,
-        }
-
 
 @dataclass(frozen=True)
 class SmallnessReport:
@@ -241,16 +232,6 @@ class SmallnessReport:
     @property
     def verdict(self) -> str:
         return "PASS" if self.passes else "FAIL"
-
-    def as_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "rank": self.rank,
-            "degree": self.degree,
-            "d0": self.d0,
-            "strata": [rec.as_json() for rec in self.records],
-            "verdict": self.verdict,
-        }
 
 
 def certify_virtual_smallness(

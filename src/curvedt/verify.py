@@ -112,9 +112,6 @@ class CheckResult:
     def ok(self) -> bool:
         return self.status != "FAIL"
 
-    def as_json(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
 
 def _result(name: str, failures: List[str], detail: str) -> CheckResult:
     if failures:

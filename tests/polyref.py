@@ -78,11 +78,9 @@ def at_neg_y(a):
 
 
 def records(a):
-    out = []
-    for k in sorted(a):
-        head = {"e2": k} if isinstance(k, int) else {"eu2": k[0], "ev2": k[1]}
-        out.append(dict(head, num=a[k].numerator, den=a[k].denominator))
-    return out
+    """The CLI's JSON term list of a bivariate a, sorted by (eu2, ev2)."""
+    return [{"eu2": x, "ev2": y, "num": c.numerator, "den": c.denominator}
+            for (x, y), c in sorted(a.items())]
 
 
 def one_minus_lefschetz(k):

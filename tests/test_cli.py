@@ -180,6 +180,7 @@ def test_usage_errors_exit_two():
         ("detfactor -g 2 -r 0 -d 1", "(2, 0, 1)"),
         ("hdt -g 2 -r -1 -d 1", "(2, -1, 1)"),
         ("betti -g -3 -r 2 -d 1 --force-genus", "(-3, 2, 1)"),
+        ("betti -g -3 -r 2 -d 1", "(-3, 2, 1)"),
         ("betti -g 0 -r 2 -d 2 --force-genus", "(0, 2, 2)"),
         ("hdt -g 2 -r 0 -d 0", "(2, 0, 0)"),
         ("hdt -g 2 -r 0 -d -1", "(2, 0, -1)"),

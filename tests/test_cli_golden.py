@@ -40,6 +40,9 @@ COMMANDS = [
     ("strata_table", "strata -g 2 -r 2 -d 6"),
     ("strata_csv", "strata -g 2 -r 3 -d 7 --format csv"),
     ("strata_slope_json_generic", "strata -g 2 --slope=5/2 --rmax 4 --format json --generic-bound"),
+    ("strata_json", "strata -g 2 -r 2 -d 6 --format json"),
+    ("hdt_torsion_csv", "hdt -g 2 -r 0 -d 1 --format csv"),
+    ("verify_quick_json", "verify --quick --json"),
 ]
 
 

@@ -1,11 +1,12 @@
 """Canonical JSON from the CLI: the template writers and slope-mode lists.
 
-``strata``, ``betti`` and ``hdt --format json`` assemble each report's
-text from templates and write a slope-mode list one report at a time.
-Both must equal ``json.dumps(..., sort_keys=True, indent=2)`` of the
-library forms ``SmallnessReport.as_json`` and ``DTResult.as_json``.  Every JSON output of the class commands
-must also survive a parse and re-dump byte for byte.  Hypothesis runs
-derandomized.
+``strata``, ``betti`` and ``hdt --format json`` (torsion mode too)
+assemble each report's text from templates and write a slope-mode list
+one report at a time.  Both must equal ``json.dumps(..., sort_keys=True,
+indent=2)`` of the plain dict forms built here by ``strata_dict``,
+``dt_dict`` and ``torsion_dict``, whose term lists come from
+``polyref.records``.  Every JSON output of the class commands must also
+survive a parse and re-dump byte for byte.  Hypothesis runs derandomized.
 """
 
 import contextlib
@@ -18,8 +19,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import polyref as ref
 from curvedt import cli
-from curvedt.invariants import ih_poincare
+from curvedt.invariants import ih_poincare, torsion_dt
 from curvedt.strata import certify_virtual_smallness
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -27,6 +29,45 @@ SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=N
 
 def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def strata_dict(rep) -> dict:
+    """The JSON object of one strata report."""
+    return {
+        "genus": rep.genus,
+        "rank": rep.rank,
+        "degree": rep.degree,
+        "d0": rep.d0,
+        "strata": [
+            {
+                "parts": [[[r_i, d_i], m] for (r_i, d_i), m in rec.stratum.parts],
+                "codim": rec.codim,
+                "bound": str(rec.bound),
+                "maximal": rec.is_maximal,
+                "pass": rec.passes,
+            }
+            for rec in rep.records
+        ],
+        "verdict": rep.verdict,
+    }
+
+
+def dt_dict(res) -> dict:
+    """The JSON object of one betti/hdt class."""
+    return {
+        "genus": res.genus,
+        "rank": res.rank,
+        "degree": res.degree,
+        "dim": res.dim,
+        "hdt": ref.records(res.hdt.terms),
+        "ih_epoly": ref.records(res.ih.terms),
+        "betti": list(res.betti),
+    }
+
+
+def torsion_dict(g, d, h) -> dict:
+    """The JSON object of hdt in torsion mode (rank 0)."""
+    return {"genus": g, "rank": 0, "degree": d, "hdt": ref.records(h.terms)}
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -60,7 +101,7 @@ def run_cli(*argv):
 def test_strata_text_equals_canonical_dump(g, r, slope, generic):
     d = int(slope * r)  # either sign, in and out of the theorem range
     rep = certify(g, r, d, generic)
-    assert_same_text(cli._strata_json(rep), canonical(rep.as_json()))
+    assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
 
 
 @SETTINGS
@@ -76,7 +117,7 @@ def test_strata_text_low_genus_coprime(g, r, d, generic):
     assume(not (g == 0 and -2 * r < d <= -r))
     rep = certify(g, r, d, generic)
     assert len(rep.records) == 1
-    assert_same_text(cli._strata_json(rep), canonical(rep.as_json()))
+    assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
 
 
 @SETTINGS
@@ -94,12 +135,12 @@ def test_strata_cli_matches_canonical_dump(g, slope, extra, generic):
                         "--format", "json", *flags)
     reports = [certify(g, r, r * slope.numerator // q, generic) for r in range(q, rmax + 1, q)]
     assert code == 0
-    assert_same_text(out, canonical([rep.as_json() for rep in reports]) + "\n")
+    assert_same_text(out, canonical([strata_dict(rep) for rep in reports]) + "\n")
     last = reports[-1]
     code, out = run_cli("strata", "-g", str(g), "-r", str(last.rank), "-d", str(last.degree),
                         "--format", "json", *flags)
     assert code == 0
-    assert_same_text(out, canonical(last.as_json()) + "\n")
+    assert_same_text(out, canonical(strata_dict(last)) + "\n")
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -133,6 +174,22 @@ def test_dt_json_equals_canonical_dump(argv):
         warnings.simplefilter("ignore")
         results = [ih_poincare(args.genus, r, d, checks="warn") for r, d in cli._classes(args)]
     for res in results:
-        assert_same_text(cli._dt_json(res), canonical(res.as_json()))
-    want = [res.as_json() for res in results] if args.slope is not None else results[0].as_json()
+        assert_same_text(cli._dt_json(res), canonical(dt_dict(res)))
+    want = [dt_dict(res) for res in results] if args.slope is not None else dt_dict(results[0])
     assert_same_text(out, canonical(want) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "hdt -g 2 -r 0 -d 1",
+    "hdt -g 2 -r 0 -d 3",
+    "hdt -g 3 -r 0 -d 2",
+    "hdt -g 1 -r 0 -d 2 --force-genus",
+])
+def test_torsion_json_equals_canonical_dump(argv):
+    code, out = run_cli(*argv.split(), "--format", "json")
+    assert code == 0
+    args = cli.build_parser().parse_args(argv.split())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h = torsion_dt(args.genus, args.degree, checks="warn")[args.degree]
+    assert_same_text(out, canonical(torsion_dict(args.genus, args.degree, h)) + "\n")

@@ -6,12 +6,14 @@ the specialization images.
 """
 
 from fractions import Fraction
+import json
 import random
 import time
 import tracemalloc
 
 import pytest
 
+from curvedt import cli
 from curvedt.ring import (
     CycloDenominator,
     LaurentPoly,
@@ -310,15 +312,13 @@ def test_unipoly_at_neg_y():
 
 
 def test_records_sorted():
+    # the CLI's JSON term list: sorted by (eu2, ev2), keys sorted, p/q as num/den
     p = monomial(2, 0) + monomial(0, 2) + monomial(-1, -1, Fraction(1, 2))
-    recs = p.records()
-    assert [(r["eu2"], r["ev2"]) for r in recs] == [(-1, -1), (0, 2), (2, 0)]
+    recs = json.loads(cli._terms_json(p + monomial(4, 4, Fraction(-2, 3))))
+    assert [(r["eu2"], r["ev2"]) for r in recs] == [(-1, -1), (0, 2), (2, 0), (4, 4)]
+    assert all(list(r) == ["den", "eu2", "ev2", "num"] for r in recs)
     assert recs[0] == {"eu2": -1, "ev2": -1, "num": 1, "den": 2}
-    q = UniPoly({4: Fraction(-2, 3), 0: 1})
-    assert q.records() == [
-        {"e2": 0, "num": 1, "den": 1},
-        {"e2": 4, "num": -2, "den": 3},
-    ]
+    assert recs[3] == {"eu2": 4, "ev2": 4, "num": -2, "den": 3}
 
 
 

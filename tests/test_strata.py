@@ -7,6 +7,7 @@ degree-3 parts at genus 2; codimensions 0/1/3 for the (2,0) types; the
 bound values 0, -1/2, -3/2; and d0 = d + (1-g) r - 1 spot values.
 """
 
+import json
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from math import gcd
 
 import pytest
 
+from curvedt import cli
 from curvedt.invariants import VerificationError
 from curvedt.strata import (
     FramedQuiver,
@@ -199,12 +201,12 @@ def test_certify_exhaustive_low_rank():
 
 
 def test_report_json_shape():
-    obj = certify_virtual_smallness(2, 2, 6).as_json()
-    assert list(obj) == ["genus", "rank", "degree", "d0", "strata", "verdict"]
+    obj = json.loads(cli._strata_json(certify_virtual_smallness(2, 2, 6)))
+    assert list(obj) == ["d0", "degree", "genus", "rank", "strata", "verdict"]
     assert obj["verdict"] == "PASS" and obj["d0"] == 3
     assert len(obj["strata"]) == 3
     row = obj["strata"][0]
-    assert list(row) == ["parts", "codim", "bound", "maximal", "pass"]
+    assert list(row) == ["bound", "codim", "maximal", "parts", "pass"]
     assert row["parts"] == [[[2, 6], 1]] and row["bound"] == "0"
 
 
