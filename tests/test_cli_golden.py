@@ -4,9 +4,10 @@ Each command's stdout is stored in ``tests/golden/<name>.txt``.  The
 commands run in-process through ``curvedt.cli.main``.  To record the
 files again after a deliberate output change, run
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 
-and review the diff of ``tests/golden/``.
+and review the diff of ``tests/golden/``.  With names, only those
+goldens are recorded; with none, all of them are.
 """
 
 import contextlib
@@ -43,6 +44,9 @@ COMMANDS = [
     ("strata_json", "strata -g 2 -r 2 -d 6 --format json"),
     ("hdt_torsion_csv", "hdt -g 2 -r 0 -d 1 --format csv"),
     ("verify_quick_json", "verify --quick --json"),
+    ("strata_slope_json", "strata -g 3 --slope=5 --rmax 6 --format json"),
+    ("strata_slope_table", "strata -g 3 --slope=5 --rmax 6"),
+    ("strata_slope_csv", "strata -g 2 --slope=7/2 --rmax 6 --format csv"),
 ]
 
 
@@ -61,8 +65,14 @@ def test_cli_output_is_byte_identical(name, argv):
 
 
 if __name__ == "__main__":
+    names = set(sys.argv[1:])
+    unknown = names - {name for name, _ in COMMANDS}
+    if unknown:
+        sys.exit(f"unknown golden: {', '.join(sorted(unknown))}")
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS:
+        if names and name not in names:
+            continue
         code, got = _run(argv)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
