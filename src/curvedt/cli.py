@@ -39,9 +39,9 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .invariants import (
     DTResult,
@@ -66,18 +66,9 @@ class ReportTable:
     rows: Tuple[Tuple[str, ...], ...]
 
     def render(self) -> str:
-        widths = [len(h) for h in self.headers]
-        for row in self.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(self.headers, widths)).rstrip()
-        ]
-        for row in self.rows:
-            lines.append(
-                "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-            )
-        return "\n".join(lines)
+        lines = (self.headers, *self.rows)
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in lines)
 
     def render_csv(self) -> str:
         buf = io.StringIO()
@@ -158,12 +149,8 @@ def _parse_slope(text: str) -> Fraction:
 
 def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
     parser.add_argument("-g", "--genus", type=int, required=True)
-    parser.add_argument(
-        "-r",
-        "--rank",
-        type=int,
-        help="rank of the class" + (" (0 selects torsion mode)" if torsion_ok else ""),
-    )
+    parser.add_argument("-r", "--rank", type=int, help="rank of the class"
+                        + (" (0 selects torsion mode)" if torsion_ok else ""))
     parser.add_argument("-d", "--degree", type=int, help="degree of the class")
     parser.add_argument(
         "--slope",
@@ -172,12 +159,7 @@ def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
         "(write a negative slope as --slope=-p/q)",
     )
     parser.add_argument("--rmax", type=int, help="largest rank in slope mode")
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("table", "json", "csv"),
-        default="table",
-    )
+    parser.add_argument("--format", dest="fmt", choices=("table", "json", "csv"), default="table")
     parser.add_argument(
         "--force-genus",
         action="store_true",
@@ -243,54 +225,76 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argpar
 
 
 def _classes(args: argparse.Namespace) -> List[Tuple[int, int]]:
-    if args.slope is not None:
-        q = args.slope.denominator
-        return [
-            (r, r * args.slope.numerator // q)
-            for r in range(q, args.rmax + 1, q)
-        ]
-    return [(args.rank, args.degree)]
+    if args.slope is None:
+        return [(args.rank, args.degree)]
+    p, q = args.slope.numerator, args.slope.denominator
+    return [(r, r * p // q) for r in range(q, args.rmax + 1, q)]
 
 
-def _report(args: argparse.Namespace, items: list, payload: Callable, block: Callable) -> None:
+def _report(args: argparse.Namespace, items: list, payload: Callable, block: Callable,
+            nested: Optional[Callable] = None) -> None:
     """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
 
     payload(item) is canonical JSON text; payload and block are only called
-    for the format printed.  A list is written one payload at a time, nested
-    by indenting its lines (JSON escapes every newline inside a string).
+    for the format printed.  A list is written one item at a time: nested(item)
+    gives payload(item) in pieces, every line after the first indented, by
+    default by indenting its newlines (JSON escapes every newline in a string).
     """
     if args.fmt != "json":
         print("\n\n".join(block(item) for item in items))
     elif args.slope is None:
         print(payload(items[0]))
     else:
+        nested = nested or (lambda item: (payload(item).replace("\n", "\n  "),))
         sep = "[\n  "
         for item in items:
-            sys.stdout.write(sep + payload(item).replace("\n", "\n  "))
+            sys.stdout.write(sep)
+            sys.stdout.writelines(nested(item))
             sep = ",\n  "
         print("\n]" if items else "[]")
 
 
-@lru_cache(maxsize=None)
-def _part_json(part) -> str:
-    """A ((r, d), m) part as canonical JSON, indented to the depth of a report's parts."""
-    return "        " + _canonical_json(part).replace("\n", "\n        ")
+class _PartJSON(dict):
+    """part -> a ((r, d), m) part as canonical JSON at the depth of a report's
+    parts, pad after each newline; one cache per pad (``_part_json``)."""
+
+    def __init__(self, pad: str):
+        self.indent = "\n" + pad + "        "
+
+    def __missing__(self, part) -> str:
+        text = self[part] = "        " + _canonical_json(part).replace("\n", self.indent)
+        return text
+
+
+_part_json = lru_cache(maxsize=None)(_PartJSON)
+_JSON_BOOL = ("false", "true")
+_STRATUM_JSON = (  # first %s: the report's head, then the separator
+    '%s    {\n      "bound": "%s",\n      "codim": %d,\n      "maximal": %s,\n'
+    '      "parts": [\n%s\n      ],\n      "pass": %s\n    }'
+)
+
+
+def _strata_chunks(rep: SmallnessReport, pad: str = "") -> Iterator[str]:
+    """rep as canonical JSON filled into a template, one piece per stratum: no
+    dict is built.  pad starts every line after the first, so a slope-mode
+    list is written as it is made, never held whole nor indented by a copy."""
+    nl = "\n" + pad
+    row, sep, part_json = _STRATUM_JSON.replace("\n", nl), "," + nl, _part_json(pad)
+    lead = (
+        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n  "genus": {rep.genus},\n'
+        f'  "rank": {rep.rank},\n  "strata": [\n'
+    ).replace("\n", nl)
+    for rec in rep.records:
+        yield row % (
+            lead, rec.bound, rec.codim, _JSON_BOOL[rec.is_maximal],
+            sep.join(map(part_json.__getitem__, rec.stratum.parts)), _JSON_BOOL[rec.passes],
+        )
+        lead = sep
+    yield f'\n  ],\n  "verdict": "{rep.verdict}"\n}}'.replace("\n", nl)
 
 
 def _strata_json(rep: SmallnessReport) -> str:
-    """rep as canonical JSON, filled into a template: no dict is built."""
-    sep = ",\n"
-    records = sep.join(
-        f'    {{\n      "bound": "{rec.bound!s}",\n      "codim": {rec.codim},\n'
-        f'      "maximal": {"true" if rec.is_maximal else "false"},\n'
-        f'      "parts": [\n{sep.join(map(_part_json, rec.stratum.parts))}\n      ],\n'
-        f'      "pass": {"true" if rec.passes else "false"}\n    }}'
-        for rec in rep.records
-    )
-    return (
-        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n  "genus": {rep.genus},\n'
-        f'  "rank": {rep.rank},\n  "strata": [\n{records}\n  ],\n  "verdict": "{rep.verdict}"\n}}'
-    )
+    return "".join(_strata_chunks(rep))
 
 
 def _terms_json(p: LaurentPoly) -> str:
@@ -407,30 +411,20 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    reports = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for r, d in _classes(args):
-            reports.append(
-                certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
-            )
+        reports = [certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
+                   for r, d in _classes(args)]
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
     def block(rep) -> str:
-        table = ReportTable(
-            ("parts", "codim", "bound", "maximal", "pass"),
-            tuple(
-                (
-                    rec.stratum.label(),
-                    str(rec.codim),
-                    str(rec.bound),
-                    "yes" if rec.is_maximal else "no",
-                    "yes" if rec.passes else "no",
-                )
-                for rec in rep.records
-            ),
-        )
+        yes_no = ("no", "yes")
+        table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), tuple(
+            (rec.stratum.label(), str(rec.codim), str(rec.bound),
+             yes_no[rec.is_maximal], yes_no[rec.passes])
+            for rec in rep.records
+        ))
         if args.fmt == "csv":
             return table.render_csv()
         return (
@@ -440,7 +434,7 @@ def cmd_strata(args: argparse.Namespace) -> int:
             f"{table.render()}\nverdict: {rep.verdict}"
         )
 
-    _report(args, reports, _strata_json, block)
+    _report(args, reports, _strata_json, block, partial(_strata_chunks, pad="  "))
     return 0 if all(rep.passes for rep in reports) else 1
 
 
@@ -494,14 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_half_args(p_det, "print the first half only", "print everything (default)")
     p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a, p_det)))
 
-    p_strata = sub.add_parser(
-        "strata", help="Luna-stratum virtual-smallness certificate"
-    )
+    p_strata = sub.add_parser("strata", help="Luna-stratum virtual-smallness certificate")
     _add_class_args(p_strata)
     p_strata.add_argument(
-        "--generic-bound",
-        dest="generic_bound",
-        action="store_true",
+        "--generic-bound", dest="generic_bound", action="store_true",
         help="use the generic quiver estimate instead of the curve Euler form",
     )
     p_strata.set_defaults(func=lambda a: cmd_strata(_config(a, p_strata)))

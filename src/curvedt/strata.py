@@ -32,16 +32,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .invariants import VerificationError, dim_moduli
+from .invariants import VerificationError
 
 Part = Tuple[Tuple[int, int], int]  # ((rank, degree), multiplicity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StratumType:
     """A Luna-stratum type: a multiset of ((r_i, d_i), m_i) parts.
 
@@ -59,6 +59,12 @@ class StratumType:
             if r_i < 1 or m_i < 1:
                 raise ValueError(f"invalid part (({r_i},{d_i}),{m_i})")
 
+    @classmethod
+    def _raw(cls, parts: Tuple[Part, ...]) -> "StratumType":
+        s = object.__new__(cls)  # internal fast path: parts are sorted and valid
+        object.__setattr__(s, "parts", parts)
+        return s
+
     @property
     def n(self) -> int:
         return len(self.parts)
@@ -73,15 +79,15 @@ class StratumType:
 
     @property
     def is_maximal(self) -> bool:
-        return self.n == 1 and self.parts[0][1] == 1
+        return len(self.parts) == 1 and self.parts[0][1] == 1
 
     def label(self) -> str:
         return " + ".join(f"{m}*({r_i},{d_i})" for (r_i, d_i), m in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FramedQuiver:
-    """Symmetric framed quiver of a stratum type; arrows are built on first use."""
+    """Symmetric framed quiver of a stratum type; arrows are built on each use."""
 
     genus: int
     ranks: Tuple[int, ...]
@@ -91,7 +97,7 @@ class FramedQuiver:
     def n(self) -> int:
         return len(self.ranks)
 
-    @cached_property
+    @property
     def arrows(self) -> Tuple[Tuple[int, ...], ...]:
         """a_ij = delta_ij + (g-1) r_i r_j."""
         g1, ranks = self.genus - 1, self.ranks
@@ -101,23 +107,23 @@ class FramedQuiver:
         )
 
 
-def _pair_multisets(total: int) -> List[Tuple[Tuple[int, int], ...]]:
+def _pair_multisets(total: int, part: Callable = lambda k, m: (k, m)) -> List[tuple]:
     """Multisets of (k, m) pairs, k, m >= 1, with sum k*m = total.
 
-    Each is a non-decreasing tuple; the list is in lexicographic order.
+    Each is a tuple of part(k, m) over its pairs in lexicographic order;
+    the list is in lexicographic order of the pairs.  Built bottom up:
+    entry i of row n lists the multisets of n whose pairs all come at or
+    after the i-th pair, so each tuple is one concatenation.
     """
-    out: List[Tuple[Tuple[int, int], ...]] = []
-
-    def rec(remaining: int, k0: int, m0: int, acc: Tuple[Tuple[int, int], ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for k in range(k0, remaining + 1):
-            for m in range(m0 if k == k0 else 1, remaining // k + 1):
-                rec(remaining - k * m, k, m, acc + ((k, m),))
-
-    rec(total, 1, 1, ())
-    return out
+    pairs = [(k * m, part(k, m)) for k in range(1, total + 1) for m in range(1, total // k + 1)]
+    rows = [[[()]] * (len(pairs) + 1)]
+    for n in range(1, total + 1):
+        row = [[]] * (len(pairs) + 1)
+        for i in range(len(pairs) - 1, -1, -1):
+            w, v = pairs[i]
+            row[i] = row[i + 1] if w > n else [(v,) + tail for tail in rows[n - w][i]] + row[i + 1]
+        rows.append(row)
+    return rows[total][0]
 
 
 def enumerate_strata(r: int, d: int) -> List[StratumType]:
@@ -126,15 +132,16 @@ def enumerate_strata(r: int, d: int) -> List[StratumType]:
     Every part slope must equal d/r exactly, so with d/r = p/q in lowest
     terms the parts are (kq, kp) for k >= 1 and the multiset condition
     is sum m_i k_i = r/q.  Returns canonically sorted types, maximal
-    type first, then by part list.
+    type first, then by part list.  (k, m) -> ((kq, kp), m) keeps the
+    lexicographic order of the pair multisets, whose last is the maximal
+    ((t, 1),), so the types need no sort.
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
     t = gcd(r, abs(d)) if d else r
     q, p = r // t, d // t
-    part = {(k, m): ((k * q, k * p), m) for k in range(1, t + 1) for m in range(1, t // k + 1)}
-    types = [StratumType(tuple(map(part.__getitem__, pairs))) for pairs in _pair_multisets(t)]
-    types.sort(key=lambda s: (not s.is_maximal, s.parts))
+    types = list(map(StratumType._raw, _pair_multisets(t, lambda k, m: ((k * q, k * p), m))))
+    types.insert(0, types.pop())
     return types
 
 
@@ -144,11 +151,11 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
     Vertex i per part; a_ij = delta_ij + (g-1) r_i r_j arrows; framing
     w_i = d_i + (1-g) r_i.
     """
-    return FramedQuiver(
-        genus=g,
-        ranks=tuple(r_i for (r_i, _), _ in s.parts),
-        framing=tuple(d_i + (1 - g) * r_i for (r_i, d_i), _ in s.parts),
-    )
+    ranks, framing, h = [], [], 1 - g
+    for (r_i, d_i), _ in s.parts:
+        ranks.append(r_i)
+        framing.append(d_i + h * r_i)
+    return FramedQuiver(g, tuple(ranks), tuple(framing))
 
 
 def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
@@ -157,9 +164,13 @@ def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
         raise ValueError(f"dimension vectors must have length {q.n}")
     diag = sum(a * b for a, b in zip(m, m2))
     cross = sum(
-        q.arrows[i][j] * m[i] * m2[j] for i in range(q.n) for j in range(q.n)
+        a_ij * m_i * m2_j for row, m_i in zip(q.arrows, m) for a_ij, m2_j in zip(row, m2)
     )
     return diag - cross
+
+
+def _where(g: int, r: int, d: int) -> str:
+    return f"class (g, r, d) = ({g}, {r}, {d})"
 
 
 def codim_stratum(g: int, s: StratumType) -> int:
@@ -169,12 +180,15 @@ def codim_stratum(g: int, s: StratumType) -> int:
     the total rank.  Non-negative, zero exactly at the maximal type;
     a negative value means the formula was misapplied and raises.
     """
-    codim = dim_moduli(g, s.rank) - sum(
-        dim_moduli(g, r_i) for (r_i, _), _ in s.parts
-    )
+    rank = squares = 0
+    for (r_i, _), m_i in s.parts:
+        rank += m_i * r_i
+        squares += r_i * r_i
+    codim = (g - 1) * (rank * rank - squares) + 1 - len(s.parts)
     if codim < 0:
         raise VerificationError(
-            f"negative codimension {codim} for stratum {s.label()} at genus {g}"
+            f"{_where(g, rank, s.degree)}: negative codimension {codim} "
+            f"for stratum {s.label()} at genus {g}"
         )
     return codim
 
@@ -193,16 +207,19 @@ def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
     1/2 + 1/2 sum_i ((m_i - 1) chi_ii + 1 - 2 m_i) with the curve value
     chi_ii = -(g-1) r_i^2, or chi_ii = 1 (the generic symmetric-quiver
     estimate) when generic=True.  Virtual smallness needs 0 at the
-    maximal type and < 0 elsewhere.
+    maximal type and < 0 elsewhere.  Equal values share one Fraction.
     """
     twice = 1
     for (r_i, _), m_i in s.parts:
         chi_ii = 1 if generic else -(g - 1) * r_i * r_i
         twice += (m_i - 1) * chi_ii + 1 - 2 * m_i
-    return Fraction(twice, 2)
+    return _half(twice)
 
 
-@dataclass(frozen=True)
+_half = lru_cache(maxsize=None)(lambda twice: Fraction(twice, 2))
+
+
+@dataclass(frozen=True, slots=True)
 class StratumRecord:
     """One certified row: a type with its codimension, bound, verdict."""
 
@@ -264,23 +281,22 @@ def certify_virtual_smallness(
         n_maximal += maximal
         if maximal != (codim == 0):
             raise VerificationError(
-                f"codimension {codim} inconsistent with maximality of {s.label()}"
+                f"{_where(g, r, d)}: codimension {codim} inconsistent with "
+                f"maximality of {s.label()}"
             )
         if in_range:
-            quiver = build_fiber_quiver(g, s)
-            if any(w <= 0 for w in quiver.framing):
+            framing = build_fiber_quiver(g, s).framing
+            if min(framing) <= 0:
                 raise VerificationError(
-                    f"non-positive framing {quiver.framing} for {s.label()} "
+                    f"{_where(g, r, d)}: non-positive framing {framing} for {s.label()} "
                     f"despite slope {slope} > {2 * g - 2}"
                 )
-        passes = bound == 0 if maximal else bound < 0
-        records.append(
-            StratumRecord(
-                stratum=s, codim=codim, bound=bound, is_maximal=maximal, passes=passes
-            )
-        )
+        passes = bound.numerator == 0 if maximal else bound.numerator < 0
+        records.append(StratumRecord(s, codim, bound, maximal, passes))
     if n_maximal != 1:
-        raise VerificationError(f"expected exactly one maximal type, got {n_maximal}")
+        raise VerificationError(
+            f"{_where(g, r, d)}: expected exactly one maximal type, got {n_maximal}"
+        )
     return SmallnessReport(
         genus=g,
         rank=r,

@@ -113,6 +113,19 @@ def test_strata_warning_prints_reduced_slope(capsys):
     assert code == 0 and err.count("warning: slope 0 is not above 2:") == 2
 
 
+def test_strata_slope_mode_warnings_are_pinned(capsys):
+    # one out-of-range warning per rank, in rank order, and stdout untouched by them
+    code, out, err = run(capsys, "strata", "-g", "2", "--slope=1", "--rmax", "4")
+    line = (
+        "warning: slope 1 is not above 2: smallness is certified arithmetic only, "
+        "outside the theorem's hypothesis\n"
+    )
+    assert code == 0 and err == 4 * line
+    assert [ln for ln in out.splitlines() if ln.startswith("genus=")] == [
+        f"genus=2 rank={r} degree={r} d0=-1 in-theorem-range=no" for r in range(1, 5)
+    ]
+
+
 def test_strata_json(capsys):
     code, out, _ = run(
         capsys, "strata", "-g", "2", "-r", "2", "-d", "5", "--format", "json"

@@ -286,3 +286,64 @@ def test_fiber_quiver_low_genus():
     q1, q0 = build_fiber_quiver(1, s), build_fiber_quiver(0, s)
     assert q1.arrows == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and q1.framing == (7, 14, 21)
     assert q0.arrows == ((0, -2, -3), (-2, -3, -6), (-3, -6, -8)) and q0.framing == (8, 16, 24)
+
+
+def test_codim_error_names_the_class():
+    s = stratum(((1, 0), 1), ((1, 0), 1))
+    with pytest.raises(VerificationError) as exc:
+        codim_stratum(1, s)
+    assert str(exc.value) == (
+        "class (g, r, d) = (1, 2, 0): negative codimension -1 "
+        "for stratum 1*(1,0) + 1*(1,0) at genus 1"
+    )
+
+
+def test_maximality_error_names_the_class(monkeypatch):
+    import curvedt.strata as strata
+
+    types = [stratum(((2, 0), 1)), stratum(((1, 0), 2))]  # codim 0 off the dense stratum at g = 1
+    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: types)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(VerificationError) as exc:
+            strata.certify_virtual_smallness(1, 2, 0)
+    assert str(exc.value) == (
+        "class (g, r, d) = (1, 2, 0): codimension 0 inconsistent with maximality of 2*(1,0)"
+    )
+
+
+def test_framing_error_names_the_class():
+    # slope -1 is above 2g-2 = -2 at genus 0, but the framing d + r is 0
+    with pytest.raises(VerificationError) as exc:
+        certify_virtual_smallness(0, 1, -1)
+    assert str(exc.value) == (
+        "class (g, r, d) = (0, 1, -1): non-positive framing (0,) for 1*(1,-1) "
+        "despite slope -1 > -2"
+    )
+
+
+@pytest.mark.parametrize("types, count", [([], 0), ([(((2, 6), 1),)] * 2, 2)])
+def test_maximal_count_error_names_the_class(monkeypatch, types, count):
+    import curvedt.strata as strata
+
+    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: [stratum(*t) for t in types])
+    with pytest.raises(VerificationError) as exc:
+        strata.certify_virtual_smallness(2, 2, 6)
+    assert str(exc.value) == (
+        f"class (g, r, d) = (2, 2, 6): expected exactly one maximal type, got {count}"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, verdicts", [(0, [True, False, False]), (Fraction(-1, 2), [False, True, True])]
+)
+def test_pass_needs_zero_on_the_dense_stratum_and_negative_elsewhere(
+    monkeypatch, capsys, value, verdicts
+):
+    import curvedt.strata as strata
+
+    monkeypatch.setattr(strata, "smallness_bound", lambda g, s, generic=False: Fraction(value))
+    rep = strata.certify_virtual_smallness(2, 2, 6)
+    assert [rec.passes for rec in rep.records] == verdicts and rep.verdict == "FAIL"
+    assert cli.main(["strata", "-g", "2", "-r", "2", "-d", "6"]) == 1
+    assert capsys.readouterr().out.endswith("verdict: FAIL\n")

@@ -1,0 +1,59 @@
+"""Differential test: the smallness certificate against the reference loop.
+
+``strataref.certify_records`` keeps the certificate as it stood before
+its per-type loop was tuned.  For every class with genus 0..5, rank up
+to 9 and degree -2r..6r, with the curve bound and the generic bound,
+both must give the same records (stratum, codimension, bound,
+maximality, verdict), the same d0 and the same theorem-range flag, or
+both raise ``VerificationError`` with the same message, which the
+library prefixes with the class.  Genus 0 and 1 are in the sweep: the
+library allows them, and they reach every structural check.
+"""
+
+import warnings
+from fractions import Fraction
+
+import strataref as ref
+from curvedt.invariants import VerificationError
+from curvedt.strata import certify_virtual_smallness
+
+
+def _classes():
+    for g in range(6):
+        for r in range(1, 10):
+            for d in range(-2 * r, 6 * r + 1):
+                yield g, r, d
+
+
+def _outcome(certify, g, r, d, generic):
+    try:
+        return certify(g, r, d, generic), None
+    except VerificationError as exc:
+        return None, str(exc)
+
+
+def test_certificate_matches_reference_on_every_small_class():
+    errors = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for g, r, d in _classes():
+            for generic in (False, True):
+                where = (g, r, d, generic)
+                want, want_err = _outcome(ref.certify_records, g, r, d, generic)
+                rep, err = _outcome(certify_virtual_smallness, g, r, d, generic)
+                if want_err is not None:
+                    errors += 1
+                    assert err == f"class (g, r, d) = ({g}, {r}, {d}): {want_err}", where
+                    continue
+                assert err is None, where
+                records, d0, in_range = want
+                assert (rep.d0, rep.in_theorem_range) == (d0, in_range), where
+                assert [
+                    (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+                    for rec in rep.records
+                ] == [
+                    (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+                    for rec in records
+                ], where
+                assert all(type(rec.bound) is Fraction for rec in rep.records), where
+    assert errors > 0  # genus 0 and 1 reach the structural checks
