@@ -11,18 +11,21 @@ Conventions used throughout the package:
   exponent keys by n, automatically satisfies
   psi_n(L^(1/2)) = (-1)^(n-1) L^(n/2).
 * Denominators are products of factors (1 - L^k), kept unexpanded as a
-  multiset of the integers k.  Fractions are never reduced:
-  multiplication concatenates multisets; a sum (and equality, as a zero
-  difference) clears every coefficient denominator by one lcm, brings
-  each numerator to the multiset-wise maximum denominator in integers,
-  and divides by that lcm once.  A small or sparse sum does this on a
-  dict of terms; one with at least _PACK_SHIFTS term shifts into a dense
-  box packs each numerator into one int, makes each missing (1 - L^k)
-  one shift and subtract, adds the ints and unpacks the total once.
+  multiset of the integers k.  A RingElem is fraction-free: a numerator
+  of int coefficients over one positive int scale and such a multiset.
+  Fractions are never reduced: multiplication multiplies numerators and
+  scales and concatenates multisets; a sum (and equality, as a zero
+  difference) brings every numerator to the lcm of the scales and to the
+  multiset-wise maximum denominator, all in integers.  A small or sparse
+  sum does this on a dict of terms; one with at least _PACK_SHIFTS term
+  shifts into a dense box packs each numerator into one int, makes each
+  missing (1 - L^k) one shift and subtract, adds the ints and unpacks the
+  total once.
 
-All arithmetic is exact: a coefficient is an int when integral, else a
-fractions.Fraction.  LaurentPoly and UniPoly (one variable y, the image
-of u = v = y, keyed by the doubled exponent of y) share one kernel,
+All arithmetic is exact: a polynomial coefficient is an int when
+integral, else a fractions.Fraction; ring-element arithmetic builds no
+Fraction.  LaurentPoly and UniPoly (one variable y, the image of
+u = v = y, keyed by the doubled exponent of y) share one kernel,
 _SparsePoly, and differ only in their monomial type.  Products use
 Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand, its
 denominators cleared, is packed into one Python int with a byte-aligned
@@ -32,7 +35,6 @@ the work.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -366,19 +368,27 @@ class CycloDenominator:
         return CycloDenominator(self.factors + other.factors)
 
     def lcm(self, other: "CycloDenominator") -> "CycloDenominator":
-        """Multiset-wise maximum of multiplicities."""
-        a, b = Counter(self.factors), Counter(other.factors)
-        out = []
-        for k in set(a) | set(b):
-            out.extend([k] * max(a[k], b[k]))
-        return CycloDenominator(tuple(out))
+        """Multiset-wise maximum of multiplicities, by merging the sorted factors."""
+        a, b = self.factors, other.factors
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            x, y = a[i], b[j]
+            out.append(min(x, y))
+            i, j = i + (x <= y), j + (y <= x)
+        return CycloDenominator(tuple(out) + a[i:] + b[j:])
 
     def diff(self, other: "CycloDenominator") -> Tuple[int, ...]:
-        """Multiset difference self - other; other must be contained in self."""
-        a, b = Counter(self.factors), Counter(other.factors)
-        if b - a:
+        """Multiset difference self - other, by merging the sorted factors; other
+        must be contained in self."""
+        b, j, out = other.factors, 0, []
+        for x in self.factors:
+            if j < len(b) and b[j] == x:
+                j += 1
+            else:
+                out.append(x)
+        if j < len(b):
             raise ValueError("denominator is not a sub-multiset")
-        return tuple(sorted((a - b).elements()))
+        return tuple(out)
 
     def adams(self, n: int) -> "CycloDenominator":
         if n < 1:
@@ -446,27 +456,27 @@ def _packed_sum(numerators: List[Dict], scaled: List[List[int]], missing: List[T
 def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, int, CycloDenominator]:
     """(N, D, lcd) with sum_i sign_i * item_i = N / (D * lcd).
 
-    lcd is the multiset-max denominator, D the lcm of every coefficient
-    denominator and N a dict of nonzero ints.  Each numerator is scaled to
-    integers once; each missing (1 - L^k) is then an integer shift-and-
-    subtract, L^k being the key (2k, 2k) with coefficient +1: on packed ints
-    when _packed_sum takes the sum, else on term dicts.  This is the only
-    place a numerator meets a cyclotomic factor.
+    lcd is the multiset-max denominator, D the lcm of the items' scales and
+    N a dict of nonzero ints.  Each item's ints are brought to D once; each
+    missing (1 - L^k) is then an integer shift-and-subtract, L^k being the
+    key (2k, 2k) with coefficient +1: on packed ints when _packed_sum takes
+    the sum, else on term dicts.  This is the only place a numerator meets
+    a cyclotomic factor.
     """
     lcd = items[0].den
     for x in items[1:]:
         lcd = lcd.lcm(x.den)
-    cleared = [_integral(list(x.num.terms.values())) for x in items]
-    den = lcm(*(d for _, d in cleared))
-    scales = [sign * (den // d) for sign, (_, d) in zip(signs, cleared)]
-    scaled = [cs if f == 1 else [c * f for c in cs] for (cs, _), f in zip(cleared, scales)]
+    den = lcm(*(x._scale for x in items))
+    scales = [sign * (den // x._scale) for sign, x in zip(signs, items)]
+    scaled = [list(x._ints.values()) if f == 1 else [c * f for c in x._ints.values()]
+              for x, f in zip(items, scales)]
     missing = [lcd.diff(x.den) for x in items]
-    packed = _packed_sum([x.num.terms for x in items], scaled, missing, lcd)
+    packed = _packed_sum([x._ints for x in items], scaled, missing, lcd)
     if packed is not None:
         return packed, den, lcd
     total: Dict[Monomial, int] = {}
     for x, cs, ks in zip(items, scaled, missing):
-        terms = dict(zip(x.num.terms, cs))
+        terms = dict(zip(x._ints, cs))
         get = terms.get
         for k in ks:
             s = 2 * k
@@ -481,12 +491,33 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
     return {m: c for m, c in total.items() if c}, den, lcd
 
 
-@dataclass(frozen=True, eq=False)
 class RingElem:
-    """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0."""
+    """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0.
 
-    num: LaurentPoly
-    den: CycloDenominator = CycloDenominator()
+    Held fraction-free, as FLINT's fmpq_poly holds a rational polynomial: a
+    dict of nonzero int coefficients over one positive int scale, so the
+    value is ints / (scale * prod_k (1 - L^k)).  Products multiply the ints
+    and the scales, a rational scalar p/q multiplies the ints by p and the
+    scale by q, and sums bring the ints to the lcm of the scales.  ``num``
+    is the canonical rational numerator ints / scale, built when read.
+    """
+
+    __slots__ = ("_ints", "_scale", "den")
+
+    def __init__(self, num: LaurentPoly, den: CycloDenominator = CycloDenominator()):
+        ints, self._scale = _integral(list(num.terms.values()))
+        self._ints = num.terms if self._scale == 1 else dict(zip(num.terms, ints))
+        self.den = den
+
+    @classmethod
+    def _raw(cls, ints: Dict[Monomial, int], scale: int, den: CycloDenominator) -> "RingElem":
+        x = cls.__new__(cls)
+        x._ints, x._scale, x.den = ints, scale, den
+        return x
+
+    @property
+    def num(self) -> LaurentPoly:
+        return LaurentPoly._raw(_divided(self._ints, self._scale))
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -501,10 +532,10 @@ class RingElem:
         return cls(LaurentPoly.const(c))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._ints
 
     def __neg__(self) -> "RingElem":
-        return RingElem(-self.num, self.den)
+        return RingElem._raw({m: -c for m, c in self._ints.items()}, self._scale, self.den)
 
     def __add__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
@@ -518,13 +549,19 @@ class RingElem:
 
     def __mul__(self, other: Union["RingElem", LaurentPoly, Scalar]) -> "RingElem":
         if isinstance(other, RingElem):
-            return RingElem(self.num * other.num, self.den * other.den)
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return RingElem(self.num * other, self.den)
+            num = LaurentPoly._raw(self._ints) * LaurentPoly._raw(other._ints)
+            return RingElem._raw(num.terms, self._scale * other._scale, self.den * other.den)
+        if isinstance(other, LaurentPoly):
+            return self * RingElem(other)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            if not p:
+                return RingElem._raw({}, 1, self.den)
+            ints = self._ints if p == 1 else {m: c * p for m, c in self._ints.items()}
+            return RingElem._raw(ints, self._scale * other.denominator, self.den)
         return NotImplemented
 
-    def __rmul__(self, other: Union[LaurentPoly, Scalar]) -> "RingElem":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         """self - other has a zero numerator over the multiset-max denominator."""
@@ -534,20 +571,23 @@ class RingElem:
 
     __hash__ = None  # mathematical equality is not hash-compatible
 
+    def __repr__(self) -> str:
+        return f"RingElem(num={self.num!r}, den={self.den!r})"
+
     def adams(self, n: int) -> "RingElem":
-        return RingElem(self.num.adams(n), self.den.adams(n))
+        ints = LaurentPoly._raw(self._ints).adams(n).terms
+        return RingElem._raw(ints, self._scale, self.den.adams(n))
 
     def to_polynomial(self) -> LaurentPoly:
-        """Divide out every denominator factor; NotDivisibleError if any fails."""
-        out = self.num
+        """Divide out every denominator factor, then the scale; NotDivisibleError if a factor fails."""
+        out = LaurentPoly._raw(self._ints)
         for k in self.den.factors:
             out = exact_divide_cyclo(out, k)
-        return out
+        return LaurentPoly._raw(_divided(out.terms, self._scale))
 
 
 def _sum_elem(items: List[RingElem]) -> RingElem:
-    total, den, lcd = _cleared_sum(items, [1] * len(items))
-    return RingElem(LaurentPoly._raw(_divided(total, den)), lcd)
+    return RingElem._raw(*_cleared_sum(items, [1] * len(items)))
 
 
 def ring_sum(items: Iterable[RingElem]) -> RingElem:

@@ -19,10 +19,11 @@ for f: the k = n term holds P_n, whose d = n part is n f_n, so
     n f_n = n E_n - sum_{k<n} P_k E_{n-k} - sum_{d | n, d < n} psi_{n/d}(d f_d).
 
 Both take O(rmax^2) ring products, skip zero coefficients, and divide
-by n only once per output coefficient; the running P_k and d f_d carry
-no 1/n.  A Log coefficient with no correction terms is E_n itself and
-is returned as it is: the slope series of a coprime class has a single
-nonzero coefficient.  Everything is exact.
+by n only once per output coefficient, by multiplying its integer scale
+by n (see ``RingElem``); the running P_k and d f_d carry no 1/n.  A Log
+coefficient with no correction terms is E_n itself and is returned as
+it is: the slope series of a coprime class has a single nonzero
+coefficient.  Everything is exact.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
@@ -242,8 +242,9 @@ class SmallnessReport:
     generic: bool
     records: Tuple[StratumRecord, ...]
 
-    @property
+    @cached_property
     def passes(self) -> bool:
+        """Every record passes; scanned once, as the verdict and exit code both read it."""
         return all(rec.passes for rec in self.records)
 
     @property
