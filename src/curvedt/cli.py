@@ -15,13 +15,14 @@ A class is selected either by ``-r/-d`` or by ``--slope p/q --rmax N``
 (default), canonical JSON (sorted keys, two-space indent, no floats —
 re-serializing parsed output is byte-identical), or CSV.
 
-Exit codes: 0 success; 1 verification failure (a consistency assertion
-tripped, a division left a remainder, a certificate or suite failed);
-2 usage error, including a class (g, r, d) outside the domain: rank
-below 1 (``hdt`` allows rank 0, torsion mode, with degree >= 1),
-negative genus, or negative dim M(r,d) = (g-1) r^2 + 1; 141 (128 +
-SIGPIPE) when the reader closes stdout early, e.g. ``| head``, with
-nothing on stderr.
+Exit codes: 0 success; 1 verification failure only (a consistency
+assertion tripped, a division left a remainder, a certificate or suite
+failed); 2 usage or domain error, including a class (g, r, d) outside
+the domain: rank below 1 (``hdt`` allows rank 0, torsion mode, with
+degree >= 1), negative genus, or negative dim M(r,d) = (g-1) r^2 + 1,
+and any ValueError the library raises (printed as ``error: ...``, no
+traceback); 141 (128 + SIGPIPE) when the reader closes stdout early,
+e.g. ``| head``, with nothing on stderr.
 
 Exact numbers only: integers print as integers, rationals as p/q, and
 half-integer exponents as ^(1/2), ^(-3/2), and so on.  Polynomials
@@ -117,8 +118,7 @@ def _join_terms(terms: List[Tuple[Scalar, str]]) -> str:
 def render_poly(p: LaurentPoly) -> str:
     """Human form of a two-variable Laurent polynomial in u, v."""
     terms = []
-    for (eu2, ev2) in sorted(p.terms, key=lambda m: (m[0] + m[1], m[0], m[1])):
-        c = p.terms[(eu2, ev2)]
+    for (eu2, ev2), c in sorted(p.terms.items(), key=lambda mc: (sum(mc[0]), mc[0])):
         mono = ""
         if eu2:
             mono += "u" + _exp_str(eu2)
@@ -131,9 +131,9 @@ def render_poly(p: LaurentPoly) -> str:
 def render_uni(p: UniPoly) -> str:
     """Human form of a one-variable Laurent polynomial in y."""
     terms = []
-    for e2 in sorted(p.terms):
+    for e2, c in sorted(p.terms.items()):
         mono = "y" + _exp_str(e2) if e2 else ""
-        terms.append((p.terms[e2], mono))
+        terms.append((c, mono))
     return _join_terms(terms)
 
 
@@ -519,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except (VerificationError, NotDivisibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the flush at
         # exit stays quiet, as the SIGPIPE note of the signal module docs shows.

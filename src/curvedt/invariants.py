@@ -112,7 +112,7 @@ def q_rank(g: int, r: int) -> RingElem:
         raise ValueError("Q_r is defined for r >= 1")
     if r > 1:
         z = zeta_at_lefschetz(g, r - 1)
-        return q_rank(g, r - 1) * RingElem(z.num * half_lefschetz((1 - g) * (2 * r - 1)), z.den)
+        return q_rank(g, r - 1) * (z * half_lefschetz((1 - g) * (2 * r - 1)))
     one = LaurentPoly.one()
     num = half_lefschetz(1 - g) * (one - monomial(2, 0)) ** g * (one - monomial(0, 2)) ** g
     # 1/(L-1) = -1/(1-L)

@@ -11,26 +11,30 @@ Conventions used throughout the package:
   exponent keys by n, automatically satisfies
   psi_n(L^(1/2)) = (-1)^(n-1) L^(n/2).
 * Denominators are products of factors (1 - L^k), kept unexpanded as a
-  multiset of the integers k.  A RingElem is fraction-free: a numerator
-  of int coefficients over one positive int scale and such a multiset.
-  Fractions are never reduced: multiplication multiplies numerators and
-  scales and concatenates multisets; a sum (and equality, as a zero
-  difference) brings every numerator to the lcm of the scales and to the
+  multiset of the integers k; a RingElem is a numerator over such a
+  multiset, never reduced.  Multiplication multiplies numerators and
+  concatenates multisets; a sum (and equality, as a zero difference)
+  brings every numerator to the lcm of the scales and to the
   multiset-wise maximum denominator, all in integers.  A small or sparse
   sum does this on a dict of terms; one with at least _PACK_SHIFTS term
   shifts into a dense box packs each numerator into one int, makes each
   missing (1 - L^k) one shift and subtract, adds the ints and unpacks the
   total once.
 
-All arithmetic is exact: a polynomial coefficient is an int when
-integral, else a fractions.Fraction; ring-element arithmetic builds no
-Fraction.  LaurentPoly and UniPoly (one variable y, the image of
-u = v = y, keyed by the doubled exponent of y) share one kernel,
+All arithmetic is exact and fraction-free, as in FLINT's fmpq_poly: a
+polynomial stores nonzero int coefficients over one positive int scale.
+The public constructor clears denominators once; every operation works
+on the ints and carries the scale unreduced (a product multiplies the
+scales, a Fraction scalar p/q multiplies the ints by p and the scale by
+q).  The scale is reduced once, by its gcd with the ints, where a value
+leaves the ring: RingElem.to_polynomial.  ``terms`` is the canonical
+view: an int where a coefficient is integral, else a Fraction.
+LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
+by the doubled exponent of y) share one kernel,
 _SparsePoly, and differ only in their monomial type.  Products use
-Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand, its
-denominators cleared, is packed into one Python int with a byte-aligned
-slot per point of the product's exponent box; one big-int product does
-the work.
+Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand is
+packed into one Python int with a byte-aligned slot per point of the
+product's exponent box; one big-int product does the work.
 """
 
 from __future__ import annotations
@@ -69,12 +73,12 @@ def _canon(c: Scalar) -> Scalar:
 
 
 def _accumulate(out: Dict, pairs: Iterable) -> Dict:
-    """Add each (key, nonzero coefficient) pair into out; zero sums drop out."""
+    """Add each (key, nonzero int) pair into out; zero sums drop out."""
     get = out.get
     for m, c in pairs:
         s = get(m, 0) + c
         if s:
-            out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+            out[m] = s
         else:
             del out[m]
     return out
@@ -113,16 +117,14 @@ def _unpack(n: int, box: int, width: int) -> Tuple[List[int], List[int]]:
 
 
 def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
-    """The product of two nonempty term dicts, in canonical coefficients.
+    """The product of two nonempty dicts of int coefficients.
 
     A term's slot is its point in the product's exponent box: exponents are
     shifted to start at zero and divided by their common step per variable.
     ``columns`` maps a key list to one exponent list per variable, and
     ``from_columns`` maps back.
     """
-    ka, kb = list(a), list(b)
-    ca, den_a = _integral(list(a.values()))
-    cb, den_b = _integral(list(b.values()))
+    ka, kb, ca, cb = list(a), list(b), list(a.values()), list(b.values())
     axes = []  # (low exponent of the product, step, stride, extent), last axis first
     slots_a, slots_b = [0] * len(ka), [0] * len(kb)
     box = 1
@@ -147,24 +149,27 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
         ks, cs = list(out), list(out.values())
     keys = from_columns([[lo + step * (k // stride % extent) for k in ks]
                          for lo, step, stride, extent in reversed(axes)])
-    return _divided(dict(zip(keys, cs)), den_a * den_b)
+    return dict(zip(keys, cs))
 
 
 class _SparsePoly:
-    """Sparse polynomial: a dict from monomial keys to nonzero coefficients.
+    """Sparse polynomial: the sum over monomial keys m of _ints[m] / _scale.
 
-    This is the one arithmetic kernel.  A subclass fixes the monomial
-    type by declaring ``_UNIT`` (the key of the constant 1), ``_key``
-    (coercion of an input key) and ``_columns``/``_from_columns`` (a key
-    list as one exponent list per variable, and back).  Operands of two
-    different subclasses never mix: equality is False and +, -, * raise
-    TypeError.
+    This is the one arithmetic kernel.  The nonzero int coefficients share
+    one positive int scale that no operation reduces, so equal polynomials
+    may store different ints: ``terms``, the canonical read-only view (the
+    int dict itself at scale 1), is what equality compares.  A subclass
+    fixes the monomial type by declaring ``_UNIT`` (the key of the
+    constant 1), ``_key`` (coercion of an input key) and
+    ``_columns``/``_from_columns`` (a key list as one exponent list per
+    variable, and back).  Operands of two different subclasses never mix:
+    equality is False and +, -, * raise TypeError.
 
-    The term dict is treated as immutable after construction; operations
+    The int dict is treated as immutable after construction; operations
     always build fresh instances.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_ints", "_scale")
 
     def __init__(self, terms: Mapping | None = None):
         clean: Dict = {}
@@ -174,14 +179,20 @@ class _SparsePoly:
                 c = _canon(c)
                 if c:
                     clean[key(mon)] = c
-        self.terms = clean
+        ints, self._scale = _integral(list(clean.values()))
+        self._ints = clean if self._scale == 1 else dict(zip(clean, ints))
 
     @classmethod
-    def _raw(cls, terms: Dict):
-        # internal fast path: caller guarantees no zero coefficients
+    def _raw(cls, ints: Dict, scale: int = 1):
+        # internal fast path: caller guarantees nonzero ints and a positive scale
         p = cls.__new__(cls)
-        p.terms = terms
+        p._ints, p._scale = ints, scale
         return p
+
+    @property
+    def terms(self) -> Dict:
+        s = self._scale
+        return self._ints if s == 1 else {m: _canon(Fraction(c, s)) for m, c in self._ints.items()}
 
     @classmethod
     def zero(cls):
@@ -193,17 +204,17 @@ class _SparsePoly:
 
     @classmethod
     def const(cls, c: Scalar):
-        c = _canon(c)
-        return cls._raw({cls._UNIT: c} if c else {})
+        c = Fraction(c)
+        return cls._raw({cls._UNIT: c.numerator} if c else {}, c.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._ints)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._ints)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, type(self)):
@@ -211,29 +222,36 @@ class _SparsePoly:
         return NotImplemented
 
     def __neg__(self):
-        return self._raw({m: -c for m, c in self.terms.items()})
+        return self._raw({m: -c for m, c in self._ints.items()}, self._scale)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other, the ints brought to the lcm of the two scales."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        scale = lcm(self._scale, other._scale)
+        f, g = scale // self._scale, sign * (scale // other._scale)
+        out = dict(self._ints) if f == 1 else {m: c * f for m, c in self._ints.items()}
+        pairs = other._ints.items() if g == 1 else ((m, c * g) for m, c in other._ints.items())
+        return self._raw(_accumulate(out, pairs), scale)
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._raw(_accumulate(dict(self.terms), other.terms.items()))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        negated = ((m, -c) for m, c in other.terms.items())
-        return self._raw(_accumulate(dict(self.terms), negated))
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            if not self.terms or not other.terms:
+            if not self._ints or not other._ints:
                 return self.zero()
-            return self._raw(_product(self.terms, other.terms, self._columns, self._from_columns))
+            ints = _product(self._ints, other._ints, self._columns, self._from_columns)
+            return self._raw(ints, self._scale * other._scale)
         if isinstance(other, (int, Fraction)):
-            c = _canon(other)
-            if not c:
+            p = other.numerator
+            if not p:
                 return self.zero()
-            return self._raw({m: _canon(k * c) for m, k in self.terms.items()})
+            ints = self._ints if p == 1 else {m: c * p for m, c in self._ints.items()}
+            return self._raw(ints, self._scale * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -271,11 +289,11 @@ class LaurentPoly(_SparsePoly):
         """Adams operation: scale every exponent key by n (coefficients fixed)."""
         if n < 1:
             raise ValueError("Adams operations are indexed by n >= 1")
-        return LaurentPoly._raw({(n * a, n * b): c for (a, b), c in self.terms.items()})
+        return LaurentPoly._raw({(n * a, n * b): c for (a, b), c in self._ints.items()}, self._scale)
 
     def dual(self) -> "LaurentPoly":
         """Substitute u -> 1/u, v -> 1/v (negate all exponents)."""
-        return LaurentPoly._raw({(-a, -b): c for (a, b), c in self.terms.items()})
+        return LaurentPoly._raw({(-a, -b): c for (a, b), c in self._ints.items()}, self._scale)
 
 
 class UniPoly(_SparsePoly):
@@ -298,12 +316,12 @@ class UniPoly(_SparsePoly):
 
     def at_neg_y(self) -> "UniPoly":
         """Substitute y -> -y; requires all exponents integral (even keys)."""
-        out: Dict[int, Scalar] = {}
-        for e, c in self.terms.items():
+        out: Dict[int, int] = {}
+        for e, c in self._ints.items():
             if e % 2:
                 raise ValueError("y -> -y needs integer exponents")
             out[e] = c if (e // 2) % 2 == 0 else -c
-        return UniPoly._raw(out)
+        return UniPoly._raw(out, self._scale)
 
 
 def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
@@ -333,20 +351,20 @@ def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
     if k < 1:
         raise ValueError("cyclotomic factors are indexed by k >= 1")
     step = 2 * k
-    lines: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for (a, b), c in p.terms.items():
+    lines: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for (a, b), c in p._ints.items():
         lines.setdefault((a - b, a % step), {})[a] = c
-    out: Dict[Monomial, Scalar] = {}
+    out: Dict[Monomial, int] = {}
     for (delta, _), line in lines.items():
         top = max(line)
         total = 0
         for a in range(min(line), top, step):
             total += line.get(a, 0)
             if total:
-                out[a, a - delta] = _canon(total)
+                out[a, a - delta] = total
         if total + line[top]:
             raise NotDivisibleError(f"not divisible by 1 - L^{k}")
-    return LaurentPoly._raw(out)
+    return LaurentPoly._raw(out, p._scale)
 
 
 @dataclass(frozen=True)
@@ -398,13 +416,6 @@ class CycloDenominator:
     def expand(self) -> LaurentPoly:
         """The product of the factors as an actual polynomial."""
         return _sum_elem([RingElem.one(), RingElem(LaurentPoly.zero(), self)]).num
-
-
-def _divided(terms: Dict, den: int) -> Dict:
-    """A dict of int coefficients divided by den, canonically (terms itself if den is 1)."""
-    if den == 1:
-        return terms
-    return {m: _canon(Fraction(c, den)) for m, c in terms.items()}
 
 
 def _packed_sum(numerators: List[Dict], scaled: List[List[int]], missing: List[Tuple[int, ...]],
@@ -466,17 +477,18 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
     lcd = items[0].den
     for x in items[1:]:
         lcd = lcd.lcm(x.den)
-    den = lcm(*(x._scale for x in items))
-    scales = [sign * (den // x._scale) for sign, x in zip(signs, items)]
-    scaled = [list(x._ints.values()) if f == 1 else [c * f for c in x._ints.values()]
-              for x, f in zip(items, scales)]
+    nums = [x.num for x in items]
+    den = lcm(*(p._scale for p in nums))
+    scales = [sign * (den // p._scale) for sign, p in zip(signs, nums)]
+    scaled = [list(p._ints.values()) if f == 1 else [c * f for c in p._ints.values()]
+              for p, f in zip(nums, scales)]
     missing = [lcd.diff(x.den) for x in items]
-    packed = _packed_sum([x._ints for x in items], scaled, missing, lcd)
+    packed = _packed_sum([p._ints for p in nums], scaled, missing, lcd)
     if packed is not None:
         return packed, den, lcd
     total: Dict[Monomial, int] = {}
-    for x, cs, ks in zip(items, scaled, missing):
-        terms = dict(zip(x._ints, cs))
+    for p, cs, ks in zip(nums, scaled, missing):
+        terms = dict(zip(p._ints, cs))
         get = terms.get
         for k in ks:
             s = 2 * k
@@ -494,30 +506,17 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
 class RingElem:
     """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0.
 
-    Held fraction-free, as FLINT's fmpq_poly holds a rational polynomial: a
-    dict of nonzero int coefficients over one positive int scale, so the
-    value is ints / (scale * prod_k (1 - L^k)).  Products multiply the ints
-    and the scales, a rational scalar p/q multiplies the ints by p and the
-    scale by q, and sums bring the ints to the lcm of the scales.  ``num``
-    is the canonical rational numerator ints / scale, built when read.
+    The numerator is a LaurentPoly, so it is held fraction-free: its ints
+    over its scale.  Products multiply numerators (ints and scales) and
+    concatenate the multisets; sums bring the ints to the lcm of the
+    scales (see _cleared_sum); to_polynomial divides the ints by each
+    (1 - L^k), then reduces by the scale once.
     """
 
-    __slots__ = ("_ints", "_scale", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: CycloDenominator = CycloDenominator()):
-        ints, self._scale = _integral(list(num.terms.values()))
-        self._ints = num.terms if self._scale == 1 else dict(zip(num.terms, ints))
-        self.den = den
-
-    @classmethod
-    def _raw(cls, ints: Dict[Monomial, int], scale: int, den: CycloDenominator) -> "RingElem":
-        x = cls.__new__(cls)
-        x._ints, x._scale, x.den = ints, scale, den
-        return x
-
-    @property
-    def num(self) -> LaurentPoly:
-        return LaurentPoly._raw(_divided(self._ints, self._scale))
+        self.num, self.den = num, den
 
     @classmethod
     def zero(cls) -> "RingElem":
@@ -532,10 +531,10 @@ class RingElem:
         return cls(LaurentPoly.const(c))
 
     def is_zero(self) -> bool:
-        return not self._ints
+        return not self.num._ints
 
     def __neg__(self) -> "RingElem":
-        return RingElem._raw({m: -c for m, c in self._ints.items()}, self._scale, self.den)
+        return RingElem(-self.num, self.den)
 
     def __add__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
@@ -549,16 +548,9 @@ class RingElem:
 
     def __mul__(self, other: Union["RingElem", LaurentPoly, Scalar]) -> "RingElem":
         if isinstance(other, RingElem):
-            num = LaurentPoly._raw(self._ints) * LaurentPoly._raw(other._ints)
-            return RingElem._raw(num.terms, self._scale * other._scale, self.den * other.den)
-        if isinstance(other, LaurentPoly):
-            return self * RingElem(other)
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            if not p:
-                return RingElem._raw({}, 1, self.den)
-            ints = self._ints if p == 1 else {m: c * p for m, c in self._ints.items()}
-            return RingElem._raw(ints, self._scale * other.denominator, self.den)
+            return RingElem(self.num * other.num, self.den * other.den)
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return RingElem(self.num * other, self.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -575,19 +567,22 @@ class RingElem:
         return f"RingElem(num={self.num!r}, den={self.den!r})"
 
     def adams(self, n: int) -> "RingElem":
-        ints = LaurentPoly._raw(self._ints).adams(n).terms
-        return RingElem._raw(ints, self._scale, self.den.adams(n))
+        return RingElem(self.num.adams(n), self.den.adams(n))
 
     def to_polynomial(self) -> LaurentPoly:
-        """Divide out every denominator factor, then the scale; NotDivisibleError if a factor fails."""
-        out = LaurentPoly._raw(self._ints)
+        """Divide out every denominator factor, then reduce by the scale; NotDivisibleError if a factor fails."""
+        out = self.num
         for k in self.den.factors:
             out = exact_divide_cyclo(out, k)
-        return LaurentPoly._raw(_divided(out.terms, self._scale))
+        g = gcd(out._scale, *out._ints.values())
+        if g == 1:
+            return out
+        return LaurentPoly._raw({m: c // g for m, c in out._ints.items()}, out._scale // g)
 
 
 def _sum_elem(items: List[RingElem]) -> RingElem:
-    return RingElem._raw(*_cleared_sum(items, [1] * len(items)))
+    total, den, lcd = _cleared_sum(items, [1] * len(items))
+    return RingElem(LaurentPoly._raw(total, den), lcd)
 
 
 def ring_sum(items: Iterable[RingElem]) -> RingElem:
@@ -598,7 +593,7 @@ def ring_sum(items: Iterable[RingElem]) -> RingElem:
 
 def specialize_y(p: LaurentPoly) -> UniPoly:
     """Set u = v = y: the monomial (a, b) lands on y^((a+b)/2)."""
-    return UniPoly._raw(_accumulate({}, ((a + b, c) for (a, b), c in p.terms.items())))
+    return UniPoly._raw(_accumulate({}, ((a + b, c) for (a, b), c in p._ints.items())), p._scale)
 
 
 def specialize_elem(x: RingElem) -> Tuple[UniPoly, UniPoly]:

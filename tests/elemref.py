@@ -124,7 +124,7 @@ class RefElem:
 
 def _sum_elem(items: List[RefElem]) -> RefElem:
     total, den, lcd = _cleared_sum(items, [1] * len(items))
-    return RefElem(LaurentPoly._raw(_divided(total, den)), lcd)
+    return RefElem(LaurentPoly(_divided(total, den)), lcd)
 
 
 def ring_sum(items: Iterable[RefElem]) -> RefElem:

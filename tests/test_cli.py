@@ -238,6 +238,17 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_library_value_error_exits_two(capsys, monkeypatch):
+    def out_of_domain(g, r, d, checks="on"):
+        raise ValueError(f"class ({g}, {r}, {d}) is outside the domain")
+
+    monkeypatch.setattr(cli, "ih_poincare", out_of_domain)
+    code, _, err = run(capsys, "hdt", "-g", "2", "-r", "2", "-d", "1")
+    assert code == 2
+    assert err == "error: class (2, 2, 1) is outside the domain\n"
+    assert "Traceback" not in err
+
+
 def test_negative_slope_needs_equals_sign(capsys):
     code, out, _ = run(capsys, "betti", "-g", "2", "--slope=-3/2", "--rmax", "4", "--half")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Every name a curvedt module imports is used in that module, and every
-module-level private definition is referenced somewhere in the package.
+"""Every name a curvedt module imports is used in that module, every
+module-level private definition is referenced somewhere in the package,
+and a polynomial's storage is read and written by ``ring.py`` only.
 
 Parsed with the standard-library ``ast``, so nothing is imported or run.
 ``from __future__`` imports are exempt, and so are names a module lists in
@@ -78,3 +79,19 @@ def test_no_unused_private_definitions():
         if private not in referenced
     ]
     assert not unused, "private definitions never referenced: " + ", ".join(unused)
+
+
+STORAGE = ("_ints", "_scale")
+
+
+def test_polynomial_storage_stays_in_ring():
+    """No module but ring.py names the storage slots, as an attribute or a string."""
+    leaks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ring.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in STORAGE)
+        or (isinstance(node, ast.Constant) and node.value in STORAGE)
+    ]
+    assert not leaks, "polynomial storage used outside ring.py: " + ", ".join(leaks)
