@@ -47,6 +47,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .invariants import (
     DTResult,
     VerificationError,
+    betti_numbers,
     determinant_factor,
     dim_moduli,
     ih_poincare,
@@ -322,10 +323,16 @@ def _dt_json(res: DTResult) -> str:
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
-    results = [ih_poincare(args.genus, r, d, checks=args.checks) for r, d in _classes(args)]
+    g = args.genus
+    if args.fmt == "json":  # the payload carries hdt and ih_epoly: the bivariate path
+        _report(args, [ih_poincare(g, *rd, args.checks) for rd in _classes(args)], _dt_json, None)
+        return 0
+    items = [(r, d, betti_numbers(g, r, d, args.checks)) for r, d in _classes(args)]
 
-    def block(res: DTResult) -> str:
-        shown = res.betti[: res.dim + 1] if args.half else res.betti
+    def block(item) -> str:
+        r, d, betti = item
+        dim = dim_moduli(g, r)
+        shown = betti[: dim + 1] if args.half else betti
         if args.fmt == "csv":
             table = ReportTable(
                 ("k", "b_k"), tuple((str(k), str(b)) for k, b in enumerate(shown))
@@ -333,11 +340,11 @@ def cmd_betti(args: argparse.Namespace) -> int:
             return table.render_csv()
         label = "half Betti" if args.half else "Betti"
         return (
-            f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
+            f"genus={g} rank={r} degree={d} dim={dim}\n"
             f"{label}: " + ", ".join(str(b) for b in shown)
         )
 
-    _report(args, results, _dt_json, block)
+    _report(args, items, None, block)
     return 0
 
 
@@ -383,10 +390,9 @@ def cmd_hdt(args: argparse.Namespace) -> int:
 
 
 def cmd_detfactor(args: argparse.Namespace) -> int:
-    items = []
-    for r, d in _classes(args):
-        res = ih_poincare(args.genus, r, d, checks=args.checks)
-        items.append((r, d, determinant_factor(args.genus, res.betti)))
+    g = args.genus
+    items = [(r, d, determinant_factor(g, betti_numbers(g, r, d, args.checks)))
+             for r, d in _classes(args)]
 
     def payload(item) -> str:
         r, d, coeffs = item

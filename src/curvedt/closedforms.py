@@ -175,7 +175,7 @@ def q_rank_closed_form_check(g: int, r: int) -> bool:
     compared by cross-multiplication (the specialize step returns an
     unreduced numerator/denominator pair of its own).
     """
-    num_p, den_p = specialize_elem(q_rank(g, r))
+    num_p, den_p = specialize_elem(q_rank(g, r, False))  # the pipeline's cache key
     e = (1 - g) * r * r
     closed_num = UniPoly.y_pow(2 * e, (-1) ** e) * (_y(2 * r) - UniPoly.one())
     closed_den = UniPoly.one()

@@ -18,10 +18,17 @@ For a smooth projective curve of genus g the computation chains through:
    (-1)^dim (dim = (g-1)r^2 + 1), then flip y -> -y.  The coefficients
    are the intersection-cohomology Betti numbers of the moduli space
    M(r,d) of semistable bundles, Poincare-dual and starting at 1.
+   betti_numbers (betti table and CSV, detfactor) runs steps 1-4 on the
+   images under u, v -> (uv)^(1/2), a ring map that fixes L^(1/2) and
+   commutes with Adams operations, duality and u = v = y.
 
 Everything is exact.  The always-on consistency checks (integrality,
 self-duality, non-negativity, palindromicity) can be downgraded to
-warnings with checks="warn" for exploratory genus values.
+warnings with checks="warn" for exploratory genus values.  On the u = v
+image they are: every division exact, the image of HDT self-dual, the
+Betti numbers integral, non-negative, in range, palindromic.  The check
+that L^(dim/2) HDT has integer exponents in u and v has no meaning there;
+it runs in hdt and ih_poincare (commands hdt, betti --format json, verify).
 """
 
 from __future__ import annotations
@@ -93,16 +100,21 @@ def zeta_series(g: int, rmax: int) -> Series:
     return tuple(RingElem(p) for p in coeffs)
 
 
-def zeta_at_lefschetz(g: int, i: int) -> RingElem:
-    """Z(L^i) = (1-uL^i)^g (1-vL^i)^g / ((1-L^i)(1-L^(i+1)))."""
+def _curve_factor(g: int, i: int, diagonal: bool) -> LaurentPoly:
+    """(1-uL^i)^g (1-vL^i)^g, or with diagonal its image (1-(uv)^(1/2) L^i)^(2g)."""
     one = LaurentPoly.one()
-    a = (one - monomial(2 + 2 * i, 2 * i)) ** g
-    b = (one - monomial(2 * i, 2 + 2 * i)) ** g
-    return RingElem(a * b, CycloDenominator.of(i, i + 1))
+    if diagonal:
+        return (one - monomial(1 + 2 * i, 1 + 2 * i)) ** (2 * g)
+    return (one - monomial(2 + 2 * i, 2 * i)) ** g * (one - monomial(2 * i, 2 + 2 * i)) ** g
+
+
+def zeta_at_lefschetz(g: int, i: int, diagonal: bool = False) -> RingElem:
+    """Z(L^i) = (1-uL^i)^g (1-vL^i)^g / ((1-L^i)(1-L^(i+1))), or its u = v image."""
+    return RingElem(_curve_factor(g, i, diagonal), CycloDenominator.of(i, i + 1))
 
 
 @lru_cache(maxsize=None)
-def q_rank(g: int, r: int) -> RingElem:
+def q_rank(g: int, r: int, diagonal: bool = False) -> RingElem:
     """The rank-r building block Q_r (degree-independent), built from Q_{r-1}.
 
     Q_r = Q_{r-1} * L^((1-g)(2r-1)/2) * Z(L^(r-1)), since the L-exponents
@@ -111,10 +123,9 @@ def q_rank(g: int, r: int) -> RingElem:
     if r < 1:
         raise ValueError("Q_r is defined for r >= 1")
     if r > 1:
-        z = zeta_at_lefschetz(g, r - 1)
-        return q_rank(g, r - 1) * (z * half_lefschetz((1 - g) * (2 * r - 1)))
-    one = LaurentPoly.one()
-    num = half_lefschetz(1 - g) * (one - monomial(2, 0)) ** g * (one - monomial(0, 2)) ** g
+        z = zeta_at_lefschetz(g, r - 1, diagonal)
+        return q_rank(g, r - 1, diagonal) * (z * half_lefschetz((1 - g) * (2 * r - 1)))
+    num = half_lefschetz(1 - g) * _curve_factor(g, 0, diagonal)
     # 1/(L-1) = -1/(1-L)
     return RingElem(-num, CycloDenominator.of(1))
 
@@ -169,18 +180,18 @@ def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
 
 
 @lru_cache(maxsize=None)
-def q_class(g: int, r: int, d: int) -> RingElem:
+def q_class(g: int, r: int, d: int, diagonal: bool = False) -> RingElem:
     """The semistable class Q_{r,d} as a composition sum."""
     terms = []
     for parts, weight in composition_prefactors(r, d).items():
         prod = weight
         for c in parts:
-            prod = prod * q_rank(g, c)
+            prod = prod * q_rank(g, c, diagonal)
         terms.append(prod)
     return ring_sum(terms)
 
 
-def slope_series(g: int, tau: Fraction, rmax: int) -> Series:
+def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Series:
     """Q_tau(t) = 1 + sum over ranks r with r*tau integral of Q_{r, r*tau} t^r."""
     tau = Fraction(tau)
     q = tau.denominator
@@ -189,18 +200,18 @@ def slope_series(g: int, tau: Fraction, rmax: int) -> Series:
     coeffs = [RingElem.zero()] * (rmax + 1)
     coeffs[0] = RingElem.one()
     for r in range(q, rmax + 1, q):
-        coeffs[r] = q_class(g, r, int(r * tau))
+        coeffs[r] = q_class(g, r, int(r * tau), diagonal)
     return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
-def _hdt(g: int, tau: Fraction, r: int) -> LaurentPoly:
+def _hdt(g: int, tau: Fraction, r: int, diagonal: bool = False) -> LaurentPoly:
     """The t^r coefficient of kappa Log(Q_tau), its denominators divided out."""
-    return (pleth_log(slope_series(g, tau, r))[r] * _kappa()).to_polynomial()
+    return (pleth_log(slope_series(g, tau, r, diagonal))[r] * _kappa()).to_polynomial()
 
 
-def hdt(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
-    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1).
+def hdt(g: int, r: int, d: int, checks: str = "on", diagonal: bool = False) -> LaurentPoly:
+    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or its u = v image.
 
     Integrality (clearing the cyclotomic denominators) is structural and
     always enforced; self-duality under u,v -> 1/u,1/v is a consistency
@@ -209,7 +220,7 @@ def hdt(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
     if r < 1:
         raise ValueError("hdt needs rank >= 1; rank 0 is the torsion case")
     tau = Fraction(d, r)
-    p = _hdt(g, tau, r)
+    p = _hdt(g, tau, r, diagonal)
     if checks != "off":
         _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual", checks)
     return p
@@ -278,8 +289,19 @@ class DTResult:
 def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
     """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs."""
     h = hdt(g, r, d, checks)
-    dim = dim_moduli(g, r)
     ih = _shift_to_ih(h, g, r, d, checks)
+    return DTResult(g, r, d, dim_moduli(g, r), h, ih, _betti(ih, g, r, d, checks))
+
+
+def betti_numbers(g: int, r: int, d: int, checks: str = "on") -> Tuple[int, ...]:
+    """ih_poincare(g, r, d, checks).betti, computed on the u = v image."""
+    ih = hdt(g, r, d, checks, diagonal=True) * half_lefschetz(dim_moduli(g, r))
+    return _betti(ih, g, r, d, checks)
+
+
+def _betti(ih: LaurentPoly, g: int, r: int, d: int, checks: str) -> Tuple[int, ...]:
+    """The Betti numbers read off specialize_y(ih), with their checks."""
+    dim = dim_moduli(g, r)
     betti = [0] * (2 * dim + 1)
     # in ascending powers of y, so that failed checks report in degree order
     for e2, c in sorted(specialize_y(ih).terms.items()):
@@ -305,7 +327,7 @@ def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
             f"Betti sequence of M({r},{d}), genus {g} is not palindromic at {k}",
             checks,
         )
-    return DTResult(g, r, d, dim, h, ih, tuple(betti))
+    return tuple(betti)
 
 
 def determinant_factor(g: int, betti: Sequence[int]) -> List[int]:

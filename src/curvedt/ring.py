@@ -122,13 +122,18 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
     A term's slot is its point in the product's exponent box: exponents are
     shifted to start at zero and divided by their common step per variable.
     ``columns`` maps a key list to one exponent list per variable, and
-    ``from_columns`` maps back.
+    ``from_columns`` maps back.  Operands on the diagonal a = b (the u = v
+    image) pack on one axis: on two, the box is the square of its extent.
     """
     ka, kb, ca, cb = list(a), list(b), list(a.values()), list(b.values())
+    xs_a, xs_b = columns(ka), columns(kb)
+    n_vars = len(xs_a)
+    if xs_a[1:] == xs_a[:-1] and xs_b[1:] == xs_b[:-1]:
+        xs_a, xs_b = xs_a[:1], xs_b[:1]
     axes = []  # (low exponent of the product, step, stride, extent), last axis first
     slots_a, slots_b = [0] * len(ka), [0] * len(kb)
     box = 1
-    for xa, xb in zip(reversed(columns(ka)), reversed(columns(kb))):
+    for xa, xb in zip(reversed(xs_a), reversed(xs_b)):
         lo_a, lo_b = min(xa), min(xb)
         step = gcd(*(x - lo_a for x in xa), *(x - lo_b for x in xb)) or 1
         slots_a = [s + (x - lo_a) // step * box for s, x in zip(slots_a, xa)]
@@ -136,6 +141,7 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
         extent = (max(xa) - lo_a + max(xb) - lo_b) // step + 1
         axes.append((lo_a + lo_b, step, box, extent))
         box *= extent
+    del xs_a, xs_b  # free the exponent lists before the product's peak
     if box * _PAIRS_PER_SLOT <= len(ka) * len(kb):
         width = (max(c.bit_length() for c in ca) + max(c.bit_length() for c in cb)
                  + min(len(ca), len(cb)).bit_length() + 8) // 8
@@ -148,7 +154,7 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
             _accumulate(out, zip([t + s for s in slots_a], [c * x for x in ca]))
         ks, cs = list(out), list(out.values())
     keys = from_columns([[lo + step * (k // stride % extent) for k in ks]
-                         for lo, step, stride, extent in reversed(axes)])
+                         for lo, step, stride, extent in reversed(axes)] * (n_vars // len(axes)))
     return dict(zip(keys, cs))
 
 
@@ -379,11 +385,17 @@ class CycloDenominator:
             raise ValueError("denominator factors must be positive integers")
 
     @classmethod
+    def _raw(cls, factors: Tuple[int, ...]) -> "CycloDenominator":
+        d = object.__new__(cls)  # internal fast path: factors are sorted and positive
+        object.__setattr__(d, "factors", factors)
+        return d
+
+    @classmethod
     def of(cls, *ks: int) -> "CycloDenominator":
         return cls(tuple(ks))
 
     def __mul__(self, other: "CycloDenominator") -> "CycloDenominator":
-        return CycloDenominator(self.factors + other.factors)
+        return CycloDenominator._raw(tuple(sorted(self.factors + other.factors)))
 
     def lcm(self, other: "CycloDenominator") -> "CycloDenominator":
         """Multiset-wise maximum of multiplicities, by merging the sorted factors."""
@@ -393,7 +405,7 @@ class CycloDenominator:
             x, y = a[i], b[j]
             out.append(min(x, y))
             i, j = i + (x <= y), j + (y <= x)
-        return CycloDenominator(tuple(out) + a[i:] + b[j:])
+        return CycloDenominator._raw(tuple(out) + a[i:] + b[j:])
 
     def diff(self, other: "CycloDenominator") -> Tuple[int, ...]:
         """Multiset difference self - other, by merging the sorted factors; other
@@ -411,7 +423,7 @@ class CycloDenominator:
     def adams(self, n: int) -> "CycloDenominator":
         if n < 1:
             raise ValueError("Adams operations are indexed by n >= 1")
-        return CycloDenominator(tuple(n * k for k in self.factors))
+        return CycloDenominator._raw(tuple(n * k for k in self.factors))
 
     def expand(self) -> LaurentPoly:
         """The product of the factors as an actual polynomial."""

@@ -1,0 +1,111 @@
+"""Betti numbers on the u = v image, against the bivariate pipeline.
+
+``betti`` (table and CSV) and ``detfactor`` run the pipeline on the
+images of its inputs under phi: u, v -> (uv)^(1/2), the key map
+(a, b) -> ((a + b)/2, (a + b)/2).  phi is a ring map that fixes L^(1/2),
+commutes with Adams operations and duality, and keeps the specialization
+u = v = y, so the image path must give phi of the bivariate HDT and the
+same Betti numbers.  The diagonal keys also take a one-axis box in the
+product kernel, checked here against the ``polyref`` oracle.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from math import gcd
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import polyref as ref
+from curvedt import ring
+from curvedt.invariants import betti_numbers, determinant_factor, hdt, ih_poincare
+from curvedt.ring import LaurentPoly
+
+CLASSES = [(g, r, d) for g in (2, 3) for r in range(1, 6) for d in range(r)]
+CLASSES += [(4, 4, 1), (5, 4, 1)]
+
+
+def phi(terms):
+    """The image of a bivariate term dict under (a, b) -> ((a + b)/2, (a + b)/2)."""
+    out = {}
+    for (a, b), c in terms.items():
+        assert (a - b) % 2 == 0
+        e = (a + b) // 2
+        out[e, e] = out.get((e, e), 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("g, r, d", CLASSES)
+def test_image_path_matches_bivariate(g, r, d):
+    assert hdt(g, r, d, diagonal=True).terms == phi(hdt(g, r, d).terms)
+    betti = betti_numbers(g, r, d)
+    assert betti == ih_poincare(g, r, d).betti
+    assert determinant_factor(g, betti) == determinant_factor(g, ih_poincare(g, r, d).betti)
+
+
+# ------------------------------------------------ one-axis products of diagonal operands
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+nonzero = st.one_of(st.integers(-2**70, 2**70), st.fractions(-5, 5, max_denominator=4)).filter(bool)
+
+
+def diagonal(lo, hi, min_size, max_size):
+    """Term dicts on keys (e, e), lo <= e <= hi."""
+    keys = st.integers(lo, hi).map(lambda e: (e, e))
+    return st.dictionaries(keys, nonzero, min_size=min_size, max_size=max_size).map(
+        lambda t: {k: Fraction(c) for k, c in t.items()})
+
+
+@contextmanager
+def pack_calls():
+    """A list that records the slot list of each _pack call."""
+    slots = []
+    real = ring._pack
+
+    def spy(s, *args):
+        slots.append(s)
+        return real(s, *args)
+
+    with mock.patch.object(ring, "_pack", spy):
+        yield slots
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(diagonal(-20, 20, 20, 30), diagonal(-20, 20, 20, 30))
+def test_dense_diagonal_products_pack_on_one_axis(a, b):
+    # one axis of 81 slots; two would make 81^2, far too sparse to pack
+    with pack_calls() as slots:
+        got = (LaurentPoly(a) * LaurentPoly(b)).terms
+    assert got == ref.mul(a, b)
+    assert len(slots) == 2 and max(map(max, slots)) <= 40
+
+
+@SETTINGS
+@given(diagonal(-10**6, 10**6, 1, 10), diagonal(-10**6, 10**6, 1, 10))
+def test_sparse_diagonal_products_take_the_dict_loop(a, b):
+    with pack_calls() as slots:
+        got = (LaurentPoly(a) * LaurentPoly(b)).terms
+    assert got == ref.mul(a, b) and not slots
+
+
+def two_axis_box(a, b):
+    """Slots in the (a, b) box of the product, each axis divided by its step."""
+    box = 1
+    for i in (0, 1):
+        xa, xb = [k[i] for k in a], [k[i] for k in b]
+        step = gcd(*(x - min(xa) for x in xa), *(x - min(xb) for x in xb)) or 1
+        box *= (max(xa) - min(xa) + max(xb) - min(xb)) // step + 1
+    return box
+
+
+@SETTINGS
+@given(diagonal(-4, 4, 1, 9), st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                                nonzero, min_size=1, max_size=25))
+def test_diagonal_times_off_diagonal_keeps_two_axes(a, b):
+    b = {k: Fraction(c) for k, c in b.items()}
+    b[0, 1] = Fraction(1)  # at least one key off the diagonal
+    with pack_calls() as slots:
+        got = (LaurentPoly(a) * LaurentPoly(b)).terms
+    assert got == ref.mul(a, b) == (LaurentPoly(b) * LaurentPoly(a)).terms
+    assert bool(slots) == (two_axis_box(a, b) * ring._PAIRS_PER_SLOT <= len(a) * len(b))

@@ -47,6 +47,10 @@ COMMANDS = [
     ("strata_slope_json", "strata -g 3 --slope=5 --rmax 6 --format json"),
     ("strata_slope_table", "strata -g 3 --slope=5 --rmax 6"),
     ("strata_slope_csv", "strata -g 2 --slope=7/2 --rmax 6 --format csv"),
+    ("betti_slope_half", "betti -g 2 --slope=1/2 --rmax 6"),
+    ("detfactor_slope_csv", "detfactor -g 3 --slope=9/2 --rmax 4 --format csv"),
+    ("betti_force_genus", "betti -g 1 -r 3 -d 1 --force-genus"),
+    ("detfactor_force_genus_half", "detfactor -g 1 -r 2 -d 1 --force-genus --half"),
 ]
 
 

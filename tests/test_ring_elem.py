@@ -79,6 +79,23 @@ def test_lcm_and_diff_match_counter(a, b):
     assert (a * b).diff(b) == a.factors
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(multisets, multisets, st.integers(1, 4))
+def test_trusted_results_are_what_the_constructor_builds(a, b, n):
+    # lcm, * and adams skip the constructor's sort and check: their factors
+    # must already be sorted and positive
+    for x in (a.lcm(b), a * b, a.adams(n)):
+        assert x == CycloDenominator(x.factors) and x.factors == tuple(sorted(x.factors))
+    assert (a * b).factors == tuple(sorted((Counter(a.factors) + Counter(b.factors)).elements()))
+    assert a.adams(n).factors == tuple(n * k for k in a.factors)
+
+
+@pytest.mark.parametrize("factors", [(3, 0), (0,), (2, -1)])
+def test_constructor_refuses_non_positive_factors(factors):
+    with pytest.raises(ValueError, match="positive integers"):
+        CycloDenominator(factors)
+
+
 # -- differential: RingElem against the rational-numerator RefElem -------------
 
 
