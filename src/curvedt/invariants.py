@@ -7,9 +7,12 @@ For a smooth projective curve of genus g the computation chains through:
 2. the rank-r building block
    Q_r = L^((1-g) r^2 / 2) (1-u)^g (1-v)^g / (L-1) * prod_{i<r} Z(L^i),
    the motive of the stack of all rank-r bundles (any degree twist);
-3. the semistable class Q_{r,d}: a sum over the 2^(r-1) compositions of
-   r whose L-exponents are fractional parts of slope differences -- the
-   closed solution of the slope-filtration recursion;
+3. the semistable class Q_{r,d}, the closed solution of the slope-filtration
+   recursion: a sum over the compositions of r, with partial sums
+   0 = s_0 < ... < s_k = r, of prod_i L^(e_i) / (1 - L^(s_(i+1) - s_(i-1))),
+   e_i = (s_(i+1) - s_(i-1)) {s_i d/r} - {s_i s_(i+1) d/r} + {s_(i-1) s_i d/r}
+   ({x} the fractional part): the last two terms telescope to 0 and make
+   each e_i an integer, so the sum runs by dynamic programming over s;
 4. HDT_{r,d}: the t^r coefficient of (L^(1/2) - L^(-1/2)) Log(Q_tau),
    where Q_tau collects all Q_{r,d} of one slope tau = d/r; the result
    must clear every denominator factor, i.e. be an honest Laurent
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .ring import (
     CycloDenominator,
@@ -130,53 +133,30 @@ def q_rank(g: int, r: int, diagonal: bool = False) -> RingElem:
     return RingElem(-num, CycloDenominator.of(1))
 
 
-def compositions(r: int) -> Iterator[Tuple[int, ...]]:
-    """All 2^(r-1) ordered sequences of positive integers summing to r."""
+def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
+    """Weights summed over the compositions of r with the same multiset of parts.
+
+    Keys are sorted part tuples; the values are genus-independent.  The sum
+    runs by dynamic programming over partial sums s (step 3 of the module
+    docstring): a state at s is (sorted parts so far, the partial sum p
+    before s), with p keyed as 0 at s = r, where it no longer matters.
+    """
     if r < 1:
         raise ValueError("compositions of r >= 1 only")
-
-    def rec(remaining: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for first in range(1, remaining + 1):
-            yield from rec(remaining - first, prefix + (first,))
-
-    yield from rec(r, ())
-
-
-def composition_weight(comp: Tuple[int, ...], d: int) -> RingElem:
-    """prod_i L^((r_i + r_{i+1}) {s_i d / r}) / (1 - L^(r_i + r_{i+1})).
-
-    s_i is the i-th partial sum of the composition and {x} the fractional
-    part with floor toward minus infinity.  The accumulated L-exponent is
-    kept as an exact Fraction and must land in (1/2) Z.
-    """
-    r = sum(comp)
-    exponent = Fraction(0)
-    dens: List[int] = []
-    s = 0
-    for i in range(len(comp) - 1):
-        s += comp[i]
-        exponent += (comp[i] + comp[i + 1]) * Fraction((s * d) % r, r)
-        dens.append(comp[i] + comp[i + 1])
-    doubled = 2 * exponent
-    if doubled.denominator != 1:
-        raise VerificationError(
-            f"composition {comp}, degree {d}: L-exponent {exponent} is not half-integral"
-        )
-    return RingElem(half_lefschetz(int(doubled)), CycloDenominator(tuple(dens)))
-
-
-def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
-    """Weights summed over compositions with the same multiset of parts.
-
-    Keys are sorted part tuples; the values are genus-independent.
-    """
-    groups: Dict[Tuple[int, ...], List[RingElem]] = {}
-    for comp in compositions(r):
-        groups.setdefault(tuple(sorted(comp)), []).append(composition_weight(comp, d))
-    return {parts: ring_sum(ws) for parts, ws in groups.items()}
+    # layer s starts with the one composition of s into one part
+    layers = {s: {((s,), 0): [RingElem.one()]} for s in range(1, r + 1)}
+    for s in range(1, r):
+        for (parts, p), ws in layers.pop(s).items():
+            w = ring_sum(ws)
+            for t in range(s + 1, r + 1):
+                e, rest = divmod((t - p) * (s * d % r) - s * t * d % r + p * s * d % r, r)
+                if rest:
+                    raise VerificationError(f"composition sum of rank {r}, degree {d}: step "
+                                            f"({p}, {s}, {t}) has a non-integer L-exponent")
+                step = RingElem(half_lefschetz(2 * e), CycloDenominator.of(t - p))
+                key = (tuple(sorted(parts + (t - s,))), s if t < r else 0)
+                layers[t].setdefault(key, []).append(w * step)
+    return {parts: ring_sum(ws) for (parts, _), ws in layers[r].items()}
 
 
 @lru_cache(maxsize=None)

@@ -317,6 +317,21 @@ def test_hdt_keeps_low_genus_non_coprime_zero(capsys):
     assert code == 0 and "HDT = 0" in out
 
 
+def test_hdt_low_genus_non_coprime_prints_no_dimension(capsys):
+    # dim M(r,d) = (g-1)r^2 + 1 does not hold there: print the class as in
+    # torsion mode, with neither a dimension nor Betti numbers
+    argv = ["hdt", "-g", "1", "-r", "2", "-d", "0", "--force-genus"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "genus=1 rank=2 degree=0\nHDT = 0\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"degree": 0, "genus": 1, "hdt": [], "rank": 2}
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    code, out, _ = run(capsys, "hdt", "-g", "1", "--slope=1/2", "--rmax", "4", "--force-genus")
+    assert code == 0 and out.startswith("genus=1 rank=2 degree=1 dim=1\nHDT = ")
+    assert out.endswith("\n\ngenus=1 rank=4 degree=2\nHDT = 0\n")
+
+
 def test_closed_stdout_exits_141_quietly():
     # 310 KB of JSON: more than any pipe buffer holds, so the write fails
     src = str(Path(cli.__file__).resolve().parents[1])

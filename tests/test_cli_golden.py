@@ -51,6 +51,9 @@ COMMANDS = [
     ("detfactor_slope_csv", "detfactor -g 3 --slope=9/2 --rmax 4 --format csv"),
     ("betti_force_genus", "betti -g 1 -r 3 -d 1 --force-genus"),
     ("detfactor_force_genus_half", "detfactor -g 1 -r 2 -d 1 --force-genus --half"),
+    ("betti_slope_rank_ten_half", "betti -g 2 --slope=0 --rmax 10 --half"),
+    ("detfactor_rank_nine_half", "detfactor -g 2 -r 9 -d 3 --half"),
+    ("hdt_rank_six_csv", "hdt -g 2 -r 6 -d 2 --format csv"),
 ]
 
 

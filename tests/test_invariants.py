@@ -21,11 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvedt import cli, invariants
+from compref import composition_weight, compositions
 from curvedt.invariants import (
     VerificationError,
     composition_prefactors,
-    composition_weight,
-    compositions,
     curve_epoly,
     determinant_factor,
     dim_moduli,
