@@ -352,21 +352,20 @@ def cmd_betti(args: argparse.Namespace) -> int:
 def cmd_hdt(args: argparse.Namespace) -> int:
     # one (rank, degree, DTResult, HDT polynomial) per class; no DTResult, so no
     # dim or Betti numbers, in torsion mode and at genus <= 1 with gcd(r, d) != 1
-    g = args.genus
     items = []
     for r, d in _classes(args):
         if r == 0:
-            items.append((r, d, None, torsion_dt(g, d, checks=args.checks)[d]))
-        elif g <= 1 and gcd(r, d) != 1:
-            items.append((r, d, None, hdt(g, r, d, checks=args.checks)))
+            items.append((r, d, None, torsion_dt(args.genus, d, checks=args.checks)[d]))
+        elif args.genus <= 1 and gcd(r, d) != 1:
+            items.append((r, d, None, hdt(args.genus, r, d, checks=args.checks)))
         else:
-            res = ih_poincare(g, r, d, checks=args.checks)
+            res = ih_poincare(args.genus, r, d, checks=args.checks)
             items.append((r, d, res, res.hdt))
 
     def payload(item) -> str:
         r, d, res, h = item
         if res is None:
-            return (f'{{\n  "degree": {d},\n  "genus": {g},\n'
+            return (f'{{\n  "degree": {d},\n  "genus": {args.genus},\n'
                     f'  "hdt": {_terms_json(h)},\n  "rank": {r}\n}}')
         return _dt_json(res)
 
@@ -383,7 +382,7 @@ def cmd_hdt(args: argparse.Namespace) -> int:
             return table.render_csv()
         if res is None:
             torsion = " (torsion)" if r == 0 else ""
-            return f"genus={g} rank={r} degree={d}{torsion}\nHDT = {render_poly(h)}"
+            return f"genus={args.genus} rank={r} degree={d}{torsion}\nHDT = {render_poly(h)}"
         neg = specialize_y(h).at_neg_y()
         return (
             f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
