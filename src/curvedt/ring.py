@@ -26,8 +26,9 @@ polynomial stores nonzero int coefficients over one positive int scale.
 The public constructor clears denominators once; every operation works
 on the ints and carries the scale unreduced (a product multiplies the
 scales, a Fraction scalar p/q multiplies the ints by p and the scale by
-q).  The scale is reduced once, by its gcd with the ints, where a value
-leaves the ring: RingElem.to_polynomial.  ``terms`` is the canonical
+q).  A value leaves the ring through RingElem.to_polynomial: one exact
+division by the whole denominator over dense lines (exact_divide_cyclo),
+then the scale reduced by its gcd with the ints.  ``terms`` is the canonical
 view: an int where a coefficient is integral, else a Fraction.
 LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
 by the doubled exponent of y) share one kernel,
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -124,7 +126,12 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
     ``columns`` maps a key list to one exponent list per variable, and
     ``from_columns`` maps back.  Operands on the diagonal a = b (the u = v
     image) pack on one axis: on two, the box is the square of its extent.
+    A one-term operand shifts the other's keys and scales its ints.
     """
+    if len(a) == 1 or len(b) == 1:
+        [(m, c)], b = (a.items(), b) if len(a) == 1 else (b.items(), a)
+        keys = from_columns([[x + e for x in xs] for xs, (e,) in zip(columns(list(b)), columns([m]))])
+        return dict(zip(keys, [c * x for x in b.values()]))
     ka, kb, ca, cb = list(a), list(b), list(a.values()), list(b.values())
     xs_a, xs_b = columns(ka), columns(kb)
     n_vars = len(xs_a)
@@ -345,31 +352,41 @@ def lefschetz(k: int) -> LaurentPoly:
     return half_lefschetz(2 * k)
 
 
-def exact_divide_cyclo(p: LaurentPoly, k: int) -> LaurentPoly:
-    """Divide p by (1 - L^k) exactly, raising NotDivisibleError on failure.
+def exact_divide_cyclo(p: LaurentPoly, *ks: int) -> LaurentPoly:
+    """Divide p by every (1 - L^k) exactly, raising NotDivisibleError on failure.
 
     Multiplying by (1 - L^k) moves each key (a, b) to (a + 2k, b + 2k), so
-    it keeps every line {(a + 2kj, b + 2kj)} to itself.  On one line p is a
-    Laurent polynomial in L^k: it is divisible exactly when its coefficients
-    sum to 0, and the quotient's coefficients are the running sums, walked
-    in steps of 2k from the lowest key of the line to the step below its top.
+    it keeps every line a - b = delta to itself.  Each line is laid out once
+    as a dense int row over a, in steps of the gcd of its offsets and every
+    2k, so 2k is s entries.  Per factor, the quotient is the running sums
+    along every s-th entry, less the last s: the remainder, which must be 0.
+    The error names the first factor that fails, as dividing one by one would.
     """
-    if k < 1:
+    if any(k < 1 for k in ks):
         raise ValueError("cyclotomic factors are indexed by k >= 1")
-    step = 2 * k
-    lines: Dict[Tuple[int, int], Dict[int, int]] = {}
+    if not ks:
+        return p
+    lines: Dict[int, Dict[int, int]] = {}
     for (a, b), c in p._ints.items():
-        lines.setdefault((a - b, a % step), {})[a] = c
+        lines.setdefault(a - b, {})[a] = c
     out: Dict[Monomial, int] = {}
-    for (delta, _), line in lines.items():
-        top = max(line)
-        total = 0
-        for a in range(min(line), top, step):
-            total += line.get(a, 0)
-            if total:
-                out[a, a - delta] = total
-        if total + line[top]:
-            raise NotDivisibleError(f"not divisible by 1 - L^{k}")
+    failed = len(ks)  # the index of the first factor that fails on some line
+    for delta, line in lines.items():
+        lo = min(line)
+        step = gcd(*(a - lo for a in line), *(2 * k for k in ks))
+        row = [line.get(a, 0) for a in range(lo, max(line) + 1, step)]
+        for i, k in enumerate(ks[:failed]):
+            s = 2 * k // step
+            for j in range(s):
+                row[j::s] = accumulate(row[j::s])
+            if any(row[-s:]):  # row[0], the lowest coefficient, is never 0
+                failed = i
+                break
+            del row[-s:]
+        else:
+            out.update(((a, a - delta), c) for a, c in zip(range(lo, lo + step * len(row), step), row) if c)
+    if failed < len(ks):
+        raise NotDivisibleError(f"not divisible by 1 - L^{ks[failed]}")
     return LaurentPoly._raw(out, p._scale)
 
 
@@ -521,8 +538,8 @@ class RingElem:
     The numerator is a LaurentPoly, so it is held fraction-free: its ints
     over its scale.  Products multiply numerators (ints and scales) and
     concatenate the multisets; sums bring the ints to the lcm of the
-    scales (see _cleared_sum); to_polynomial divides the ints by each
-    (1 - L^k), then reduces by the scale once.
+    scales (see _cleared_sum); to_polynomial divides the ints by every
+    (1 - L^k) in one pass, then reduces by the scale once.
     """
 
     __slots__ = ("num", "den")
@@ -583,9 +600,7 @@ class RingElem:
 
     def to_polynomial(self) -> LaurentPoly:
         """Divide out every denominator factor, then reduce by the scale; NotDivisibleError if a factor fails."""
-        out = self.num
-        for k in self.den.factors:
-            out = exact_divide_cyclo(out, k)
+        out = exact_divide_cyclo(self.num, *self.den.factors)
         g = gcd(out._scale, *out._ints.values())
         if g == 1:
             return out

@@ -54,6 +54,8 @@ COMMANDS = [
     ("betti_slope_rank_ten_half", "betti -g 2 --slope=0 --rmax 10 --half"),
     ("detfactor_rank_nine_half", "detfactor -g 2 -r 9 -d 3 --half"),
     ("hdt_rank_six_csv", "hdt -g 2 -r 6 -d 2 --format csv"),
+    ("hdt_rank_seven_negative_csv", "hdt -g 2 -r 7 --degree=-4 --format csv"),
+    ("hdt_genus_three_csv", "hdt -g 3 -r 4 -d 2 --format csv"),
 ]
 
 

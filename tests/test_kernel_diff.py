@@ -102,10 +102,72 @@ def test_exact_division_matches_reference(a, k):
         assert exact_divide_cyclo(LaurentPoly(a), k).terms == want
 
 
+def divide_factor_by_factor(a, ks):
+    """(quotient, None) by polyref's division in the order of ks, or
+    (None, k) for the first k that leaves a remainder."""
+    for k in ks:
+        a = ref.divide_cyclo(a, k)
+        if a is None:
+            return None, k
+    return a, None
+
+
+def one_pass(a, ks):
+    """exact_divide_cyclo on every factor at once, in the oracle's form."""
+    try:
+        return exact_divide_cyclo(LaurentPoly(a), *ks).terms, None
+    except NotDivisibleError as e:
+        return None, int(str(e).rpartition("^")[2])
+
+
+denominators = st.lists(st.integers(1, 7), max_size=24)  # the shape of the hdt_large denominators
+diagonal_terms = st.dictionaries(st.integers(-6, 6).map(lambda a: (a, a)), coeffs, max_size=8)
+
+
+@SETTINGS
+@given(st.one_of(pair_terms, diagonal_terms).map(clean), denominators)
+def test_one_pass_division_of_products(q, ks):
+    # half-integer exponents (odd doubled keys), Fraction coefficients, repeated factors
+    p = ref.times_cyclo(q, ks)
+    assert one_pass(p, ks) == (q, None) == divide_factor_by_factor(p, ks)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(pair_terms.map(clean), st.lists(st.integers(1, 7), max_size=8)),
+                min_size=1, max_size=3), denominators)
+def test_one_pass_division_fails_on_the_oracles_first_factor(parts, ks):
+    # a sum of multiples of different factor sets: its lines fail at different factors
+    p = {}
+    for q, part_ks in parts:
+        p = ref.add(p, ref.times_cyclo(q, part_ks))
+    assert one_pass(p, ks) == divide_factor_by_factor(p, ks)
+
+
+def test_one_pass_division_names_the_first_failing_factor_over_all_lines():
+    u, v = {(2, 0): Fraction(1)}, {(0, 2): Fraction(1)}
+    # the line of u is divisible by 1 - L and 1 - L^2, the line of v by 1 - L only
+    p = ref.add(ref.times_cyclo(u, (1, 2)), ref.times_cyclo(v, (1,)))
+    assert list(p)[0][0] - list(p)[0][1] == 2  # the line that fails later comes first
+    for ks in ((1, 2, 3), (1, 3, 2), (2, 1), (1, 1), (1,)):
+        assert one_pass(p, ks) == divide_factor_by_factor(p, ks)
+    with pytest.raises(NotDivisibleError, match=r"^not divisible by 1 - L\^2$"):
+        exact_divide_cyclo(LaurentPoly(p), 1, 2, 3)
+
+
+def test_one_pass_division_edge_cases():
+    p = LaurentPoly({(1, 3): Fraction(1, 2), (0, 0): -3})
+    assert exact_divide_cyclo(p) is p
+    assert exact_divide_cyclo(LaurentPoly.zero(), 3, 1, 3).is_zero()
+    for ks in ((0,), (1, 0), (2, 2, 0, 1), (1, -1)):
+        for x in (p, LaurentPoly.zero()):
+            with pytest.raises(ValueError, match="k >= 1"):
+                exact_divide_cyclo(x, *ks)
+
+
 @SETTINGS
 @given(pair_terms.map(clean), st.lists(st.integers(1, 4), min_size=1, max_size=4))
 def test_to_polynomial_divides_repeated_factors(q, ks):
-    # repeated factors and Fraction coefficients, one division per factor
+    # repeated factors and Fraction coefficients, all divided out in one pass
     x = RingElem(LaurentPoly(ref.times_cyclo(q, ks)), CycloDenominator(tuple(ks)))
     assert canonical(x.to_polynomial()) == q
 
