@@ -22,7 +22,6 @@ from .invariants import (
     determinant_factor,
     dim_moduli,
     hdt,
-    ih_epoly,
     ih_poincare,
     torsion_dt,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "enumerate_strata",
     "hdt",
     "ih_closed_form_check",
-    "ih_epoly",
     "ih_poincare",
     "poincare_closed_form",
     "q_rank_closed_form_check",

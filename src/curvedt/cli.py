@@ -323,29 +323,29 @@ def _dt_json(res: DTResult) -> str:
     )
 
 
+def _sequence_block(args: argparse.Namespace, head: str, name: str, column: str,
+                    seq: Sequence[int]) -> str:
+    """seq as CSV (k, column) or as head over a "name: ..." line; --half keeps the
+    first half, which for a palindrome of 2 dim + 1 Betti numbers is b_0..b_dim."""
+    shown = seq[: len(seq) // 2 + 1] if args.half else seq
+    if args.fmt == "csv":
+        rows = tuple((str(k), str(c)) for k, c in enumerate(shown))
+        return ReportTable(("k", column), rows).render_csv()
+    return f"{head}\n{'half ' if args.half else ''}{name}: " + ", ".join(map(str, shown))
+
+
 def cmd_betti(args: argparse.Namespace) -> int:
     g = args.genus
     if args.fmt == "json":  # the payload carries hdt and ih_epoly: the bivariate path
         _report(args, [ih_poincare(g, *rd, args.checks) for rd in _classes(args)], _dt_json, None)
         return 0
-    items = [(r, d, betti_numbers(g, r, d, args.checks)) for r, d in _classes(args)]
 
-    def block(item) -> str:
-        r, d, betti = item
-        dim = dim_moduli(g, r)
-        shown = betti[: dim + 1] if args.half else betti
-        if args.fmt == "csv":
-            table = ReportTable(
-                ("k", "b_k"), tuple((str(k), str(b)) for k, b in enumerate(shown))
-            )
-            return table.render_csv()
-        label = "half Betti" if args.half else "Betti"
-        return (
-            f"genus={g} rank={r} degree={d} dim={dim}\n"
-            f"{label}: " + ", ".join(str(b) for b in shown)
-        )
+    def block(rd) -> str:
+        r, d = rd
+        return _sequence_block(args, f"genus={g} rank={r} degree={d} dim={dim_moduli(g, r)}",
+                               "Betti", "b_k", betti_numbers(g, r, d, args.checks))
 
-    _report(args, items, None, block)
+    _report(args, _classes(args), None, block)
     return 0
 
 
@@ -401,21 +401,11 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 
     def payload(item) -> str:
         r, d, coeffs = item
-        return _canonical_json({"genus": args.genus, "rank": r, "degree": d, "detfactor": coeffs})
+        return _canonical_json({"genus": g, "rank": r, "degree": d, "detfactor": coeffs})
 
     def block(item) -> str:
         r, d, coeffs = item
-        shown = coeffs[: len(coeffs) // 2 + 1] if args.half else coeffs
-        if args.fmt == "csv":
-            table = ReportTable(
-                ("k", "c_k"), tuple((str(k), str(c)) for k, c in enumerate(shown))
-            )
-            return table.render_csv()
-        label = "half factor" if args.half else "factor"
-        return (
-            f"genus={args.genus} rank={r} degree={d}\n"
-            f"{label}: " + ", ".join(str(c) for c in shown)
-        )
+        return _sequence_block(args, f"genus={g} rank={r} degree={d}", "factor", "c_k", coeffs)
 
     _report(args, items, payload, block)
     return 0
@@ -484,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         "betti", help="Betti numbers of IH*(M(r,d))"
     )
     _add_class_args(p_betti)
-    _add_half_args(p_betti, "print b_0..b_dim only", "print the whole palindrome (default)")
+    _add_half_args(p_betti, "print b_0..b_dim only (table and CSV; JSON prints all)",
+                   "print the whole palindrome (default)")
     p_betti.set_defaults(func=lambda a: cmd_betti(_config(a, p_betti)))
 
     p_hdt = sub.add_parser("hdt", help="Donaldson-Thomas invariant HDT_{r,d}")
@@ -496,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed-determinant factor: Poincare polynomial over (1-y)^(2g)",
     )
     _add_class_args(p_det)
-    _add_half_args(p_det, "print the first half only", "print everything (default)")
+    _add_half_args(p_det, "print the first half only (table and CSV; JSON prints all)",
+                   "print everything (default)")
     p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a, p_det)))
 
     p_strata = sub.add_parser("strata", help="Luna-stratum virtual-smallness certificate")

@@ -233,26 +233,6 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
     return out
 
 
-def ih_epoly(g: int, r: int, d: int, checks: str = "on") -> LaurentPoly:
-    """Hodge-Euler polynomial of IH*(M(r,d)): HDT_{r,d} * L^(dim/2).
-
-    Integer powers of u and v only; the half-integer contributions of
-    HDT must cancel against the dimension shift.
-    """
-    return _shift_to_ih(hdt(g, r, d, checks), g, r, d, checks)
-
-
-def _shift_to_ih(h: LaurentPoly, g: int, r: int, d: int, checks: str) -> LaurentPoly:
-    """L^(dim/2) * HDT_{r,d}, whose exponents must all be integers."""
-    p = h * half_lefschetz(dim_moduli(g, r))
-    _ensure(
-        all(a % 2 == 0 and b % 2 == 0 for a, b in p.terms),
-        f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents",
-        checks,
-    )
-    return p
-
-
 @dataclass(frozen=True)
 class DTResult:
     """One moduli space, fully evaluated."""
@@ -267,9 +247,15 @@ class DTResult:
 
 
 def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
-    """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs."""
+    """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs.
+
+    The IH polynomial HDT_{r,d} * L^(dim/2) has integer powers of u and v only:
+    the half-integer contributions of HDT must cancel against the shift.
+    """
     h = hdt(g, r, d, checks)
-    ih = _shift_to_ih(h, g, r, d, checks)
+    ih = h * half_lefschetz(dim_moduli(g, r))
+    _ensure(all(a % 2 == 0 and b % 2 == 0 for a, b in ih.terms),
+            f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents", checks)
     return DTResult(g, r, d, dim_moduli(g, r), h, ih, _betti(ih, g, r, d, checks))
 
 

@@ -215,11 +215,6 @@ class _SparsePoly:
     def one(cls):
         return cls._raw({cls._UNIT: 1})
 
-    @classmethod
-    def const(cls, c: Scalar):
-        c = Fraction(c)
-        return cls._raw({cls._UNIT: c.numerator} if c else {}, c.denominator)
-
     def is_zero(self) -> bool:
         return not self._ints
 
@@ -554,10 +549,6 @@ class RingElem:
     @classmethod
     def one(cls) -> "RingElem":
         return cls(LaurentPoly.one())
-
-    @classmethod
-    def const(cls, c: Scalar) -> "RingElem":
-        return cls(LaurentPoly.const(c))
 
     def is_zero(self) -> bool:
         return not self.num._ints

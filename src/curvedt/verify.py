@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .closedforms import (
     CLOSED_FORM_CLASSES,
@@ -119,70 +119,59 @@ def _result(name: str, failures: List[str], detail: str) -> CheckResult:
     return CheckResult(name, "PASS", detail)
 
 
-def check_betti_tables(rmax: int = 4) -> CheckResult:
-    """Half Betti sequences against the golden prefixes."""
+def _golden_rows(name: str, golden: Dict[int, Dict[Tuple[int, int], List[int]]],
+                 computed: Callable[[int, int, int], Sequence[int]], rmax: int) -> CheckResult:
+    """Each golden prefix of rank <= rmax against as many leading computed(g, r, d)."""
     failures, count = [], 0
-    for g, table in GOLDEN_BETTI.items():
+    for g, table in golden.items():
         for (r, d), want in sorted(table.items()):
             if r > rmax:
                 continue
-            got = list(ih_poincare(g, r, d).betti[: len(want)])
+            got = list(computed(g, r, d)[: len(want)])
             count += 1
             if got != want:
                 failures.append(f"g={g} M({r},{d}): {got} != {want}")
-    return _result("betti-tables", failures, f"{count} golden rows matched")
+    return _result(name, failures, f"{count} golden rows matched")
+
+
+def _holds(name: str, cases: List[tuple], holds: Callable[..., bool], failure: str,
+           noun: str) -> CheckResult:
+    """holds(*case) for every case; failure is formatted with the case's fields."""
+    failures = [failure.format(*case) for case in cases if not holds(*case)]
+    return _result(name, failures, f"{len(cases)} {noun} verified")
+
+
+def check_betti_tables(rmax: int = 4) -> CheckResult:
+    """Half Betti sequences against the golden prefixes."""
+    return _golden_rows("betti-tables", GOLDEN_BETTI,
+                        lambda g, r, d: ih_poincare(g, r, d).betti, rmax)
 
 
 def check_detfactor_tables(rmax: int = 4) -> CheckResult:
     """Fixed-determinant factors against the golden prefixes, g = 2, 3."""
-    failures, count = [], 0
-    for g, table in GOLDEN_DETFACTOR.items():
-        for (r, d), want in sorted(table.items()):
-            if r > rmax:
-                continue
-            res = ih_poincare(g, r, d)
-            got = determinant_factor(g, res.betti)[: len(want)]
-            count += 1
-            if got != want:
-                failures.append(f"g={g} M({r},{d}): {got} != {want}")
-    return _result("detfactor-tables", failures, f"{count} golden rows matched")
+    return _golden_rows("detfactor-tables", GOLDEN_DETFACTOR,
+                        lambda g, r, d: determinant_factor(g, ih_poincare(g, r, d).betti), rmax)
 
 
 def check_closed_forms(rmax: int = 4) -> CheckResult:
     """Closed rational expressions for the signed Poincare polynomials."""
-    failures, count = [], 0
-    for g in (2, 3):
-        for r, d in CLOSED_FORM_CLASSES:
-            if r > rmax:
-                continue
-            count += 1
-            if not ih_closed_form_check(g, r, d):
-                failures.append(f"g={g} M({r},{d}) closed form mismatch")
-    return _result("closed-forms", failures, f"{count} identities verified")
+    cases = [(g, r, d) for g in (2, 3) for r, d in CLOSED_FORM_CLASSES if r <= rmax]
+    return _holds("closed-forms", cases, ih_closed_form_check,
+                  "g={} M({},{}) closed form mismatch", "identities")
 
 
 def check_q_rank_closed_forms(rmax: int = 4) -> CheckResult:
     """Univariate closed form of the rank-r building block."""
-    failures, count = [], 0
-    for g in (2, 3):
-        for r in range(1, rmax + 1):
-            count += 1
-            if not q_rank_closed_form_check(g, r):
-                failures.append(f"g={g} r={r} building-block mismatch")
-    return _result("q-rank-closed-forms", failures, f"{count} identities verified")
+    cases = [(g, r) for g in (2, 3) for r in range(1, rmax + 1)]
+    return _holds("q-rank-closed-forms", cases, q_rank_closed_form_check,
+                  "g={} r={} building-block mismatch", "identities")
 
 
 def check_resolutions(rmax: int = 4) -> CheckResult:
     """Grouped composition weights against the tabulated resolutions."""
     classes = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)]
-    failures, count = [], 0
-    for r, d in classes:
-        if r > rmax:
-            continue
-        count += 1
-        if not resolution_check(r, d):
-            failures.append(f"resolution ({r},{d}) mismatch")
-    return _result("composition-resolutions", failures, f"{count} resolutions verified")
+    return _holds("composition-resolutions", [(r, d) for r, d in classes if r <= rmax],
+                  resolution_check, "resolution ({},{}) mismatch", "resolutions")
 
 
 def _rand_elem(rng: random.Random) -> RingElem:

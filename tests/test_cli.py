@@ -92,6 +92,15 @@ def test_detfactor_half(capsys):
     assert "1, 0, 1, 6, 2, 6, 16" in out
 
 
+@pytest.mark.parametrize("command", ["betti", "detfactor"])
+def test_half_leaves_json_whole(capsys, command):
+    # --half shortens the table and CSV only; JSON always carries the whole sequence
+    argv = [command, "-g", "2", "-r", "2", "-d", "1", "--format", "json"]
+    whole = run(capsys, *argv)
+    assert whole[0] == 0
+    assert run(capsys, *argv, "--half") == whole
+
+
 def test_strata_table_and_exit(capsys):
     code, out, _ = run(capsys, "strata", "-g", "2", "-r", "2", "-d", "6")
     assert code == 0

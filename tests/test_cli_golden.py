@@ -56,6 +56,12 @@ COMMANDS = [
     ("hdt_rank_six_csv", "hdt -g 2 -r 6 -d 2 --format csv"),
     ("hdt_rank_seven_negative_csv", "hdt -g 2 -r 7 --degree=-4 --format csv"),
     ("hdt_genus_three_csv", "hdt -g 3 -r 4 -d 2 --format csv"),
+    ("betti_csv", "betti -g 3 -r 3 -d 1 --format csv"),
+    ("detfactor_table", "detfactor -g 2 -r 4 -d 1"),
+    ("detfactor_csv_half", "detfactor -g 3 -r 3 -d 1 --format csv --half"),
+    ("hdt_genus_one_gcd_json", "hdt -g 1 -r 2 -d 0 --force-genus --format json"),
+    ("betti_genus_zero", "betti -g 0 -r 1 -d 0 --force-genus"),
+    ("hdt_genus_zero_json", "hdt -g 0 -r 1 -d 0 --force-genus --format json"),
 ]
 
 
