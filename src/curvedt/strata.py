@@ -151,11 +151,8 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
     Vertex i per part; a_ij = delta_ij + (g-1) r_i r_j arrows; framing
     w_i = d_i + (1-g) r_i.
     """
-    ranks, framing, h = [], [], 1 - g
-    for (r_i, d_i), _ in s.parts:
-        ranks.append(r_i)
-        framing.append(d_i + h * r_i)
-    return FramedQuiver(g, tuple(ranks), tuple(framing))
+    ranks = tuple(r_i for (r_i, _), _ in s.parts)
+    return FramedQuiver(g, ranks, tuple(_shares(g, part)[3] for part in s.parts))
 
 
 def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
@@ -173,6 +170,15 @@ def _where(g: int, r: int, d: int) -> str:
     return f"class (g, r, d) = ({g}, {r}, {d})"
 
 
+def _shares(g: int, part: Part, generic: bool = False) -> Tuple[int, int, int, int]:
+    """One part's shares: m_i r_i of the rank, (g-1) r_i^2 + 1 of the codimension,
+    (m_i - 1) chi_ii + 1 - 2 m_i of twice the bound, and its framing d_i + (1-g) r_i."""
+    (r_i, d_i), m_i = part
+    square = (g - 1) * r_i * r_i
+    chi_ii = 1 if generic else -square
+    return m_i * r_i, square + 1, (m_i - 1) * chi_ii + 1 - 2 * m_i, d_i - (g - 1) * r_i
+
+
 def codim_stratum(g: int, s: StratumType) -> int:
     """Complex codimension of the stratum in M(r, d).
 
@@ -180,11 +186,8 @@ def codim_stratum(g: int, s: StratumType) -> int:
     the total rank.  Non-negative, zero exactly at the maximal type;
     a negative value means the formula was misapplied and raises.
     """
-    rank = squares = 0
-    for (r_i, _), m_i in s.parts:
-        rank += m_i * r_i
-        squares += r_i * r_i
-    codim = (g - 1) * (rank * rank - squares) + 1 - len(s.parts)
+    rank = sum(_shares(g, part)[0] for part in s.parts)
+    codim = (g - 1) * rank * rank + 1 - sum(_shares(g, part)[1] for part in s.parts)
     if codim < 0:
         raise VerificationError(
             f"{_where(g, rank, s.degree)}: negative codimension {codim} "
@@ -209,11 +212,7 @@ def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
     estimate) when generic=True.  Virtual smallness needs 0 at the
     maximal type and < 0 elsewhere.  Equal values share one Fraction.
     """
-    twice = 1
-    for (r_i, _), m_i in s.parts:
-        chi_ii = 1 if generic else -(g - 1) * r_i * r_i
-        twice += (m_i - 1) * chi_ii + 1 - 2 * m_i
-    return _half(twice)
+    return _half(1 + sum(_shares(g, part, generic)[2] for part in s.parts))
 
 
 _half = lru_cache(maxsize=None)(lambda twice: Fraction(twice, 2))
@@ -263,7 +262,8 @@ def certify_virtual_smallness(
     warning is emitted, and the report notes the range.  Structural
     impossibilities (several maximal types, zero codimension off the
     dense stratum, non-positive framing in range) raise instead of
-    being reported.
+    being reported.  A type costs one pass of integer sums over its
+    parts, whose shares are computed once per part and call.
     """
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
@@ -275,9 +275,22 @@ def certify_virtual_smallness(
         )
     records = []
     n_maximal = 0
+    table = {}  # part -> _shares(g, part, generic), filled the first time it is seen
     for s in enumerate_strata(r, d):
-        codim = codim_stratum(g, s)
-        bound = smallness_bound(g, s, generic=generic)
+        rank = drop = 0
+        twice = low = 1  # low: the least framing, if below 1
+        for part in s.parts:
+            shares = table.get(part) or table.setdefault(part, _shares(g, part, generic))
+            rank_i, drop_i, twice_i, framing_i = shares
+            rank += rank_i
+            drop += drop_i
+            twice += twice_i
+            if framing_i < low:
+                low = framing_i
+        codim = (g - 1) * rank * rank + 1 - drop
+        if codim < 0:
+            codim_stratum(g, s)  # raises, naming the class and the stratum
+        bound = _half(twice)
         maximal = s.is_maximal
         n_maximal += maximal
         if maximal != (codim == 0):
@@ -285,13 +298,11 @@ def certify_virtual_smallness(
                 f"{_where(g, r, d)}: codimension {codim} inconsistent with "
                 f"maximality of {s.label()}"
             )
-        if in_range:
-            framing = build_fiber_quiver(g, s).framing
-            if min(framing) <= 0:
-                raise VerificationError(
-                    f"{_where(g, r, d)}: non-positive framing {framing} for {s.label()} "
-                    f"despite slope {slope} > {2 * g - 2}"
-                )
+        if in_range and low <= 0:
+            raise VerificationError(
+                f"{_where(g, r, d)}: non-positive framing {build_fiber_quiver(g, s).framing} "
+                f"for {s.label()} despite slope {slope} > {2 * g - 2}"
+            )
         passes = bound.numerator == 0 if maximal else bound.numerator < 0
         records.append(StratumRecord(s, codim, bound, maximal, passes))
     if n_maximal != 1:

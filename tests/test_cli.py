@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,21 @@ def test_strata_generic_bound_flag(capsys):
     )
     assert code == 0
     assert "(generic bound)" in out and "verdict: PASS" in out
+
+
+def test_strata_ignores_checks(capsys, monkeypatch):
+    """--checks does not reach the certificate: same bytes, and a failure still exits 1."""
+    import curvedt.strata as strata
+
+    argv = ("strata", "-g", "2", "-r", "2", "-d", "6")
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    for mode in ("off", "warn"):
+        assert run(capsys, *argv, "--checks", mode) == default
+    monkeypatch.setattr(strata, "_half", lambda twice: Fraction(1, 2))  # every bound fails
+    for mode in ("on", "off", "warn"):
+        code, out, _ = run(capsys, *argv, "--checks", mode)
+        assert code == 1 and out.endswith("verdict: FAIL\n")
 
 
 def test_verify_quick(capsys):

@@ -62,6 +62,10 @@ COMMANDS = [
     ("hdt_genus_one_gcd_json", "hdt -g 1 -r 2 -d 0 --force-genus --format json"),
     ("betti_genus_zero", "betti -g 0 -r 1 -d 0 --force-genus"),
     ("hdt_genus_zero_json", "hdt -g 0 -r 1 -d 0 --force-genus --format json"),
+    ("strata_out_of_range_json", "strata -g 3 -r 4 -d 2 --format json"),
+    ("strata_genus_one", "strata -g 1 -r 2 -d 1 --force-genus"),
+    ("strata_generic_one_class", "strata -g 2 -r 4 -d 12 --generic-bound"),
+    ("detfactor_genus_zero", "detfactor -g 0 -r 1 -d 0 --force-genus"),
 ]
 
 

@@ -258,7 +258,13 @@ def test_enumeration_order_matches_reference():
 
 
 def test_certify_calls_layers_through_module_globals(monkeypatch):
-    """The benchmark's traced child times these by rebinding module globals."""
+    """The benchmark's traced child times these by rebinding module globals.
+
+    The certificate enumerates through the module global once per class.
+    A passing class sums the per-part shares itself: it calls neither
+    the per-type bound nor the quiver, which only a framing failure
+    builds, for its message.
+    """
     import curvedt.strata as strata
 
     calls = Counter()
@@ -270,15 +276,18 @@ def test_certify_calls_layers_through_module_globals(monkeypatch):
 
         monkeypatch.setattr(strata, name, counted)
     rep = strata.certify_virtual_smallness(2, 6, 18)
-    n = len(rep.records)
-    assert rep.in_theorem_range and n == 34
-    assert dict(calls) == {"enumerate_strata": 1, "smallness_bound": n, "build_fiber_quiver": n}
+    assert rep.in_theorem_range and len(rep.records) == 34 and rep.passes
+    assert dict(calls) == {"enumerate_strata": 1}
     calls.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = strata.certify_virtual_smallness(3, 6, -6, generic=True)
-    assert not rep.in_theorem_range
-    assert dict(calls) == {"enumerate_strata": 1, "smallness_bound": len(rep.records)}
+    assert not rep.in_theorem_range and rep.passes
+    assert dict(calls) == {"enumerate_strata": 1}
+    calls.clear()
+    with pytest.raises(VerificationError, match="non-positive framing"):
+        strata.certify_virtual_smallness(0, 1, -1)
+    assert dict(calls) == {"enumerate_strata": 1, "build_fiber_quiver": 1}
 
 
 def test_fiber_quiver_low_genus():
@@ -342,8 +351,32 @@ def test_pass_needs_zero_on_the_dense_stratum_and_negative_elsewhere(
 ):
     import curvedt.strata as strata
 
-    monkeypatch.setattr(strata, "smallness_bound", lambda g, s, generic=False: Fraction(value))
+    monkeypatch.setattr(strata, "_half", lambda twice: Fraction(value))  # every bound
     rep = strata.certify_virtual_smallness(2, 2, 6)
     assert [rec.passes for rec in rep.records] == verdicts and rep.verdict == "FAIL"
     assert cli.main(["strata", "-g", "2", "-r", "2", "-d", "6"]) == 1
     assert capsys.readouterr().out.endswith("verdict: FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "g, r, d, generic",
+    [
+        (2, 6, 18, False),
+        (2, 6, 18, True),  # generic bound
+        (3, 8, 4, False),  # out of range: slope 1/2 is not above 4
+        (3, 6, -6, True),  # out of range, generic bound
+        (1, 3, 5, False),  # genus 1
+        (4, 12, 84, False),
+    ],
+)
+def test_public_per_type_functions_agree_with_the_certificate(g, r, d, generic):
+    """The certificate sums per-part shares itself; the public functions must agree."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = certify_virtual_smallness(g, r, d, generic)
+    assert rep.in_theorem_range == (Fraction(d, r) > 2 * g - 2)
+    for rec in rep.records:
+        assert rec.codim == codim_stratum(g, rec.stratum)
+        assert rec.bound == smallness_bound(g, rec.stratum, generic)
+        if rep.in_theorem_range:
+            assert min(build_fiber_quiver(g, rec.stratum).framing) > 0

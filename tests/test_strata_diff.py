@@ -7,12 +7,15 @@ both must give the same records (stratum, codimension, bound,
 maximality, verdict), the same d0 and the same theorem-range flag, or
 both raise ``VerificationError`` with the same message, which the
 library prefixes with the class.  Genus 0 and 1 are in the sweep: the
-library allows them, and they reach every structural check.
+library allows them, and they reach every structural check.  A second
+test compares a few classes of benchmark size (ranks 16 to 20, up to
+14,750 types), where the per-part table is reused most.
 """
 
 import warnings
 from fractions import Fraction
 
+import pytest
 import strataref as ref
 from curvedt.invariants import VerificationError
 from curvedt.strata import certify_virtual_smallness
@@ -57,3 +60,27 @@ def test_certificate_matches_reference_on_every_small_class():
                 ], where
                 assert all(type(rec.bound) is Fraction for rec in rep.records), where
     assert errors > 0  # genus 0 and 1 reach the structural checks
+
+
+@pytest.mark.parametrize(
+    "g, r, d, generic",
+    [
+        (3, 20, 140, False),  # the strata_wide shape: 14,750 types
+        (2, 16, 48, False),
+        (2, 16, 48, True),
+        (4, 18, 162, False),
+        (4, 18, 162, True),
+    ],
+)
+def test_certificate_matches_reference_at_benchmark_scale(g, r, d, generic):
+    records, d0, in_range = ref.certify_records(g, r, d, generic)
+    rep = certify_virtual_smallness(g, r, d, generic)
+    assert (rep.d0, rep.in_theorem_range) == (d0, in_range) and in_range
+    assert [
+        (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+        for rec in rep.records
+    ] == [
+        (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+        for rec in records
+    ]
+    assert rep.passes
