@@ -32,17 +32,14 @@ print with terms sorted by total degree, then by u-degree (u before v).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     DTResult,
@@ -55,14 +52,14 @@ from .invariants import (
     torsion_dt,
 )
 from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly, specialize_y
-from .strata import SmallnessReport, certify_virtual_smallness
-from .verify import run_suite
+
+if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
+    from .strata import SmallnessReport
 
 __all__ = ["main", "ReportTable"]
 
 
-@dataclass(frozen=True)
-class ReportTable:
+class ReportTable(NamedTuple):
     """Aligned text table; every cell an exact-number string."""
 
     headers: Tuple[str, ...]
@@ -74,6 +71,7 @@ class ReportTable:
         return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in lines)
 
     def render_csv(self) -> str:
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.headers)
@@ -82,6 +80,7 @@ class ReportTable:
 
 
 def _canonical_json(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -412,6 +411,8 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
+    from .strata import certify_virtual_smallness
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         reports = [certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
@@ -440,6 +441,10 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .verify import run_suite
+
     rmax = 3 if args.quick else 4
     results = run_suite(rmax=rmax)
     ok = all(res.ok for res in results)

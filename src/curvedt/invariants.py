@@ -37,11 +37,10 @@ it runs in hdt and ih_poincare (commands hdt, betti --format json, verify).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .ring import (
     CycloDenominator,
@@ -233,8 +232,7 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
     return out
 
 
-@dataclass(frozen=True)
-class DTResult:
+class DTResult(NamedTuple):
     """One moduli space, fully evaluated."""
 
     genus: int

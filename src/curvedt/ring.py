@@ -40,7 +40,6 @@ product's exponent box; one big-int product does the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -385,16 +384,36 @@ def exact_divide_cyclo(p: LaurentPoly, *ks: int) -> LaurentPoly:
     return LaurentPoly._raw(out, p._scale)
 
 
-@dataclass(frozen=True)
 class CycloDenominator:
-    """Multiset of positive integers k, each standing for one factor (1 - L^k)."""
+    """Multiset of positive integers k, each standing for one factor (1 - L^k);
+    immutable, equal and hashed by its sorted factors."""
 
-    factors: Tuple[int, ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
-        if any(k < 1 for k in self.factors):
+    def __init__(self, factors: Tuple[int, ...] = ()):
+        factors = tuple(sorted(factors))
+        if any(k < 1 for k in factors):
             raise ValueError("denominator factors must be positive integers")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycloDenominator):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"CycloDenominator(factors={self.factors!r})"
+
+    def __reduce__(self):
+        return CycloDenominator, (self.factors,)
 
     @classmethod
     def _raw(cls, factors: Tuple[int, ...]) -> "CycloDenominator":

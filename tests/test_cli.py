@@ -357,13 +357,17 @@ def test_hdt_low_genus_non_coprime_prints_no_dimension(capsys):
     assert out.endswith("\n\ngenus=1 rank=4 degree=2\nHDT = 0\n")
 
 
-def test_closed_stdout_exits_141_quietly():
-    # 310 KB of JSON: more than any pipe buffer holds, so the write fails
+def cold_cli(*argv: str) -> subprocess.Popen:
+    """``python -m curvedt.cli ARGV`` in a fresh interpreter, stdout and stderr piped."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = ["strata", "-g", "2", "--slope=3", "--rmax", "10", "--format", "json"]
-    proc = subprocess.Popen([sys.executable, "-m", "curvedt.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, "-m", "curvedt.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 310 KB of JSON: more than any pipe buffer holds, so the write fails
+    proc = cold_cli("strata", "-g", "2", "--slope=3", "--rmax", "10", "--format", "json")
     assert proc.stdout.read(10) == b'[\n  {\n    '
     proc.stdout.close()
     err = proc.stderr.read()

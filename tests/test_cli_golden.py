@@ -1,7 +1,9 @@
 """Byte-exact CLI output: stdout of fixed commands, each of which exits 0.
 
 Each command's stdout is stored in ``tests/golden/<name>.txt``.  The
-commands run in-process through ``curvedt.cli.main``.  To record the
+commands run in-process through ``curvedt.cli.main``; one per subcommand
+(``COLD``) runs again as ``python -m curvedt.cli`` in a fresh interpreter,
+where each command imports only the modules it runs.  To record the
 files again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from curvedt.cli import main
+from test_cli import cold_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -66,6 +69,7 @@ COMMANDS = [
     ("strata_genus_one", "strata -g 1 -r 2 -d 1 --force-genus"),
     ("strata_generic_one_class", "strata -g 2 -r 4 -d 12 --generic-bound"),
     ("detfactor_genus_zero", "detfactor -g 0 -r 1 -d 0 --force-genus"),
+    ("strata_genus_zero", "strata -g 0 -r 1 -d 0 --force-genus"),
 ]
 
 
@@ -81,6 +85,17 @@ def test_cli_output_is_byte_identical(name, argv):
     code, got = _run(argv)
     assert code == 0
     assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+COLD = ("betti_table", "hdt_json", "detfactor_table", "strata_table", "verify_quick_json")
+
+
+@pytest.mark.parametrize("name", COLD)
+def test_cold_process_output_is_byte_identical(name):
+    proc = cold_cli(*dict(COMMANDS)[name].split())
+    out, err = proc.communicate()
+    assert (proc.returncode, err) == (0, b"")
+    assert out == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 if __name__ == "__main__":
