@@ -51,7 +51,7 @@ from .invariants import (
     ih_poincare,
     torsion_dt,
 )
-from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly, specialize_y
+from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly
 
 if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
     from .strata import SmallnessReport
@@ -382,7 +382,8 @@ def cmd_hdt(args: argparse.Namespace) -> int:
         if res is None:
             torsion = " (torsion)" if r == 0 else ""
             return f"genus={args.genus} rank={r} degree={d}{torsion}\nHDT = {render_poly(h)}"
-        neg = specialize_y(h).at_neg_y()
+        # HDT(-y,-y) = sum of b_k y^(k - dim), the main theorem's reading of res.betti
+        neg = UniPoly({2 * (k - res.dim): b for k, b in enumerate(res.betti)})
         return (
             f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
             f"HDT = {render_poly(h)}\n"
@@ -441,8 +442,6 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .verify import run_suite
 
     rmax = 3 if args.quick else 4
@@ -450,7 +449,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = all(res.ok for res in results)
     verdict = "PASS" if ok else "FAIL"
     if args.fmt == "json":
-        checks = [asdict(res) for res in results]
+        checks = [res._asdict() for res in results]
         print(_canonical_json({"checks": checks, "rmax": rmax, "verdict": verdict}))
     else:
         table = ReportTable(

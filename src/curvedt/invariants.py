@@ -45,6 +45,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .ring import (
     CycloDenominator,
     LaurentPoly,
+    NotDivisibleError,
     RingElem,
     half_lefschetz,
     lefschetz,
@@ -199,7 +200,11 @@ def hdt(g: int, r: int, d: int, checks: str = "on", diagonal: bool = False) -> L
     if r < 1:
         raise ValueError("hdt needs rank >= 1; rank 0 is the torsion case")
     tau = Fraction(d, r)
-    p = _hdt(g, tau, r, diagonal)
+    try:
+        p = _hdt(g, tau, r, diagonal)
+    except NotDivisibleError as exc:
+        stage = "integrality of HDT" + (" on the u = v image" if diagonal else "")
+        raise NotDivisibleError(f"class (g, r, d) = ({g}, {r}, {d}), {stage}: {exc}") from exc
     if checks != "off":
         _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual", checks)
     return p
@@ -221,7 +226,11 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
     kappa = _kappa()
     out = {}
     for d in range(1, dmax + 1):
-        out[d] = (logf[d] * kappa).to_polynomial()
+        try:
+            out[d] = (logf[d] * kappa).to_polynomial()
+        except NotDivisibleError as exc:
+            raise NotDivisibleError(f"class (g, r, d) = ({g}, 0, {d}), "
+                                    f"integrality of torsion HDT: {exc}") from exc
     if checks != "off":
         for d, p in out.items():
             _ensure(

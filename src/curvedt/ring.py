@@ -321,15 +321,6 @@ class UniPoly(_SparsePoly):
         """coeff * y^(e2/2)."""
         return cls({e2: coeff})
 
-    def at_neg_y(self) -> "UniPoly":
-        """Substitute y -> -y; requires all exponents integral (even keys)."""
-        out: Dict[int, int] = {}
-        for e, c in self._ints.items():
-            if e % 2:
-                raise ValueError("y -> -y needs integer exponents")
-            out[e] = c if (e // 2) % 2 == 0 else -c
-        return UniPoly._raw(out, self._scale)
-
 
 def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
     """The single term coeff * u^(eu2/2) v^(ev2/2)."""

@@ -5,8 +5,10 @@ images of its inputs under phi: u, v -> (uv)^(1/2), the key map
 (a, b) -> ((a + b)/2, (a + b)/2).  phi is a ring map that fixes L^(1/2),
 commutes with Adams operations and duality, and keeps the specialization
 u = v = y, so the image path must give phi of the bivariate HDT and the
-same Betti numbers.  The diagonal keys also take a one-axis box in the
-product kernel, checked here against the ``polyref`` oracle.
+same Betti numbers.  On both paths the Betti numbers are the main
+theorem's reading of HDT: HDT(-y,-y) = sum of b_k y^(k - dim).  The
+diagonal keys also take a one-axis box in the product kernel, checked
+here against the ``polyref`` oracle.
 """
 
 from contextlib import contextmanager
@@ -14,13 +16,15 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyref as ref
 from curvedt import ring
-from curvedt.invariants import betti_numbers, determinant_factor, hdt, ih_poincare
-from curvedt.ring import LaurentPoly
+from curvedt.invariants import betti_numbers, determinant_factor, dim_moduli, hdt, ih_poincare
+from curvedt.ring import LaurentPoly, specialize_y
 
 CLASSES = [(g, r, d) for g in (2, 3) for r in range(1, 6) for d in range(r)]
 CLASSES += [(4, 4, 1), (5, 4, 1)]
@@ -42,6 +46,37 @@ def test_image_path_matches_bivariate(g, r, d):
     betti = betti_numbers(g, r, d)
     assert betti == ih_poincare(g, r, d).betti
     assert determinant_factor(g, betti) == determinant_factor(g, ih_poincare(g, r, d).betti)
+
+
+# ------------------------------------------------ HDT(-y,-y) is the Betti polynomial
+
+# a residue period and as many negative degrees per rank; at genus <= 1 the
+# dimension formula needs gcd(r, d) = 1, and the checks run as "warn"
+READINGS = [(g, r, d, "on") for g in (2, 3) for r in range(1, 6) for d in range(-r, r)]
+READINGS += [(1, r, d, "warn") for r in range(1, 5) for d in range(-r, r) if gcd(r, d) == 1]
+READINGS += [(0, 1, d, "warn") for d in range(-2, 3)]
+
+
+def at_minus_y(h):
+    """HDT(-y,-y) as doubled-exponent terms, through the polyref oracle."""
+    return ref.at_neg_y(specialize_y(h).terms)
+
+
+def betti_polynomial(betti, dim):
+    """sum of b_k y^(k - dim) as doubled-exponent terms."""
+    return {2 * (k - dim): b for k, b in enumerate(betti) if b}
+
+
+@pytest.mark.parametrize("g, r, d, checks", READINGS)
+def test_hdt_at_minus_y_is_the_betti_polynomial(g, r, d, checks):
+    dim = dim_moduli(g, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no check may fail, not even as a warning
+        res = ih_poincare(g, r, d, checks)
+        image, betti = hdt(g, r, d, checks, diagonal=True), betti_numbers(g, r, d, checks)
+    assert res.betti[0] == 1
+    assert at_minus_y(res.hdt) == betti_polynomial(res.betti, dim)
+    assert at_minus_y(image) == betti_polynomial(betti, dim)
 
 
 # ------------------------------------------------ one-axis products of diagonal operands

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from curvedt import cli
+from curvedt import cli, invariants, ring
 from curvedt.cli import main, render_poly, render_uni
 from curvedt.invariants import VerificationError
-from curvedt.ring import LaurentPoly, UniPoly, monomial
+from curvedt.ring import LaurentPoly, NotDivisibleError, UniPoly, monomial
 
 
 def run(capsys, *argv):
@@ -261,6 +261,22 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     code, _, err = run(capsys, "hdt", "-g", "2", "-r", "2", "-d", "1")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, where", [
+    ("hdt -g 2 --slope=1/2 --rmax 4", "(2, 2, 1), integrality of HDT"),
+    ("betti -g 2 --slope=1/2 --rmax 4", "(2, 2, 1), integrality of HDT on the u = v image"),
+    ("hdt -g 2 -r 0 -d 1", "(2, 0, 1), integrality of torsion HDT"),
+])
+def test_failed_division_names_the_class_and_stage(capsys, monkeypatch, argv, where):
+    def not_divisible(p, *ks):
+        raise NotDivisibleError("not divisible by 1 - L^3")
+
+    monkeypatch.setattr(ring, "exact_divide_cyclo", not_divisible)
+    invariants._hdt.cache_clear()  # a cached HDT would skip the division
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: class (g, r, d) = {where}: not divisible by 1 - L^3\n"
 
 
 def test_library_value_error_exits_two(capsys, monkeypatch):

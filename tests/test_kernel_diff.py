@@ -76,12 +76,6 @@ def test_laurent_maps_match_reference(a, n):
 
 
 @SETTINGS
-@given(int_terms.map(lambda t: clean({2 * e: c for e, c in t.items()})))
-def test_at_neg_y_matches_reference(a):
-    assert UniPoly(a).at_neg_y().terms == ref.at_neg_y(a)
-
-
-@SETTINGS
 @given(pair_terms.map(clean), st.integers(1, 3))
 def test_exact_division_of_products(q, k):
     p = ref.mul(q, ref.one_minus_lefschetz(k))
@@ -310,8 +304,6 @@ def test_every_operation_returns_canonical_coefficients(case, c, n, k):
         canonical(product)
         assert canonical(exact_divide_cyclo(product, k)) == pa.terms
         assert canonical(RingElem(product, CycloDenominator.of(k)).to_polynomial()) == pa.terms
-    else:
-        canonical(UniPoly({2 * e: v for e, v in a.items()}).at_neg_y())
 
 
 # ------------------------------------------------ sums over cyclotomic denominators

@@ -1,9 +1,9 @@
 """Contracts of the record types a betti, hdt or detfactor run builds.
 
-``CycloDenominator`` is a slotted class, ``DTResult`` and
-``ReportTable`` are named tuples; none of them is a dataclass, so those
-commands never import ``dataclasses``.  Each stays immutable and equal
-field by field, and a denominator gains no tuple behaviour.
+``CycloDenominator`` is a slotted class; ``DTResult``, ``ReportTable``
+and verify's ``CheckResult`` are named tuples.  None of them is a
+dataclass, so no command imports ``dataclasses``.  Each stays immutable
+and equal field by field, and a denominator gains no tuple behaviour.
 """
 
 import copy
@@ -14,6 +14,7 @@ import pytest
 from curvedt.cli import ReportTable
 from curvedt.invariants import ih_poincare
 from curvedt.ring import CycloDenominator, LaurentPoly, RingElem
+from curvedt.verify import CheckResult
 
 
 def test_denominator_constructor_sorts_and_validates():
@@ -62,7 +63,8 @@ def test_denominator_survives_pickle_and_copy():
 @pytest.mark.parametrize("record", [
     ih_poincare(2, 2, 1),
     ReportTable(("k", "b_k"), (("0", "1"), ("1", "4"))),
-], ids=["DTResult", "ReportTable"])
+    CheckResult("torsion", "PASS", "g in {2,3,4}, d <= 6 verified"),
+], ids=["DTResult", "ReportTable", "CheckResult"])
 def test_records_are_read_only_and_equal_field_by_field(record):
     cls, fields = type(record), record._fields
     for name in fields:
@@ -73,3 +75,9 @@ def test_records_are_read_only_and_equal_field_by_field(record):
     for name in fields:
         changed = record._replace(**{name: "changed"})
         assert changed != record
+
+
+def test_check_result_reads_ok_off_its_status():
+    assert [CheckResult("c", status, "").ok for status in ("PASS", "WARN", "FAIL")] == [
+        True, True, False]
+    assert CheckResult("c", "FAIL", "x")._asdict() == {"name": "c", "status": "FAIL", "detail": "x"}

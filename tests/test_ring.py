@@ -304,13 +304,6 @@ def test_specialize_elem():
     assert den == UniPoly.one() - UniPoly.y_pow(4)
 
 
-def test_unipoly_at_neg_y():
-    p = UniPoly({0: 1, 2: 3, 4: 5})  # 1 + 3y + 5y^2
-    assert p.at_neg_y() == UniPoly({0: 1, 2: -3, 4: 5})
-    with pytest.raises(ValueError):
-        UniPoly({1: 1}).at_neg_y()
-
-
 def test_records_sorted():
     # the CLI's JSON term list: sorted by (eu2, ev2), keys sorted, p/q as num/den
     p = monomial(2, 0) + monomial(0, 2) + monomial(-1, -1, Fraction(1, 2))

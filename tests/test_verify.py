@@ -2,13 +2,18 @@
 
 The golden-table checks share one prefix loop and the identity checks
 share one "holds for every case" loop; the FAIL details below are the
-texts each check printed when it had its own loop.  Each check's inputs
+texts each check printed when it had its own loop.  A case that raises
+is a FAIL text of its check, and the suite runs on.  Each check's inputs
 are replaced through the verify module, where the checks look them up.
 """
+
+import json
 
 import pytest
 
 from curvedt import verify
+from curvedt.cli import main
+from curvedt.ring import NotDivisibleError
 
 
 @pytest.mark.parametrize("check, helper, name, detail", [
@@ -50,3 +55,51 @@ def test_passing_checks_keep_their_details():
         ("q-rank-closed-forms", "PASS", "4 identities verified"),
         ("composition-resolutions", "PASS", "3 resolutions verified"),
     ]
+
+
+def fails_at_2_2_1(monkeypatch):
+    """verify.ih_poincare, raising the kernel's error for the class (2, 2, 1) only."""
+    real = verify.ih_poincare
+
+    def ih_poincare(g, r, d):
+        if (g, r, d) == (2, 2, 1):
+            raise NotDivisibleError("class (g, r, d) = (2, 2, 1), integrality of HDT: "
+                                    "not divisible by 1 - L^3")
+        return real(g, r, d)
+
+    monkeypatch.setattr(verify, "ih_poincare", ih_poincare)
+
+
+def test_a_case_that_raises_fails_its_check_only(monkeypatch):
+    fails_at_2_2_1(monkeypatch)
+    results = verify.run_suite(rmax=2)
+    assert len(results) == 12
+    error = ("NotDivisibleError: class (g, r, d) = (2, 2, 1), integrality of HDT: "
+             "not divisible by 1 - L^3")
+    assert [(res.name, res.detail) for res in results if not res.ok] == [
+        ("betti-tables", f"g=2 M(2,1): {error}"),
+        ("detfactor-tables", f"g=2 M(2,1): {error}"),
+        ("dt-corollaries", f"g=2 (2,1): {error}"),
+    ]
+
+
+def test_verify_json_reports_every_check_when_a_case_raises(monkeypatch, capsys):
+    fails_at_2_2_1(monkeypatch)
+    code = main(["verify", "--quick", "--json"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["verdict"] == "FAIL" and len(report["checks"]) == 12
+    assert [c["name"] for c in report["checks"] if c["status"] == "FAIL"] == [
+        "betti-tables", "detfactor-tables", "dt-corollaries"]
+
+
+def test_a_raising_identity_names_the_case_and_the_error(monkeypatch):
+    def resolution_check(r, d):
+        if d:
+            raise ValueError(f"no resolution of ({r},{d})")
+        return True
+
+    monkeypatch.setattr(verify, "resolution_check", resolution_check)
+    assert verify.check_resolutions(2) == verify.CheckResult(
+        "composition-resolutions", "FAIL", "resolution (2,1): ValueError: no resolution of (2,1)")
