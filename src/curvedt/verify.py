@@ -111,7 +111,8 @@ class CheckResult(NamedTuple):
         return self.status != "FAIL"
 
 
-# what one case of a shared loop may raise: its FAIL text, not the suite's end
+# what one case of a check may raise: that case's FAIL (or WARN) text, not the
+# suite's end; any other exception is a bug in the program and propagates
 _CASE_ERRORS = (VerificationError, NotDivisibleError, ValueError)
 
 
@@ -323,7 +324,7 @@ def check_elliptic() -> CheckResult:
         for d in range(r):
             try:
                 h = hdt(1, r, d, checks="off")
-            except Exception as exc:
+            except _CASE_ERRORS as exc:
                 mismatches.append(f"({r},{d}): {type(exc).__name__}")
                 continue
             if gcd(r, d) == 1:
