@@ -11,12 +11,11 @@ diagonal keys also take a one-axis box in the product kernel, checked
 here against the ``polyref`` oracle.
 """
 
+import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from unittest import mock
-
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -2,8 +2,9 @@
 
 ``CycloDenominator`` is a slotted class; ``DTResult``, ``ReportTable``
 and verify's ``CheckResult`` are named tuples.  None of them is a
-dataclass, so no command imports ``dataclasses``.  Each stays immutable
-and equal field by field, and a denominator gains no tuple behaviour.
+dataclass, so betti, hdt and detfactor never import ``dataclasses``
+(only the stratum records still are).  Each stays immutable and equal
+field by field, and a denominator gains no tuple behaviour.
 """
 
 import copy
