@@ -35,14 +35,21 @@ by the doubled exponent of y) share one kernel,
 _SparsePoly, and differ only in their monomial type.  Products use
 Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand is
 packed into one Python int with a byte-aligned slot per point of the
-product's exponent box; one big-int product does the work.
+product's exponent box; one big-int product does the work.  One codec,
+_pack and _unpack, serves products and packed sums at every slot width:
+a slot of w bytes travels as ceil(w / 8) native 64-bit words, moved by
+strided byte slices and stored or read through a memoryview, so no
+Python code runs per slot.  The slots of a packed int are biased by half
+of their range, so that none borrows from the next.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, islice, repeat
 from math import gcd, lcm
+from operator import and_, lshift, or_, rshift, setitem
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Monomial = Tuple[int, int]
@@ -55,6 +62,14 @@ _PAIRS_PER_SLOT = 4
 # over its items of terms * missing factors), and only into a box of at most one
 # slot per shift; below either the dict loop measured faster.
 _PACK_SHIFTS = 2000
+# The Kronecker codec's constants.  _FLIP maps a little-endian byte offset within a
+# 64-bit word to its native offset, and _WORD masks one word.  _TOGGLE flips a
+# byte's top bit, and _EXTEND maps the top byte of a biased slot to the byte
+# that sign-extends the slot.
+_FLIP = 0 if sys.byteorder == "little" else 7
+_WORD = (1 << 64) - 1
+_TOGGLE = bytes(range(128, 256)) + bytes(range(128))
+_EXTEND = b"\xff" * 128 + bytes(128)
 
 
 class NotDivisibleError(ArithmeticError):
@@ -93,13 +108,35 @@ def _integral(coeffs: List[Scalar]) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _bias(box: int, width: int) -> int:
+    """Half of the slot range, 2^(8 * width - 1), in each of box slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * box, "little")
+
+
 def _pack(slots: List[int], coeffs: List[int], width: int) -> int:
-    """sum c * 2^(8 * width * slot), built in linear time through bytes."""
-    size = (max(slots) + 1) * width
-    pos, neg = bytearray(size), bytearray(size)
-    for i, c in zip(slots, coeffs):
-        (neg if c < 0 else pos)[i * width:(i + 1) * width] = abs(c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum c * 2^(8 * width * slot), given every |c| < 2^(8 * width - 1).
+
+    Each c is staged in two's complement over k = ceil(width / 8) native
+    64-bit words per slot; strided slices compact the slots to width bytes,
+    flipping each top bit adds half of the slot range, and one subtraction
+    takes that bias off again.
+    """
+    k = -(-width // 8)
+    box = max(slots) + 1
+    staged = bytearray(8 * k * box)
+    low, top = memoryview(staged).cast("Q"), memoryview(staged).cast("q")
+    # each any() drains one map of word stores (every store returns None)
+    for i in range(k - 1):
+        any(map(setitem, repeat(low[i::k]), slots, map(and_, coeffs, repeat(_WORD))))
+        coeffs = list(map(rshift, coeffs, repeat(64)))
+    any(map(setitem, repeat(top[k - 1::k]), slots, coeffs))
+    del low, top
+    raw = bytearray(box * width)
+    for j in range(width):
+        raw[j::width] = staged[j ^ _FLIP::8 * k]
+    del staged
+    raw[width - 1::width] = raw[width - 1::width].translate(_TOGGLE)
+    return int.from_bytes(raw, "little") - _bias(box, width)
 
 
 def _unpack(n: int, box: int, width: int) -> Tuple[List[int], List[int]]:
@@ -107,14 +144,34 @@ def _unpack(n: int, box: int, width: int) -> Tuple[List[int], List[int]]:
     (slot list, coefficient list), given every |c_k| < 2^(8 * width - 1).
 
     Adding half of the slot range to each slot makes all slots nonnegative,
-    so no slot borrows from the next and each is read off its own bytes.
+    so no slot borrows from the next; flipping each top bit back leaves c_k
+    in two's complement.  Strided slices sign-extend each slot to k =
+    ceil(width / 8) native 64-bit words, read in one go: the top word
+    signed, shifted over the lower ones, is c_k; a slot is empty when all
+    its words are 0, and only the others are combined.
     """
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * box, "little")
-    raw = (n + bias).to_bytes(box * width, "little")
-    values = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    ks = [k for k, c in enumerate(values) if c != half]
-    return ks, [values[k] - half for k in ks]
+    k = -(-width // 8)
+    raw = (n + _bias(box, width)).to_bytes(box * width, "little")
+    wide = bytearray(8 * k * box)
+    for j in range(width - 1):
+        wide[j ^ _FLIP::8 * k] = raw[j::width]
+    high = raw[width - 1::width]
+    del raw
+    wide[(width - 1) ^ _FLIP::8 * k] = high.translate(_TOGGLE)
+    high = high.translate(_EXTEND)
+    for j in range(width, 8 * k):
+        wide[j ^ _FLIP::8 * k] = high
+    words = memoryview(wide).cast("q").tolist()
+    del wide
+    nonzero = islice(words, k - 1, None, k)
+    for i in range(k - 1):
+        nonzero = map(or_, nonzero, islice(words, i, None, k))
+    nonzero = list(nonzero)
+    values = compress(islice(words, k - 1, None, k), nonzero)
+    for i in range(k - 2, -1, -1):
+        values = map(or_, map(lshift, values, repeat(64)),
+                     map(and_, compress(islice(words, i, None, k), nonzero), repeat(_WORD)))
+    return list(compress(range(box), nonzero)), list(values)
 
 
 def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:

@@ -1,6 +1,7 @@
 """Byte-exact CLI output: stdout of fixed commands, each of which exits 0.
 
-Each command's stdout is stored in ``tests/golden/<name>.txt``.  The
+Each command's stdout is stored in ``tests/golden/<name>.txt``, or, for
+an output too large to store, its sha256 is pinned in ``DIGESTS``.  The
 commands run in-process through ``curvedt.cli.main``; one per subcommand
 (``COLD``) runs again as ``python -m curvedt.cli`` in a fresh interpreter,
 where each command imports only the modules it runs.  To record the
@@ -9,10 +10,12 @@ files again after a deliberate output change, run
     PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 
 and review the diff of ``tests/golden/``.  With names, only those
-goldens are recorded; with none, all of them are.
+goldens are recorded; with none, all of them are.  A digest is edited by
+hand, after its command's new output has been reviewed.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -85,6 +88,22 @@ def test_cli_output_is_byte_identical(name, argv):
     code, got = _run(argv)
     assert code == 0
     assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# (argv, sha256 of stdout): outputs too large to store, pinned by digest.  The
+# products of hdt at (5, 6, 1) reach 8- and 9-byte Kronecker slots, one and two
+# 64-bit words each; its JSON is 939 kB.
+DIGESTS = [
+    ("hdt -g 5 -r 6 -d 1 --format json",
+     "2457baa461fe36b66eabc8dc061cc5033b38c7a008a7697e1852a583919dacb9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS, ids=[a for a, _ in DIGESTS])
+def test_cli_output_digest(argv, digest):
+    code, got = _run(argv)
+    assert code == 0
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 COLD = ("betti_table", "hdt_json", "detfactor_table", "strata_table", "verify_quick_json")

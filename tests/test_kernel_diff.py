@@ -277,6 +277,113 @@ def test_adams_images_times_polynomials(case, n):
     assert canonical(UniPoly(ua) * UniPoly(ub)) == ref.mul(ua, ub)
 
 
+# ------------------------------------------------ the Kronecker codec at word boundaries
+
+# slot widths on both sides of one, two and three 64-bit words
+WIDTHS = list(range(1, 18)) + [24, 25]
+
+
+def codec_case(width):
+    """(slots, coefficients) with the first and last slots of the pack occupied by
+    the extreme coefficients +-(2^(8 width - 1) - 1), small ones of either sign, and
+    empty slots between them."""
+    top = (1 << 8 * width - 1) - 1
+    slots = [0, 1, 3, 4, 7, 8, 12]
+    return slots, [top, -top, -1, 1, top, -(top >> 1), -top]
+
+
+def reference_pack(slots, coeffs, width):
+    return sum(c << 8 * width * s for s, c in zip(slots, coeffs))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_codec_round_trips_at_every_word_boundary(width):
+    slots, cs = codec_case(width)
+    n = ring._pack(slots, cs, width)
+    assert n == reference_pack(slots, cs, width)
+    for box in (max(slots) + 1, max(slots) + 5):  # and empty slots after the last
+        assert ring._unpack(n, box, width) == (slots, cs)
+    assert ring._unpack(ring._pack([5], [0], width), 9, width) == ([], [])
+
+
+class BigEndianView:
+    """memoryview(buf).cast(fmt) for fmt "Q" or "q" as a big-endian host reads it:
+    strided slices, item stores and tolist, each word its 8 bytes most significant
+    first."""
+
+    def __init__(self, buf, fmt="B", start=0, step=1):
+        self.buf, self.fmt, self.start, self.step = buf, fmt, start, step
+
+    def cast(self, fmt):
+        return BigEndianView(self.buf, fmt)
+
+    def __len__(self):
+        return len(range(self.start, len(self.buf) // 8, self.step))
+
+    def __getitem__(self, part):
+        start, _, step = part.indices(len(self))
+        return BigEndianView(self.buf, self.fmt, self.start + start * self.step, self.step * step)
+
+    def __setitem__(self, i, value):
+        at = 8 * (self.start + i * self.step)
+        self.buf[at:at + 8] = value.to_bytes(8, "big", signed=self.fmt == "q")
+
+    def tolist(self):
+        return [int.from_bytes(self.buf[8 * i:8 * i + 8], "big", signed=self.fmt == "q")
+                for i in range(self.start, len(self.buf) // 8, self.step)]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+def test_codec_does_not_depend_on_host_byte_order(width):
+    slots, cs = codec_case(width)
+    with mock.patch.object(ring, "memoryview", BigEndianView, create=True):
+        with mock.patch.object(ring, "_FLIP", 7):
+            n = ring._pack(slots, cs, width)
+            assert n == reference_pack(slots, cs, width)
+            assert ring._unpack(n, max(slots) + 3, width) == (slots, cs)
+        # the stand-in has teeth: little-endian offsets on it scramble the words
+        with mock.patch.object(ring, "_FLIP", 0):
+            assert ring._pack(slots, cs, width) != n
+
+
+@contextlib.contextmanager
+def pack_widths():
+    """A list that records the slot width of each _pack call."""
+    widths = []
+    real = ring._pack
+
+    def spy(slots, coeffs, width):
+        widths.append(width)
+        return real(slots, coeffs, width)
+
+    with mock.patch.object(ring, "_pack", spy):
+        yield widths
+
+
+# Coefficients of 4w - 7 bits in operands of 50 terms give slot width w (see
+# ring._product); w = 8, 9 and 16, 17 put the slots on both sides of one and two words.
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17])
+@pytest.mark.parametrize("cls", [LaurentPoly, UniPoly])
+def test_products_across_word_boundaries_match_reference(cls, width):
+    rnd = random.Random(width)
+    bits = 4 * width - 7
+    keys = {LaurentPoly: [(a, b) for a in range(-4, 5) for b in range(-4, 5)],
+            UniPoly: list(range(-30, 31))}[cls]
+
+    def operand():
+        terms = {k: rnd.choice((1, -1)) * rnd.getrandbits(bits) | 1 for k in rnd.sample(keys, 50)}
+        terms[rnd.choice(list(terms))] = rnd.choice((1, -1)) * ((1 << bits) - 1)
+        return terms
+
+    a, b = operand(), operand()
+    aligned = {k: (1 << bits) - 1 for k in a}  # every pair the same sign: the largest slots
+    for x, y in ((a, b), (aligned, aligned), (a, ref.neg(a))):
+        with pack_widths() as widths:
+            got = (cls(x) * cls(y)).terms
+        assert widths == [width, width]
+        assert got == ref.mul(clean(x), clean(y))
+
+
 @SETTINGS
 @given(operands(FAR, 2, 10))
 def test_sparse_products_take_the_dict_loop(case):
