@@ -45,6 +45,7 @@ from .invariants import (
     DTResult,
     VerificationError,
     betti_numbers,
+    class_label,
     determinant_factor,
     dim_moduli,
     hdt,
@@ -203,7 +204,7 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argpar
         args.checks = "warn"
     torsion_ok = args.command == "hdt"
     for r, d in _classes(args):
-        where = f"class (g, r, d) = ({args.genus}, {r}, {d})"
+        where = class_label(args.genus, r, d)
         if args.genus < 0:
             parser.error(f"{where}: genus must be >= 0")
         if r < 1 and not (torsion_ok and r == 0):

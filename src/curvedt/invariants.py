@@ -69,6 +69,11 @@ def _ensure(ok: bool, message: str, checks: str) -> None:
         raise VerificationError(message)
 
 
+def class_label(g: int, r: int, d: int) -> str:
+    """How an error names the class it is about."""
+    return f"class (g, r, d) = ({g}, {r}, {d})"
+
+
 def dim_moduli(g: int, r: int) -> int:
     """Complex dimension of M(r,d): (g-1) r^2 + 1."""
     return (g - 1) * r * r + 1
@@ -204,7 +209,7 @@ def hdt(g: int, r: int, d: int, checks: str = "on", diagonal: bool = False) -> L
         p = _hdt(g, tau, r, diagonal)
     except NotDivisibleError as exc:
         stage = "integrality of HDT" + (" on the u = v image" if diagonal else "")
-        raise NotDivisibleError(f"class (g, r, d) = ({g}, {r}, {d}), {stage}: {exc}") from exc
+        raise NotDivisibleError(f"{class_label(g, r, d)}, {stage}: {exc}") from exc
     if checks != "off":
         _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual", checks)
     return p
@@ -229,7 +234,7 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
         try:
             out[d] = (logf[d] * kappa).to_polynomial()
         except NotDivisibleError as exc:
-            raise NotDivisibleError(f"class (g, r, d) = ({g}, 0, {d}), "
+            raise NotDivisibleError(f"{class_label(g, 0, d)}, "
                                     f"integrality of torsion HDT: {exc}") from exc
     if checks != "off":
         for d, p in out.items():

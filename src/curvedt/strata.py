@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
-from .invariants import VerificationError
+from .invariants import VerificationError, class_label
 
 Part = Tuple[Tuple[int, int], int]  # ((rank, degree), multiplicity)
 
@@ -166,10 +166,6 @@ def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
     return diag - cross
 
 
-def _where(g: int, r: int, d: int) -> str:
-    return f"class (g, r, d) = ({g}, {r}, {d})"
-
-
 def _shares(g: int, part: Part, generic: bool = False) -> Tuple[int, int, int, int]:
     """One part's shares: m_i r_i of the rank, (g-1) r_i^2 + 1 of the codimension,
     (m_i - 1) chi_ii + 1 - 2 m_i of twice the bound, and its framing d_i + (1-g) r_i."""
@@ -190,7 +186,7 @@ def codim_stratum(g: int, s: StratumType) -> int:
     codim = (g - 1) * rank * rank + 1 - sum(_shares(g, part)[1] for part in s.parts)
     if codim < 0:
         raise VerificationError(
-            f"{_where(g, rank, s.degree)}: negative codimension {codim} "
+            f"{class_label(g, rank, s.degree)}: negative codimension {codim} "
             f"for stratum {s.label()} at genus {g}"
         )
     return codim
@@ -295,19 +291,19 @@ def certify_virtual_smallness(
         n_maximal += maximal
         if maximal != (codim == 0):
             raise VerificationError(
-                f"{_where(g, r, d)}: codimension {codim} inconsistent with "
+                f"{class_label(g, r, d)}: codimension {codim} inconsistent with "
                 f"maximality of {s.label()}"
             )
         if in_range and low <= 0:
             raise VerificationError(
-                f"{_where(g, r, d)}: non-positive framing {build_fiber_quiver(g, s).framing} "
+                f"{class_label(g, r, d)}: non-positive framing {build_fiber_quiver(g, s).framing} "
                 f"for {s.label()} despite slope {slope} > {2 * g - 2}"
             )
         passes = bound.numerator == 0 if maximal else bound.numerator < 0
         records.append(StratumRecord(s, codim, bound, maximal, passes))
     if n_maximal != 1:
         raise VerificationError(
-            f"{_where(g, r, d)}: expected exactly one maximal type, got {n_maximal}"
+            f"{class_label(g, r, d)}: expected exactly one maximal type, got {n_maximal}"
         )
     return SmallnessReport(
         genus=g,

@@ -4,7 +4,9 @@
 record per check.  Every comparison is exact; a check either PASSes,
 FAILs with a locating detail string, or — for the single exploratory
 genus-1 check, whose expected value lies outside the proven range of
-the pipeline's theorems — WARNs instead of failing.
+the pipeline's theorems — WARNs instead of failing.  Each check is a
+list of cases, a label template and a mismatch function, run through
+the one case loop ``_check``.
 
 The golden constants are frozen reference data for low rank: half
 Betti sequences of M(r,d) at genus 2 (plus the genus-3 rank-3 row) and
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .closedforms import (
     CLOSED_FORM_CLASSES,
@@ -116,48 +118,41 @@ class CheckResult(NamedTuple):
 _CASE_ERRORS = (VerificationError, NotDivisibleError, ValueError)
 
 
-def _result(name: str, failures: List[str], detail: str) -> CheckResult:
+def _check(name: str, cases: Iterable[tuple], label: str, mismatch: Callable[..., str],
+           passed: str, flag: str = "FAIL") -> CheckResult:
+    """The loop of every check.  For each case, mismatch(*case) is "" when the case
+    holds, else the text after its label, label.format(*case); a case that raises
+    reads "<label>: <ExcType>: <message>" (a WARN names the type only).  Any such
+    text makes the check `flag`, with every text in case order; none makes it PASS."""
+    failures = []
+    for case in cases:
+        try:
+            text = mismatch(*case)
+        except _CASE_ERRORS as exc:
+            text = f": {type(exc).__name__}" + (f": {exc}" if flag == "FAIL" else "")
+        if text:
+            failures.append(label.format(*case) + text)
     if failures:
-        return CheckResult(name, "FAIL", "; ".join(failures))
-    return CheckResult(name, "PASS", detail)
+        return CheckResult(name, flag, "; ".join(failures))
+    return CheckResult(name, "PASS", passed)
 
 
-def _raised(case: str, exc: Exception) -> str:
-    return f"{case}: {type(exc).__name__}: {exc}"
+def _unless(holds: Callable[..., bool], text: str) -> Callable[..., str]:
+    """The mismatch function of an identity: text wherever holds(*case) is false."""
+    return lambda *case: "" if holds(*case) else text
 
 
 def _golden_rows(name: str, golden: Dict[int, Dict[Tuple[int, int], List[int]]],
                  computed: Callable[[int, int, int], Sequence[int]], rmax: int) -> CheckResult:
     """Each golden prefix of rank <= rmax against as many leading computed(g, r, d)."""
-    failures, count = [], 0
-    for g, table in golden.items():
-        for (r, d), want in sorted(table.items()):
-            if r > rmax:
-                continue
-            count += 1
-            try:
-                got = list(computed(g, r, d)[: len(want)])
-            except _CASE_ERRORS as exc:
-                failures.append(_raised(f"g={g} M({r},{d})", exc))
-                continue
-            if got != want:
-                failures.append(f"g={g} M({r},{d}): {got} != {want}")
-    return _result(name, failures, f"{count} golden rows matched")
+    cases = [(g, r, d, want) for g, table in golden.items()
+             for (r, d), want in sorted(table.items()) if r <= rmax]
 
+    def mismatch(g, r, d, want):
+        got = list(computed(g, r, d)[: len(want)])
+        return "" if got == want else f": {got} != {want}"
 
-def _holds(name: str, cases: List[tuple], holds: Callable[..., bool], case: str,
-           mismatch: str, noun: str) -> CheckResult:
-    """holds(*fields) for each case's fields; the case template, formatted with them,
-    starts a failure's text: "<case> <mismatch>", or "<case>: <error>" if it raised."""
-    failures = []
-    for fields in cases:
-        where = case.format(*fields)
-        try:
-            if not holds(*fields):
-                failures.append(f"{where} {mismatch}")
-        except _CASE_ERRORS as exc:
-            failures.append(_raised(where, exc))
-    return _result(name, failures, f"{len(cases)} {noun} verified")
+    return _check(name, cases, "g={} M({},{})", mismatch, f"{len(cases)} golden rows matched")
 
 
 def check_betti_tables(rmax: int = 4) -> CheckResult:
@@ -175,22 +170,25 @@ def check_detfactor_tables(rmax: int = 4) -> CheckResult:
 def check_closed_forms(rmax: int = 4) -> CheckResult:
     """Closed rational expressions for the signed Poincare polynomials."""
     cases = [(g, r, d) for g in (2, 3) for r, d in CLOSED_FORM_CLASSES if r <= rmax]
-    return _holds("closed-forms", cases, ih_closed_form_check,
-                  "g={} M({},{})", "closed form mismatch", "identities")
+    return _check("closed-forms", cases, "g={} M({},{})",
+                  _unless(ih_closed_form_check, " closed form mismatch"),
+                  f"{len(cases)} identities verified")
 
 
 def check_q_rank_closed_forms(rmax: int = 4) -> CheckResult:
     """Univariate closed form of the rank-r building block."""
     cases = [(g, r) for g in (2, 3) for r in range(1, rmax + 1)]
-    return _holds("q-rank-closed-forms", cases, q_rank_closed_form_check,
-                  "g={} r={}", "building-block mismatch", "identities")
+    return _check("q-rank-closed-forms", cases, "g={} r={}",
+                  _unless(q_rank_closed_form_check, " building-block mismatch"),
+                  f"{len(cases)} identities verified")
 
 
 def check_resolutions(rmax: int = 4) -> CheckResult:
     """Grouped composition weights against the tabulated resolutions."""
     classes = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)]
-    return _holds("composition-resolutions", [(r, d) for r, d in classes if r <= rmax],
-                  resolution_check, "resolution ({},{})", "mismatch", "resolutions")
+    cases = [(r, d) for r, d in classes if r <= rmax]
+    return _check("composition-resolutions", cases, "resolution ({},{})",
+                  _unless(resolution_check, " mismatch"), f"{len(cases)} resolutions verified")
 
 
 def _rand_elem(rng: random.Random) -> RingElem:
@@ -210,16 +208,31 @@ def _rand_series(rng: random.Random, rmax: int, const: RingElem) -> Series:
 def check_plethystic_inverse() -> CheckResult:
     """pleth_log(pleth_exp(f)) = f and pleth_exp(pleth_log(g)) = g, 20 seeded trials."""
     rng = random.Random(2027)
-    failures = []
-    for trial in range(20):
-        rmax = rng.randint(1, 6)
-        f = _rand_series(rng, rmax, RingElem.zero())
-        if pleth_log(pleth_exp(f)) != f:
-            failures.append(f"trial {trial}: Log(Exp(f)) != f")
-        g = _rand_series(rng, rmax, RingElem.one())
-        if pleth_exp(pleth_log(g)) != g:
-            failures.append(f"trial {trial}: Exp(Log(g)) != g")
-    return _result("plethystic-inverse", failures, "20 random series round-tripped")
+
+    def cases():  # drawn as the loop reaches them, so that one trial's series are held at a time
+        for trial in range(20):
+            rmax = rng.randint(1, 6)
+            yield (trial, _rand_series(rng, rmax, RingElem.zero()), pleth_exp, pleth_log,
+                   ": Log(Exp(f)) != f")
+            yield (trial, _rand_series(rng, rmax, RingElem.one()), pleth_log, pleth_exp,
+                   ": Exp(Log(g)) != g")
+
+    return _check("plethystic-inverse", cases(), "trial {}",
+                  lambda trial, f, inner, outer, text: "" if outer(inner(f)) == f else text,
+                  "20 random series round-tripped")
+
+
+_HALF, _THIRD, _QUARTER = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+# b_n in Log(1 + a1 t + a2 t^2 + ...) = b1 t + b2 t^2 + ..., which reads a1..an only
+_LOG_COEFFICIENTS = {
+    1: lambda a1, a2, a3, a4: a1,
+    2: lambda a1, a2, a3, a4: a2 - a1 * a1 * _HALF - a1.adams(2) * _HALF,
+    3: lambda a1, a2, a3, a4: a3 - a1 * a2 + a1 * a1 * a1 * _THIRD - a1.adams(3) * _THIRD,
+    4: lambda a1, a2, a3, a4: (a4 - a1 * a3 + a1 * a1 * a2 - a2 * a2 * _HALF
+                               - a2.adams(2) * _HALF - a1 * a1 * a1 * a1 * _QUARTER
+                               + a1.adams(2) * a1.adams(2) * _QUARTER),
+}
 
 
 def check_log_coefficients() -> CheckResult:
@@ -230,35 +243,28 @@ def check_log_coefficients() -> CheckResult:
       b2 = a2 - a1^2/2 - psi2(a1)/2
       b3 = a3 - a1 a2 + a1^3/3 - psi3(a1)/3
       b4 = a4 - a1 a3 + a1^2 a2 - a2^2/2 - psi2(a2)/2 - a1^4/4 + psi2(a1)^2/4
+    Each b_n is checked on the Log of 1 + a1 t + ... + an t^n.
     """
     rng = random.Random(911)
-    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
-    failures = []
-    for trial in range(3):
-        a1, a2, a3, a4 = (_rand_elem(rng) for _ in range(4))
-        b = pleth_log((RingElem.one(), a1, a2, a3, a4))
-        want = {
-            1: a1,
-            2: a2 - a1 * a1 * half - a1.adams(2) * half,
-            3: a3 - a1 * a2 + a1 * a1 * a1 * third - a1.adams(3) * third,
-            4: (a4 - a1 * a3 + a1 * a1 * a2 - a2 * a2 * half
-                - a2.adams(2) * half - a1 * a1 * a1 * a1 * quarter
-                + a1.adams(2) * a1.adams(2) * quarter),
-        }
-        for n, expected in want.items():
-            if b[n] != expected:
-                failures.append(f"trial {trial}: b{n} formula mismatch")
-    return _result("log-coefficient-formulas", failures, "3 random assignments verified")
+    draws = [tuple(_rand_elem(rng) for _ in range(4)) for _ in range(3)]
+    cases = [(trial, n, a) for trial, a in enumerate(draws) for n in _LOG_COEFFICIENTS]
+
+    def mismatch(trial, n, a):
+        b = pleth_log((RingElem.one(),) + a[:n])
+        return "" if b[n] == _LOG_COEFFICIENTS[n](*a) else f": b{n} formula mismatch"
+
+    return _check("log-coefficient-formulas", cases, "trial {}", mismatch,
+                  "3 random assignments verified")
 
 
 def check_zeta_is_exp() -> CheckResult:
     """Zeta series equals Exp(E(X) t) up to order 6, genera 0..4."""
-    failures = []
-    for g in range(5):
+    def mismatch(g):
         f = (RingElem.zero(), RingElem(curve_epoly(g))) + (RingElem.zero(),) * 5
-        if pleth_exp(f) != zeta_series(g, 6):
-            failures.append(f"g={g}: Exp(E(X) t) != zeta series")
-    return _result("zeta-is-exp", failures, "genera 0..4 verified to order 6")
+        return "" if pleth_exp(f) == zeta_series(g, 6) else ": Exp(E(X) t) != zeta series"
+
+    return _check("zeta-is-exp", [(g,) for g in range(5)], "g={}", mismatch,
+                  "genera 0..4 verified to order 6")
 
 
 def check_dt_corollaries(rmax: int = 4) -> CheckResult:
@@ -271,22 +277,25 @@ def check_dt_corollaries(rmax: int = 4) -> CheckResult:
     failed one is that class's FAIL text.  b_0 = 1 is checked here only.
     """
     cases = [(g, r, d) for g in (2, 3) for r in range(1, rmax + 1) for d in range(r)]
-    return _holds("dt-corollaries", cases, lambda g, r, d: ih_poincare(g, r, d).betti[0] == 1,
-                  "g={} ({},{})", "Betti ends not 1", "classes")
+    return _check("dt-corollaries", cases, "g={} ({},{})",
+                  _unless(lambda g, r, d: ih_poincare(g, r, d).betti[0] == 1, " Betti ends not 1"),
+                  f"{len(cases)} classes verified")
 
 
 def check_torsion() -> CheckResult:
-    """Torsion invariants: E(X)/L^(1/2) at d = 1, zero for 2 <= d <= 6."""
-    failures = []
-    for g in (2, 3, 4):
+    """Torsion invariants: E(X)/L^(1/2) at d = 1, zero for 2 <= d <= 6.
+
+    One case per genus, from one torsion_dt call; its text lists every wrong degree.
+    """
+    def mismatch(g):
         vals = torsion_dt(g, 6)
-        want1 = curve_epoly(g) * half_lefschetz(-1)
-        if vals[1] != want1:
-            failures.append(f"g={g}: HDT_(0,1) != E(X)/L^(1/2)")
-        for d in range(2, 7):
-            if not vals[d].is_zero():
-                failures.append(f"g={g}: HDT_(0,{d}) != 0")
-    return _result("torsion", failures, "g in {2,3,4}, d <= 6 verified")
+        wrong = [f"HDT_(0,{d}) != 0" for d in range(2, 7) if not vals[d].is_zero()]
+        if vals[1] != curve_epoly(g) * half_lefschetz(-1):
+            wrong.insert(0, "HDT_(0,1) != E(X)/L^(1/2)")
+        return ": " + ", ".join(wrong) if wrong else ""
+
+    return _check("torsion", [(g,) for g in (2, 3, 4)], "g={}", mismatch,
+                  "g in {2,3,4}, d <= 6 verified")
 
 
 def check_strata() -> CheckResult:
@@ -297,19 +306,17 @@ def check_strata() -> CheckResult:
     stratum bound is exactly 0, all others strictly negative, and
     codimension vanishes only at the maximal type.
     """
-    failures, count = [], 0
-    for generic in (False, True):
-        for g in (2, 3):
-            for r in range(1, 7):
-                base = r * (2 * g - 2) + 1
-                for d in range(base, base + r):
-                    count += 1
-                    rep = certify_virtual_smallness(g, r, d, generic=generic)
-                    if not rep.passes or not rep.in_theorem_range:
-                        failures.append(
-                            f"g={g} ({r},{d}) generic={generic}: {rep.verdict}"
-                        )
-    return _result("strata-certificates", failures, f"{count} certificates passed")
+    cases = [(generic, g, r, d) for generic in (False, True) for g in (2, 3) for r in range(1, 7)
+             for d in range(r * (2 * g - 2) + 1, r * (2 * g - 1) + 1)]
+
+    def mismatch(generic, g, r, d):
+        rep = certify_virtual_smallness(g, r, d, generic=generic)
+        if not rep.passes:
+            return ": FAIL"
+        return "" if rep.in_theorem_range else ": outside the theorem range d/r > 2g-2"
+
+    return _check("strata-certificates", cases, "g={1} ({2},{3}) generic={0}", mismatch,
+                  f"{len(cases)} certificates passed")
 
 
 def check_elliptic() -> CheckResult:
@@ -319,26 +326,14 @@ def check_elliptic() -> CheckResult:
     r <= 3, and 0 otherwise.  The closed composition formula is not
     proven at genus 1, so a mismatch demotes to a warning.
     """
-    mismatches = []
-    for r in (1, 2, 3):
-        for d in range(r):
-            try:
-                h = hdt(1, r, d, checks="off")
-            except _CASE_ERRORS as exc:
-                mismatches.append(f"({r},{d}): {type(exc).__name__}")
-                continue
-            if gcd(r, d) == 1:
-                if h != ELLIPTIC_COPRIME_HDT:
-                    mismatches.append(f"({r},{d}): not -(1-u)(1-v)(uv)^(-1/2)")
-            elif not h.is_zero():
-                mismatches.append(f"({r},{d}): expected 0")
-    if mismatches:
-        return CheckResult(
-            "elliptic-exploratory", "WARN", "; ".join(mismatches)
-        )
-    return CheckResult(
-        "elliptic-exploratory", "PASS", "r <= 3 genus-1 values match the remark"
-    )
+    def mismatch(r, d):
+        h = hdt(1, r, d, checks="off")
+        if gcd(r, d) == 1:
+            return "" if h == ELLIPTIC_COPRIME_HDT else ": not -(1-u)(1-v)(uv)^(-1/2)"
+        return "" if h.is_zero() else ": expected 0"
+
+    return _check("elliptic-exploratory", [(r, d) for r in (1, 2, 3) for d in range(r)],
+                  "({},{})", mismatch, "r <= 3 genus-1 values match the remark", flag="WARN")
 
 
 def run_suite(rmax: int = 4) -> List[CheckResult]:

@@ -73,6 +73,9 @@ COMMANDS = [
     ("strata_generic_one_class", "strata -g 2 -r 4 -d 12 --generic-bound"),
     ("detfactor_genus_zero", "detfactor -g 0 -r 1 -d 0 --force-genus"),
     ("strata_genus_zero", "strata -g 0 -r 1 -d 0 --force-genus"),
+    ("verify_json", "verify --json"),
+    ("verify_table", "verify"),
+    ("verify_csv", "verify --format csv"),
 ]
 
 

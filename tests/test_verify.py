@@ -1,18 +1,20 @@
 """A failing check keeps its result text.
 
-The golden-table checks share one prefix loop and the identity checks
-share one "holds for every case" loop; the FAIL details below are the
-texts each check printed when it had its own loop.  A case that raises
-is a FAIL text of its check, and the suite runs on.  Each check's inputs
+Every check runs its cases through one loop; the FAIL details below are
+the texts each check printed when it had its own loop.  A case that
+raises is a FAIL text of its check (a WARN in the exploratory one), and
+the suite runs on.  Each check's inputs
 are replaced through the verify module, where the checks look them up.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from curvedt import verify
 from curvedt.cli import main
+from curvedt.invariants import VerificationError
 from curvedt.ring import NotDivisibleError
 
 
@@ -119,3 +121,69 @@ def test_the_exploratory_check_warns_on_a_case_error_only(monkeypatch):
     monkeypatch.setattr(verify, "hdt", buggy)
     with pytest.raises(TypeError):
         verify.check_elliptic()
+
+
+def raising(real, exc, when):
+    """real, raising exc instead on the arguments that `when` accepts."""
+    def stand_in(*args, **kwargs):
+        if when(*args):
+            raise exc
+        return real(*args, **kwargs)
+
+    return stand_in
+
+
+ROUND_TRIPS = "; ".join(f"trial {t}: NotDivisibleError: not divisible by 1 - L^2"
+                        for t in range(20) for _ in "fg")
+
+
+@pytest.mark.parametrize("check, helper, exc, when, name, detail", [
+    (verify.check_plethystic_inverse, "pleth_exp", NotDivisibleError("not divisible by 1 - L^2"),
+     lambda f: True, "plethystic-inverse", ROUND_TRIPS),
+    (verify.check_log_coefficients, "pleth_log", VerificationError("Log failed"),
+     lambda e: len(e) == 5, "log-coefficient-formulas",
+     "trial 0: VerificationError: Log failed; trial 1: VerificationError: Log failed; "
+     "trial 2: VerificationError: Log failed"),
+    (verify.check_zeta_is_exp, "zeta_series", ValueError("no zeta series"),
+     lambda g, rmax: g == 3, "zeta-is-exp", "g=3: ValueError: no zeta series"),
+    (verify.check_torsion, "torsion_dt", NotDivisibleError("not divisible by 1 - L^2"),
+     lambda g, dmax: g == 3, "torsion", "g=3: NotDivisibleError: not divisible by 1 - L^2"),
+    (verify.check_strata, "certify_virtual_smallness", ValueError("no certificate"),
+     lambda g, r, d: (g, r, d) == (3, 2, 10), "strata-certificates",
+     "g=3 (2,10) generic=False: ValueError: no certificate; "
+     "g=3 (2,10) generic=True: ValueError: no certificate"),
+], ids=["plethystic-inverse", "log-coefficient-formulas", "zeta-is-exp", "torsion", "strata"])
+def test_a_raising_case_of_a_property_check_is_its_fail_text(monkeypatch, check, helper, exc,
+                                                            when, name, detail):
+    monkeypatch.setattr(verify, helper, raising(getattr(verify, helper), exc, when))
+    assert check() == verify.CheckResult(name, "FAIL", detail)
+
+
+@pytest.mark.parametrize("helper, exc, failed", [
+    ("certify_virtual_smallness", ValueError("no certificate"), ["strata-certificates"]),
+    ("pleth_exp", NotDivisibleError("not divisible by 1 - L^2"),
+     ["plethystic-inverse", "zeta-is-exp"]),
+    ("zeta_series", ValueError("no zeta series"), ["zeta-is-exp"]),
+    ("torsion_dt", NotDivisibleError("not divisible by 1 - L^2"), ["torsion"]),
+], ids=["certify_virtual_smallness", "pleth_exp", "zeta_series", "torsion_dt"])
+def test_verify_json_reports_every_check_when_a_property_case_raises(
+        monkeypatch, capsys, helper, exc, failed):
+    monkeypatch.setattr(verify, helper, raising(getattr(verify, helper), exc, lambda *a: True))
+    code = main(["verify", "--quick", "--json"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["verdict"] == "FAIL" and len(report["checks"]) == 12
+    assert [c["name"] for c in report["checks"] if c["status"] == "FAIL"] == failed
+
+
+def test_a_certificate_outside_the_theorem_range_says_so(monkeypatch):
+    real = verify.certify_virtual_smallness
+
+    def certify(g, r, d, generic):
+        rep = real(g, r, d, generic=generic)
+        return replace(rep, in_theorem_range=(g, r, d, generic) != (2, 1, 3, False))
+
+    monkeypatch.setattr(verify, "certify_virtual_smallness", certify)
+    assert verify.check_strata() == verify.CheckResult(
+        "strata-certificates", "FAIL", "g=2 (1,3) generic=False: outside the theorem range d/r > 2g-2")
