@@ -2,10 +2,11 @@
 
 Each command's stdout is stored in ``tests/golden/<name>.txt``, or, for
 an output too large to store, its sha256 is pinned in ``DIGESTS``.  The
-commands run in-process through ``curvedt.cli.main``; one per subcommand
-(``COLD``) runs again as ``python -m curvedt.cli`` in a fresh interpreter,
-where each command imports only the modules it runs.  To record the
-files again after a deliberate output change, run
+commands run in-process through ``curvedt.cli.main``; one per subcommand,
+and the full verify suite besides (``COLD``), run again as
+``python -m curvedt.cli`` in a fresh interpreter, where each command
+imports only the modules it runs.  To record the files again after a
+deliberate output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 
@@ -109,7 +110,8 @@ def test_cli_output_digest(argv, digest):
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
-COLD = ("betti_table", "hdt_json", "detfactor_table", "strata_table", "verify_quick_json")
+COLD = ("betti_table", "hdt_json", "detfactor_table", "strata_table", "verify_quick_json",
+        "verify_json")
 
 
 @pytest.mark.parametrize("name", COLD)
