@@ -21,7 +21,7 @@ _HOMES = {
                     "q_rank_closed_form_check", "resolution_check"),
     "invariants": ("DTResult", "VerificationError", "determinant_factor", "dim_moduli",
                    "hdt", "ih_poincare", "torsion_dt"),
-    "ring": ("LaurentPoly", "NotDivisibleError", "RingElem", "UniPoly"),
+    "ring": ("DomainError", "LaurentPoly", "NotDivisibleError", "RingElem", "UniPoly"),
     "strata": ("SmallnessReport", "StratumType", "certify_virtual_smallness",
                "enumerate_strata"),
     "verify": ("run_suite",),

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
 from .invariants import ih_poincare, q_rank, composition_prefactors
-from .ring import UniPoly, specialize_elem
+from .ring import DomainError, UniPoly, specialize_elem
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -152,7 +152,7 @@ def poincare_closed_form(g: int, r: int, d: int) -> Tuple[UniPoly, UniPoly]:
     """
     key = (r, d % r) if r else (r, d)
     if key not in _POINCARE_NUMS:
-        raise ValueError(f"no tabulated closed form for rank {r}, degree {d}")
+        raise DomainError(f"no tabulated closed form for rank {r}, degree {d}")
     return _POINCARE_NUMS[key](g), _poincare_den(r)
 
 
@@ -240,7 +240,7 @@ def resolution_table(r: int, d: int) -> Dict[Tuple[int, ...], Tuple[UniPoly, Uni
     }
     key = (r, d % r) if r else (r, d)
     if key not in tables:
-        raise ValueError(f"no tabulated resolution for rank {r}, degree {d}")
+        raise DomainError(f"no tabulated resolution for rank {r}, degree {d}")
     return tables[key]
 
 

@@ -44,6 +44,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .ring import (
     CycloDenominator,
+    DomainError,
     LaurentPoly,
     NotDivisibleError,
     RingElem,
@@ -129,7 +130,7 @@ def q_rank(g: int, r: int, diagonal: bool = False) -> RingElem:
     (1-g) r^2 / 2 of consecutive ranks differ by (1-g)(2r-1)/2.
     """
     if r < 1:
-        raise ValueError("Q_r is defined for r >= 1")
+        raise DomainError("Q_r is defined for r >= 1")
     if r > 1:
         z = zeta_at_lefschetz(g, r - 1, diagonal)
         return q_rank(g, r - 1, diagonal) * (z * half_lefschetz((1 - g) * (2 * r - 1)))
@@ -147,7 +148,7 @@ def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
     before s), with p keyed as 0 at s = r, where it no longer matters.
     """
     if r < 1:
-        raise ValueError("compositions of r >= 1 only")
+        raise DomainError("compositions of r >= 1 only")
     # layer s starts with the one composition of s into one part
     layers = {s: {((s,), 0): [RingElem.one()]} for s in range(1, r + 1)}
     for s in range(1, r):
@@ -181,7 +182,7 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
     tau = Fraction(tau)
     q = tau.denominator
     if rmax < q:
-        raise ValueError("rmax must reach the slope denominator")
+        raise DomainError("rmax must reach the slope denominator")
     coeffs = [RingElem.zero()] * (rmax + 1)
     coeffs[0] = RingElem.one()
     for r in range(q, rmax + 1, q):
@@ -203,7 +204,7 @@ def hdt(g: int, r: int, d: int, checks: str = "on", diagonal: bool = False) -> L
     check governed by the checks mode.
     """
     if r < 1:
-        raise ValueError("hdt needs rank >= 1; rank 0 is the torsion case")
+        raise DomainError("hdt needs rank >= 1; rank 0 is the torsion case")
     tau = Fraction(d, r)
     try:
         p = _hdt(g, tau, r, diagonal)
@@ -223,7 +224,7 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
     single term E(X)/L^(1/2) at d = 1.
     """
     if dmax < 1:
-        raise ValueError("dmax >= 1")
+        raise DomainError("dmax >= 1")
     coeffs = [RingElem.zero()] * (dmax + 1)
     coeffs[1] = RingElem(-curve_epoly(g), CycloDenominator.of(1))
     f = pleth_exp(tuple(coeffs))
@@ -319,7 +320,7 @@ def determinant_factor(g: int, betti: Sequence[int]) -> List[int]:
     s = [(-b if k % 2 else b) for k, b in enumerate(betti)]
     for _ in range(2 * g):
         if len(s) < 2:
-            raise ValueError("polynomial too short for the Jacobian factor")
+            raise DomainError("polynomial too short for the Jacobian factor")
         q = [0] * (len(s) - 1)
         q[0] = s[0]
         for j in range(1, len(s) - 1):

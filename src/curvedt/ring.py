@@ -31,16 +31,17 @@ division by the whole denominator over dense lines (exact_divide_cyclo),
 then the scale reduced by its gcd with the ints.  ``terms`` is the canonical
 view: an int where a coefficient is integral, else a Fraction.
 LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
-by the doubled exponent of y) share one kernel,
-_SparsePoly, and differ only in their monomial type.  Products use
-Kronecker substitution (D. Harvey, arXiv:0712.4046): each operand is
-packed into one Python int with a byte-aligned slot per point of the
-product's exponent box; one big-int product does the work.  One codec,
-_pack and _unpack, serves products and packed sums at every slot width:
-a slot of w bytes travels as ceil(w / 8) native 64-bit words, moved by
-strided byte slices and stored or read through a memoryview, so no
-Python code runs per slot.  The slots of a packed int are biased by half
-of their range, so that none borrows from the next.
+by the doubled exponent of y) share one kernel, _SparsePoly, and differ
+only in their monomial type.  A small product multiplies on the keys;
+otherwise each operand packs into one int with a byte-aligned slot per
+point of the product's exponent box, and a few-term factor adds shifted
+multiples of the other, or a dense product is one big-int product
+(Kronecker substitution, D. Harvey, arXiv:0712.4046).  One codec, _pack
+and _unpack, serves products and packed sums at every slot width: a slot
+of w bytes travels as ceil(w / 8) native 64-bit words, moved by strided
+byte slices and stored or read through a memoryview, so no Python code
+runs per slot.  Packed slots are biased by half of their range, so that
+none borrows from the next.
 """
 
 from __future__ import annotations
@@ -55,9 +56,18 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 Monomial = Tuple[int, int]
 Scalar = Union[int, Fraction]
 
+# Multiply on the keys, with no exponent box, up to this many coefficient pairs:
+# `verify --json` took 153, 150, 149 and 147 ms at 64, 128, 256 and 384 pairs, and
+# from 400 on, two 20-term diagonal operands would no longer pack.
+_KEY_PAIRS = 256
 # Pack a product only with at least this many coefficient pairs per slot of its
 # exponent box; below that the dict loop measured faster than the big-int product.
 _PAIRS_PER_SLOT = 4
+# A smaller operand of at most this many terms adds c * (the packed larger one << slot)
+# per term, in a box of at most two slots per pair that is sparse, or dense and spanned
+# at four slots or more per term.  On 1,008 products of `verify` and `hdt` this took
+# 553 ms, the parent's paths 907 ms; from about 200 terms on, Kronecker products win.
+_SHIFT_TERMS = 64
 # Pack a sum over a common denominator only from this many term shifts on (the sum
 # over its items of terms * missing factors), and only into a box of at most one
 # slot per shift; below either the dict loop measured faster.
@@ -74,6 +84,10 @@ _EXTEND = b"\xff" * 128 + bytes(128)
 
 class NotDivisibleError(ArithmeticError):
     """Raised when an exact division by (1 - L^k) leaves a remainder."""
+
+
+class DomainError(ValueError):
+    """Raised when an argument lies outside the domain of a library function."""
 
 
 def _sign(e: int) -> int:
@@ -175,21 +189,26 @@ def _unpack(n: int, box: int, width: int) -> Tuple[List[int], List[int]]:
 
 
 def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
-    """The product of two nonempty dicts of int coefficients.
+    """The product of two nonempty dicts of int coefficients, by operand shape.
 
-    A term's slot is its point in the product's exponent box: exponents are
-    shifted to start at zero and divided by their common step per variable.
     ``columns`` maps a key list to one exponent list per variable, and
-    ``from_columns`` maps back.  Operands on the diagonal a = b (the u = v
-    image) pack on one axis: on two, the box is the square of its extent.
-    A one-term operand shifts the other's keys and scales its ints.
+    ``from_columns`` maps back.  A one-term operand, or at most _KEY_PAIRS
+    coefficient pairs, multiplies on the keys.  Otherwise a term's slot is
+    its point in the product's exponent box: exponents are shifted to start
+    at zero and divided by their common step per variable, on one axis for
+    operands on the diagonal a = b (on two, the box is the square of its
+    extent).  A few-term factor (_SHIFT_TERMS) sums c * (y << its slot), y
+    the other operand packed; a dense box is one Kronecker product, and a
+    sparse one takes the dict loop.
     """
-    if len(a) == 1 or len(b) == 1:
-        [(m, c)], b = (a.items(), b) if len(a) == 1 else (b.items(), a)
-        keys = from_columns([[x + e for x in xs] for xs, (e,) in zip(columns(list(b)), columns([m]))])
-        return dict(zip(keys, [c * x for x in b.values()]))
-    ka, kb, ca, cb = list(a), list(b), list(a.values()), list(b.values())
+    a, b = (b, a) if len(a) > len(b) else (a, b)
+    ka, kb, ca, cb = list(a), list(b), a.values(), b.values()
     xs_a, xs_b = columns(ka), columns(kb)
+    pairs = len(ka) * len(kb)
+    if len(ka) == 1 or pairs <= _KEY_PAIRS:
+        keys = from_columns([[e + x for e in ea for x in eb] for ea, eb in zip(xs_a, xs_b)])
+        terms = zip(keys, [c * x for c in ca for x in cb])
+        return dict(terms) if len(ka) == 1 else _accumulate({}, terms)
     n_vars = len(xs_a)
     if xs_a[1:] == xs_a[:-1] and xs_b[1:] == xs_b[:-1]:
         xs_a, xs_b = xs_a[:1], xs_b[:1]
@@ -205,16 +224,18 @@ def _product(a: Dict, b: Dict, columns, from_columns) -> Dict:
         axes.append((lo_a + lo_b, step, box, extent))
         box *= extent
     del xs_a, xs_b  # free the exponent lists before the product's peak
-    if box * _PAIRS_PER_SLOT <= len(ka) * len(kb):
+    dense = box * _PAIRS_PER_SLOT <= pairs
+    shift = len(ka) <= _SHIFT_TERMS and box <= 2 * pairs and (not dense or max(slots_a) >= 4 * len(ka))
+    if dense or shift:
         width = (max(c.bit_length() for c in ca) + max(c.bit_length() for c in cb)
-                 + min(len(ca), len(cb)).bit_length() + 8) // 8
-        ks, cs = _unpack(_pack(slots_a, ca, width) * _pack(slots_b, cb, width), box, width)
+                 + len(ka).bit_length() + 8) // 8
+        y = _pack(slots_b, cb, width)
+        y = sum([c * y << 8 * width * s for s, c in zip(slots_a, ca)]) if shift else y * _pack(slots_a, ca, width)
+        ks, cs = _unpack(y, box, width)
     else:
-        if len(slots_a) < len(slots_b):
-            slots_a, ca, slots_b, cb = slots_b, cb, slots_a, ca
         out: Dict[int, int] = {}
-        for t, c in zip(slots_b, cb):
-            _accumulate(out, zip([t + s for s in slots_a], [c * x for x in ca]))
+        for t, c in zip(slots_a, ca):
+            _accumulate(out, zip([t + s for s in slots_b], [c * x for x in cb]))
         ks, cs = list(out), list(out.values())
     keys = from_columns([[lo + step * (k // stride % extent) for k in ks]
                          for lo, step, stride, extent in reversed(axes)] * (n_vars // len(axes)))
@@ -322,7 +343,7 @@ class _SparsePoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
+            raise DomainError("negative powers are not defined for polynomials")
         result = self.one()
         base = self
         while n:
@@ -352,7 +373,7 @@ class LaurentPoly(_SparsePoly):
     def adams(self, n: int) -> "LaurentPoly":
         """Adams operation: scale every exponent key by n (coefficients fixed)."""
         if n < 1:
-            raise ValueError("Adams operations are indexed by n >= 1")
+            raise DomainError("Adams operations are indexed by n >= 1")
         return LaurentPoly._raw({(n * a, n * b): c for (a, b), c in self._ints.items()}, self._scale)
 
     def dual(self) -> "LaurentPoly":
@@ -405,7 +426,7 @@ def exact_divide_cyclo(p: LaurentPoly, *ks: int) -> LaurentPoly:
     The error names the first factor that fails, as dividing one by one would.
     """
     if any(k < 1 for k in ks):
-        raise ValueError("cyclotomic factors are indexed by k >= 1")
+        raise DomainError("cyclotomic factors are indexed by k >= 1")
     if not ks:
         return p
     lines: Dict[int, Dict[int, int]] = {}
@@ -441,7 +462,7 @@ class CycloDenominator:
     def __init__(self, factors: Tuple[int, ...] = ()):
         factors = tuple(sorted(factors))
         if any(k < 1 for k in factors):
-            raise ValueError("denominator factors must be positive integers")
+            raise DomainError("denominator factors must be positive integers")
         object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, name, *value):
@@ -496,12 +517,12 @@ class CycloDenominator:
             else:
                 out.append(x)
         if j < len(b):
-            raise ValueError("denominator is not a sub-multiset")
+            raise DomainError("denominator is not a sub-multiset")
         return tuple(out)
 
     def adams(self, n: int) -> "CycloDenominator":
         if n < 1:
-            raise ValueError("Adams operations are indexed by n >= 1")
+            raise DomainError("Adams operations are indexed by n >= 1")
         return CycloDenominator._raw(tuple(n * k for k in self.factors))
 
     def expand(self) -> LaurentPoly:

@@ -31,14 +31,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .ring import RingElem, ring_sum
+from .ring import DomainError, RingElem, ring_sum
 
 Series = Tuple[RingElem, ...]
 
 
 def series_mul(f: Series, g: Series) -> Series:
     if len(f) != len(g):
-        raise ValueError("series truncation orders differ")
+        raise DomainError("series truncation orders differ")
     out = []
     for r in range(len(f)):
         parts = [
@@ -72,7 +72,7 @@ def _adams_images(scaled: List[RingElem], n: int) -> List[RingElem]:
 
 def pleth_exp(f: Series) -> Series:
     if not f or not f[0].is_zero():
-        raise ValueError("pleth_exp needs constant term 0")
+        raise DomainError("pleth_exp needs constant term 0")
     rmax = len(f) - 1
     scaled = [c * d for d, c in enumerate(f)]
     p = [RingElem.zero()] * (rmax + 1)
@@ -85,7 +85,7 @@ def pleth_exp(f: Series) -> Series:
 
 def pleth_log(e: Series) -> Series:
     if not (e and e[0] == RingElem.one()):
-        raise ValueError("pleth_log needs constant term 1")
+        raise DomainError("pleth_log needs constant term 1")
     rmax = len(e) - 1
     p = [RingElem.zero()] * (rmax + 1)
     scaled = list(p)

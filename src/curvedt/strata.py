@@ -37,6 +37,7 @@ from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
 from .invariants import VerificationError, class_label
+from .ring import DomainError
 
 Part = Tuple[Tuple[int, int], int]  # ((rank, degree), multiplicity)
 
@@ -57,7 +58,7 @@ class StratumType:
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
         for (r_i, d_i), m_i in self.parts:
             if r_i < 1 or m_i < 1:
-                raise ValueError(f"invalid part (({r_i},{d_i}),{m_i})")
+                raise DomainError(f"invalid part (({r_i},{d_i}),{m_i})")
 
     @classmethod
     def _raw(cls, parts: Tuple[Part, ...]) -> "StratumType":
@@ -137,7 +138,7 @@ def enumerate_strata(r: int, d: int) -> List[StratumType]:
     ((t, 1),), so the types need no sort.
     """
     if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
+        raise DomainError(f"rank must be positive, got {r}")
     t = gcd(r, abs(d)) if d else r
     q, p = r // t, d // t
     types = list(map(StratumType._raw, _pair_multisets(t, lambda k, m: ((k * q, k * p), m))))
@@ -158,7 +159,7 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
 def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
     """chi_Q(m, m') = sum_i m_i m'_i - sum_{ij} a_ij m_i m'_j."""
     if len(m) != q.n or len(m2) != q.n:
-        raise ValueError(f"dimension vectors must have length {q.n}")
+        raise DomainError(f"dimension vectors must have length {q.n}")
     diag = sum(a * b for a, b in zip(m, m2))
     cross = sum(
         a_ij * m_i * m2_j for row, m_i in zip(q.arrows, m) for a_ij, m2_j in zip(row, m2)

@@ -41,6 +41,7 @@ from .invariants import (
 )
 from .ring import (
     CycloDenominator,
+    DomainError,
     LaurentPoly,
     NotDivisibleError,
     RingElem,
@@ -115,7 +116,7 @@ class CheckResult(NamedTuple):
 
 # what one case of a check may raise: that case's FAIL (or WARN) text, not the
 # suite's end; any other exception is a bug in the program and propagates
-_CASE_ERRORS = (VerificationError, NotDivisibleError, ValueError)
+_CASE_ERRORS = (VerificationError, NotDivisibleError, DomainError)
 
 
 def _check(name: str, cases: Iterable[tuple], label: str, mismatch: Callable[..., str],

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyref as ref
+from dispatchref import product_path
 from curvedt import ring
 from curvedt.invariants import betti_numbers, determinant_factor, dim_moduli, hdt, ih_poincare
 from curvedt.ring import LaurentPoly, specialize_y
@@ -123,16 +124,6 @@ def test_sparse_diagonal_products_take_the_dict_loop(a, b):
     assert got == ref.mul(a, b) and not slots
 
 
-def two_axis_box(a, b):
-    """Slots in the (a, b) box of the product, each axis divided by its step."""
-    box = 1
-    for i in (0, 1):
-        xa, xb = [k[i] for k in a], [k[i] for k in b]
-        step = gcd(*(x - min(xa) for x in xa), *(x - min(xb) for x in xb)) or 1
-        box *= (max(xa) - min(xa) + max(xb) - min(xb)) // step + 1
-    return box
-
-
 @SETTINGS
 @given(diagonal(-4, 4, 1, 9), st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                                                 nonzero, min_size=1, max_size=25))
@@ -142,4 +133,16 @@ def test_diagonal_times_off_diagonal_keeps_two_axes(a, b):
     with pack_calls() as slots:
         got = (LaurentPoly(a) * LaurentPoly(b)).terms
     assert got == ref.mul(a, b) == (LaurentPoly(b) * LaurentPoly(a)).terms
-    assert bool(slots) == (two_axis_box(a, b) * ring._PAIRS_PER_SLOT <= len(a) * len(b))
+    assert bool(slots) == (product_path(a, b) in ("shift", "kronecker"))
+
+
+def test_diagonal_times_off_diagonal_packs_on_two_axes():
+    # 17 diagonal terms times a 5 x 5 grid: past the key loop, the grid packed
+    # once for shift-adds, in the two-axis box of 21 x 21 slots
+    a = {(e, e): Fraction(e or 7, 3) for e in range(-8, 9)}
+    b = {(x, y): Fraction(x - 2 * y + 11) for x in range(-2, 3) for y in range(-2, 3)}
+    assert product_path(a, b) == "shift"
+    with pack_calls() as slots:
+        got = (LaurentPoly(a) * LaurentPoly(b)).terms
+    assert got == ref.mul(a, b)
+    assert len(slots) == 1 and len(slots[0]) == len(b) and max(slots[0]) == 4 * 21 + 4

@@ -10,14 +10,15 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyref as ref
+from dispatchref import product_path
 from curvedt import cli, ring
+from curvedt.invariants import q_rank, zeta_at_lefschetz
 from curvedt.ring import (
     CycloDenominator,
     LaurentPoly,
@@ -208,7 +209,7 @@ DENSE = {
     LaurentPoly: st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
     UniPoly: st.integers(-30, 30),
 }
-# Spread so wide that every product takes the dict loop.
+# Spread so wide that no product is packed.
 FAR = {
     LaurentPoly: st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
     UniPoly: st.integers(-10**6, 10**6),
@@ -220,18 +221,6 @@ def canonical(p):
     for c in p.terms.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
     return p.terms
-
-
-def packed(p, q):
-    """Whether p * q is packed into big ints rather than taking the dict
-    loop: the product's exponent box, with the common step of each
-    variable divided out, holds at most 1/_PAIRS_PER_SLOT slot per pair."""
-    axes = [zip(*((k,) if isinstance(k, int) else k for k in t)) for t in (p.terms, q.terms)]
-    box = 1
-    for xa, xb in zip(*axes):
-        step = gcd(*(x - min(xa) for x in xa), *(x - min(xb) for x in xb)) or 1
-        box *= (max(xa) - min(xa) + max(xb) - min(xb)) // step + 1
-    return box * ring._PAIRS_PER_SLOT <= len(p) * len(q)
 
 
 def operands(keys, min_size, max_size):
@@ -248,9 +237,11 @@ def operands(keys, min_size, max_size):
 def test_large_products_match_reference(case):
     cls, a, b = case
     pa, pb = cls(a), cls(b)
-    assert packed(pa, pb)
+    assert product_path(a, b) == "kronecker"
     assert canonical(pa) == a
-    assert canonical(pa * pb) == ref.mul(a, b)
+    with pack_calls() as calls:
+        assert canonical(pa * pb) == ref.mul(a, b)
+    assert len(calls) == 2
     assert canonical(pb * pa) == ref.mul(a, b)
 
 
@@ -347,17 +338,17 @@ def test_codec_does_not_depend_on_host_byte_order(width):
 
 
 @contextlib.contextmanager
-def pack_widths():
-    """A list that records the slot width of each _pack call."""
-    widths = []
+def pack_calls():
+    """A list that records (slot count, slot width) for each _pack call."""
+    calls = []
     real = ring._pack
 
     def spy(slots, coeffs, width):
-        widths.append(width)
+        calls.append((len(slots), width))
         return real(slots, coeffs, width)
 
     with mock.patch.object(ring, "_pack", spy):
-        yield widths
+        yield calls
 
 
 # Coefficients of 4w - 7 bits in operands of 50 terms give slot width w (see
@@ -378,9 +369,9 @@ def test_products_across_word_boundaries_match_reference(cls, width):
     a, b = operand(), operand()
     aligned = {k: (1 << bits) - 1 for k in a}  # every pair the same sign: the largest slots
     for x, y in ((a, b), (aligned, aligned), (a, ref.neg(a))):
-        with pack_widths() as widths:
+        with pack_calls() as calls:
             got = (cls(x) * cls(y)).terms
-        assert widths == [width, width]
+        assert [w for _, w in calls] == [width, width]
         assert got == ref.mul(clean(x), clean(y))
 
 
@@ -389,8 +380,136 @@ def test_products_across_word_boundaries_match_reference(cls, width):
 def test_sparse_products_take_the_dict_loop(case):
     cls, a, b = case
     pa, pb = cls(a), cls(b)
-    assert not packed(pa, pb)
-    assert canonical(pa * pb) == ref.mul(a, b)
+    assert product_path(a, b) in ("keys", "dict")
+    with pack_calls() as calls:
+        assert canonical(pa * pb) == ref.mul(a, b)
+    assert not calls
+
+
+# ------------------------------------------------ products by operand shape
+
+def product_on_its_path(cls, a, b, path):
+    """a * b through the kernel, after checking that it takes `path`: the _pack
+    calls show it (none on the key and dict loops, the larger operand alone
+    for shift-adds, both operands for the Kronecker product)."""
+    assert product_path(a, b) == path
+    with pack_calls() as calls:
+        got = canonical(cls(a) * cls(b))
+    packs = {"keys": [], "dict": [], "shift": [max(len(a), len(b))],
+             "kronecker": sorted((len(a), len(b)), reverse=True)}[path]
+    assert [n for n, _ in calls] == packs
+    return got
+
+
+@SETTINGS
+@given(operands(DENSE, 1, 16))
+def test_small_products_multiply_on_keys(case):
+    # at most 16 x 16 pairs, big and Fraction coefficients (mixed scales), both orders
+    cls, a, b = case
+    for x, y in ((a, b), (b, a)):
+        assert product_on_its_path(cls, x, y, "keys") == ref.mul(x, y)
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, UniPoly])
+def test_one_term_operands_multiply_on_keys_on_either_side(cls):
+    rnd = random.Random(3)
+    key = {LaurentPoly: lambda: (rnd.randint(-40, 40), rnd.randint(-40, 40)),
+           UniPoly: lambda: rnd.randint(-900, 900)}[cls]
+    big = {key(): Fraction(rnd.randint(-10**30, 10**30) or 1, rnd.randint(1, 50)) for _ in range(400)}
+    assert len(big) > ring._KEY_PAIRS
+    for one in ({key(): Fraction(-3, 7)}, {key(): Fraction(2**70)}, {key(): Fraction(1)}):
+        for x, y in ((one, big), (big, one)):
+            assert product_on_its_path(cls, x, y, "keys") == ref.mul(x, y)
+
+
+@SETTINGS
+@given(operands(DENSE, 1, 8))
+def test_products_on_keys_cancel_to_zero(case):
+    cls, a, b = case
+    # (a + b)(a - b), at most 16 x 16 pairs: the cross terms cancel in one dict
+    s, d = ref.add(a, b), ref.sub(a, b)
+    if s and d:
+        assert product_on_its_path(cls, s, d, "keys") == ref.sub(ref.mul(a, a), ref.mul(b, b))
+    assert canonical(cls(a) * cls(b) - cls(b) * cls(a)) == {}
+
+
+def spread_factor(rnd, keys, n, stride, signs=(1, -1)):
+    """n terms on every stride-th key, with big and Fraction coefficients of the given signs."""
+    coeff = [lambda: Fraction(rnd.getrandbits(90) + 1), lambda: Fraction(rnd.getrandbits(20) + 1, 12),
+             lambda: Fraction(rnd.randint(1, 9))]
+    return {k: rnd.choice(signs) * rnd.choice(coeff)() for k in keys[::stride][:n]}
+
+
+SHIFT_KEYS = {LaurentPoly: [(a, b) for a in range(-12, 13) for b in range(-12, 13) if (a + b) % 2 == 0],
+              UniPoly: list(range(-300, 301))}
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (-1,)], ids=["mixed", "negative"])
+@pytest.mark.parametrize("n", [2, 9, 36, 64])
+@pytest.mark.parametrize("cls", [LaurentPoly, UniPoly])
+def test_few_term_factors_take_shift_adds(cls, n, signs):
+    # a factor on every fifth key, times a dense operand of mixed scales: the box
+    # is not dense at 2 terms, and dense from 36 on, where the factor spans it at
+    # more than four slots per term
+    rnd = random.Random(n)
+    keys = SHIFT_KEYS[cls]
+    dense = {k: Fraction(rnd.randint(-10**12, 10**12) or 1, rnd.choice((1, 2, 3, 5)))
+             for k in keys if rnd.random() < 0.8}
+    few = spread_factor(rnd, keys, n, 5, signs)
+    for x, y in ((few, dense), (dense, few)):
+        assert product_on_its_path(cls, x, y, "shift") == ref.mul(x, y)
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, UniPoly])
+def test_shift_add_products_cancel_to_zero(cls):
+    # sum of L^(s i), i < m, times (1 - L^s) r: all but the two ends of the box cancel
+    rnd = random.Random(5)
+    step = {LaurentPoly: lambda e: (e, e), UniPoly: lambda e: e}[cls]
+    s, m = 7, 12
+    few = {step(s * i): Fraction(1) for i in range(m)}
+    r = {step(e): Fraction(rnd.randint(-10**20, 10**20) or 1, rnd.randint(1, 9)) for e in range(-40, 41)}
+    dense = ref.mul(r, {step(0): Fraction(1), step(s): Fraction(-1)})
+    want = ref.mul(r, {step(0): Fraction(1), step(s * m): Fraction(-1)})
+    assert product_on_its_path(cls, few, dense, "shift") == want == ref.mul(few, dense)
+    assert product_on_its_path(cls, ref.neg(few), dense, "shift") == ref.neg(want)
+
+
+# Coefficients of 4w - 6 bits in a 16-term factor give slot width w (see
+# ring._product); w = 8, 9 and 16, 17 put the slots on both sides of one and two words.
+@pytest.mark.parametrize("width", [8, 9, 16, 17])
+@pytest.mark.parametrize("cls", [LaurentPoly, UniPoly])
+def test_shift_add_products_across_word_boundaries_match_reference(cls, width):
+    rnd = random.Random(width)
+    bits = 4 * width - 6
+    keys = SHIFT_KEYS[cls]
+    top = (1 << bits) - 1
+
+    def operand(n, stride):
+        terms = {k: rnd.choice((1, -1)) * rnd.getrandbits(bits) | 1 for k in keys[::stride][:n]}
+        terms[rnd.choice(list(terms))] = rnd.choice((1, -1)) * top
+        return terms
+
+    few, big = operand(16, len(keys) // 16), operand(len(keys), 1)
+    # every pair of one sign: the largest slots, negative and positive
+    for x, y in ((few, big), ({k: -top for k in few}, {k: top for k in big}),
+                 ({k: top for k in few}, {k: top for k in big}), (few, ref.neg(big))):
+        with pack_calls() as calls:
+            got = (cls(x) * cls(y)).terms
+        assert product_path(x, y) == "shift" and calls == [(len(y), width)]
+        assert got == ref.mul(clean(x), clean(y))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_q_rank_products_take_shift_adds(g):
+    # Q_(r-1) * Z(L^(r-1)) L^((1-g)(2r-1)/2) by the (g+1)^2-term factor: the
+    # product of every rank that is past the key loop is a shift-add
+    for r in range(3, 7):
+        factor = zeta_at_lefschetz(g, r - 1) * half_lefschetz((1 - g) * (2 * r - 1))
+        prev = q_rank(g, r - 1)
+        assert len(factor.num) == (g + 1) ** 2
+        got = product_on_its_path(LaurentPoly, prev.num.terms, factor.num.terms, "shift")
+        assert got == ref.mul(prev.num.terms, factor.num.terms)
+        assert prev * factor == q_rank(g, r)
 
 
 @SETTINGS

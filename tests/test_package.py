@@ -21,7 +21,7 @@ import curvedt
 
 ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = [
-    "DTResult", "LaurentPoly", "NotDivisibleError", "RingElem", "SmallnessReport",
+    "DTResult", "DomainError", "LaurentPoly", "NotDivisibleError", "RingElem", "SmallnessReport",
     "StratumType", "UniPoly", "VerificationError", "certify_virtual_smallness",
     "determinant_factor", "dim_moduli", "enumerate_strata", "hdt", "ih_closed_form_check",
     "ih_poincare", "poincare_closed_form", "q_rank_closed_form_check", "resolution_check",

@@ -15,7 +15,7 @@ import pytest
 from curvedt import verify
 from curvedt.cli import main
 from curvedt.invariants import VerificationError
-from curvedt.ring import NotDivisibleError
+from curvedt.ring import DomainError, NotDivisibleError
 
 
 @pytest.mark.parametrize("check, helper, name, detail", [
@@ -99,12 +99,12 @@ def test_verify_json_reports_every_check_when_a_case_raises(monkeypatch, capsys)
 def test_a_raising_identity_names_the_case_and_the_error(monkeypatch):
     def resolution_check(r, d):
         if d:
-            raise ValueError(f"no resolution of ({r},{d})")
+            raise DomainError(f"no resolution of ({r},{d})")
         return True
 
     monkeypatch.setattr(verify, "resolution_check", resolution_check)
     assert verify.check_resolutions(2) == verify.CheckResult(
-        "composition-resolutions", "FAIL", "resolution (2,1): ValueError: no resolution of (2,1)")
+        "composition-resolutions", "FAIL", "resolution (2,1): DomainError: no resolution of (2,1)")
 
 
 def test_the_exploratory_check_warns_on_a_case_error_only(monkeypatch):
@@ -121,6 +121,18 @@ def test_the_exploratory_check_warns_on_a_case_error_only(monkeypatch):
     monkeypatch.setattr(verify, "hdt", buggy)
     with pytest.raises(TypeError):
         verify.check_elliptic()
+
+
+def test_a_plain_value_error_in_a_check_is_a_bug_and_propagates(monkeypatch):
+    # a builtin ValueError is no domain error of the library: a bad unpacking in
+    # a check's own code must end the suite, not read as a FAIL of every case
+    def resolution_check(r, d):
+        a, b, c = (r, d)
+
+    monkeypatch.setattr(verify, "resolution_check", resolution_check)
+    with pytest.raises(ValueError, match="not enough values to unpack") as info:
+        verify.run_suite(rmax=2)
+    assert not isinstance(info.value, DomainError)
 
 
 def raising(real, exc, when):
@@ -144,14 +156,14 @@ ROUND_TRIPS = "; ".join(f"trial {t}: NotDivisibleError: not divisible by 1 - L^2
      lambda e: True, "log-coefficient-formulas",
      "trial 0: VerificationError: Log failed; trial 1: VerificationError: Log failed; "
      "trial 2: VerificationError: Log failed"),
-    (verify.check_zeta_is_exp, "zeta_series", ValueError("no zeta series"),
-     lambda g, rmax: g == 3, "zeta-is-exp", "g=3: ValueError: no zeta series"),
+    (verify.check_zeta_is_exp, "zeta_series", DomainError("no zeta series"),
+     lambda g, rmax: g == 3, "zeta-is-exp", "g=3: DomainError: no zeta series"),
     (verify.check_torsion, "torsion_dt", NotDivisibleError("not divisible by 1 - L^2"),
      lambda g, dmax: g == 3, "torsion", "g=3: NotDivisibleError: not divisible by 1 - L^2"),
-    (verify.check_strata, "certify_virtual_smallness", ValueError("no certificate"),
+    (verify.check_strata, "certify_virtual_smallness", DomainError("no certificate"),
      lambda g, r, d: (g, r, d) == (3, 2, 10), "strata-certificates",
-     "g=3 (2,10) generic=False: ValueError: no certificate; "
-     "g=3 (2,10) generic=True: ValueError: no certificate"),
+     "g=3 (2,10) generic=False: DomainError: no certificate; "
+     "g=3 (2,10) generic=True: DomainError: no certificate"),
 ], ids=["plethystic-inverse", "log-coefficient-formulas", "zeta-is-exp", "torsion", "strata"])
 def test_a_raising_case_of_a_property_check_is_its_fail_text(monkeypatch, check, helper, exc,
                                                             when, name, detail):
@@ -160,10 +172,10 @@ def test_a_raising_case_of_a_property_check_is_its_fail_text(monkeypatch, check,
 
 
 @pytest.mark.parametrize("helper, exc, failed", [
-    ("certify_virtual_smallness", ValueError("no certificate"), ["strata-certificates"]),
+    ("certify_virtual_smallness", DomainError("no certificate"), ["strata-certificates"]),
     ("pleth_exp", NotDivisibleError("not divisible by 1 - L^2"),
      ["plethystic-inverse", "zeta-is-exp"]),
-    ("zeta_series", ValueError("no zeta series"), ["zeta-is-exp"]),
+    ("zeta_series", DomainError("no zeta series"), ["zeta-is-exp"]),
     ("torsion_dt", NotDivisibleError("not divisible by 1 - L^2"), ["torsion"]),
 ], ids=["certify_virtual_smallness", "pleth_exp", "zeta_series", "torsion_dt"])
 def test_verify_json_reports_every_check_when_a_property_case_raises(
