@@ -30,11 +30,10 @@ suffices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .invariants import VerificationError, class_label
 from .ring import DomainError
@@ -42,29 +41,24 @@ from .ring import DomainError
 Part = Tuple[Tuple[int, int], int]  # ((rank, degree), multiplicity)
 
 
-@dataclass(frozen=True, slots=True)
-class StratumType:
+class StratumType(NamedTuple("StratumType", [("parts", Tuple[Part, ...])])):
     """A Luna-stratum type: a multiset of ((r_i, d_i), m_i) parts.
 
     Parts are kept canonically sorted by (r_i, d_i, m_i).  Repeated
     (gamma, m) pairs are allowed and meaningful: two non-isomorphic
     stable bundles may share rank and degree, so {(gamma,1),(gamma,1)}
-    and {(gamma,2)} are distinct types.
+    and {(gamma,2)} are distinct types.  The constructor sorts and
+    validates; ``_make((parts,))`` trusts parts already sorted and valid.
     """
 
-    parts: Tuple[Part, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
-        for (r_i, d_i), m_i in self.parts:
+    def __new__(cls, parts: Sequence[Part]) -> "StratumType":
+        parts = tuple(sorted(parts))
+        for (r_i, d_i), m_i in parts:
             if r_i < 1 or m_i < 1:
                 raise DomainError(f"invalid part (({r_i},{d_i}),{m_i})")
-
-    @classmethod
-    def _raw(cls, parts: Tuple[Part, ...]) -> "StratumType":
-        s = object.__new__(cls)  # internal fast path: parts are sorted and valid
-        object.__setattr__(s, "parts", parts)
-        return s
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -86,8 +80,7 @@ class StratumType:
         return " + ".join(f"{m}*({r_i},{d_i})" for (r_i, d_i), m in self.parts)
 
 
-@dataclass(frozen=True, slots=True)
-class FramedQuiver:
+class FramedQuiver(NamedTuple):
     """Symmetric framed quiver of a stratum type; arrows are built on each use."""
 
     genus: int
@@ -139,9 +132,9 @@ def enumerate_strata(r: int, d: int) -> List[StratumType]:
     """
     if r < 1:
         raise DomainError(f"rank must be positive, got {r}")
-    t = gcd(r, abs(d)) if d else r
+    t = gcd(r, d)
     q, p = r // t, d // t
-    types = list(map(StratumType._raw, _pair_multisets(t, lambda k, m: ((k * q, k * p), m))))
+    types = [StratumType._make((parts,)) for parts in _pair_multisets(t, lambda k, m: ((k * q, k * p), m))]
     types.insert(0, types.pop())
     return types
 
@@ -215,19 +208,20 @@ def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
 _half = lru_cache(maxsize=None)(lambda twice: Fraction(twice, 2))
 
 
-@dataclass(frozen=True, slots=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     """One certified row: a type with its codimension, bound, verdict."""
 
     stratum: StratumType
     codim: int
     bound: Fraction
-    is_maximal: bool
     passes: bool
 
+    @property
+    def is_maximal(self) -> bool:
+        return self.stratum.is_maximal
 
-@dataclass(frozen=True)
-class SmallnessReport:
+
+class SmallnessReport(NamedTuple):
     """Certificate that the framed bundle map is virtually small."""
 
     genus: int
@@ -238,9 +232,8 @@ class SmallnessReport:
     generic: bool
     records: Tuple[StratumRecord, ...]
 
-    @cached_property
+    @property
     def passes(self) -> bool:
-        """Every record passes; scanned once, as the verdict and exit code both read it."""
         return all(rec.passes for rec in self.records)
 
     @property
@@ -301,7 +294,7 @@ def certify_virtual_smallness(
                 f"for {s.label()} despite slope {slope} > {2 * g - 2}"
             )
         passes = bound.numerator == 0 if maximal else bound.numerator < 0
-        records.append(StratumRecord(s, codim, bound, maximal, passes))
+        records.append(StratumRecord(s, codim, bound, passes))
     if n_maximal != 1:
         raise VerificationError(
             f"{class_label(g, r, d)}: expected exactly one maximal type, got {n_maximal}"

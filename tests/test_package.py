@@ -2,10 +2,12 @@
 
 ``curvedt/__init__`` re-exports its public names lazily (PEP 562), so a
 command loads only the modules it runs: ``betti``, ``hdt`` and
-``detfactor`` never import the stratum certifier, the verify registry,
-the closed forms or ``dataclasses``.  Module sets are read in fresh
-interpreters and compared with that of a bare ``python -c``, so modules
-a site hook preloads do not count.  The package docstring and the
+``detfactor`` never import the stratum certifier, the verify registry
+or the closed forms.  Every record type is a named tuple or a slotted
+class, so no command, ``strata`` and ``verify`` included, imports
+``dataclasses`` (nor the ``inspect`` it pulls in).  Module sets are
+read in fresh interpreters and compared with that of a bare
+``python -c``, so modules a site hook preloads do not count.  The package docstring and the
 README's "Library" block run as doctests.
 """
 
@@ -28,8 +30,10 @@ PUBLIC = [
     "run_suite", "torsion_dt", "__version__",
 ]
 SUBMODULES = ("cli", "closedforms", "invariants", "ring", "series", "strata", "verify")
+# what no command imports
+NEVER = ("dataclasses", "inspect")
 # what a betti, hdt or detfactor run must not import
-UNUSED = ("curvedt.strata", "curvedt.verify", "curvedt.closedforms", "dataclasses", "inspect")
+UNUSED = ("curvedt.strata", "curvedt.verify", "curvedt.closedforms") + NEVER
 
 
 def _modules(code: str, *argv: str) -> set:
@@ -77,6 +81,7 @@ def test_sequence_commands_import_no_strata_verify_or_dataclasses(bare, argv):
 def test_strata_and_verify_load_their_modules(bare, argv, needed):
     loaded = _modules(RUN_CLI, *argv.split()) - bare
     assert "exit=0" in loaded and needed <= loaded
+    assert not loaded.intersection(NEVER), sorted(loaded.intersection(NEVER))
 
 
 def test_import_curvedt_loads_no_submodule_until_used():

@@ -8,7 +8,6 @@ are replaced through the verify module, where the checks look them up.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -194,7 +193,7 @@ def test_a_certificate_outside_the_theorem_range_says_so(monkeypatch):
 
     def certify(g, r, d, generic):
         rep = real(g, r, d, generic=generic)
-        return replace(rep, in_theorem_range=(g, r, d, generic) != (2, 1, 3, False))
+        return rep._replace(in_theorem_range=(g, r, d, generic) != (2, 1, 3, False))
 
     monkeypatch.setattr(verify, "certify_virtual_smallness", certify)
     assert verify.check_strata() == verify.CheckResult(
