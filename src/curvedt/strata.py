@@ -19,7 +19,9 @@ down to a per-type rational bound:
 with chi_ii = -(g-1) r_i^2 the Euler pairing of a vertex with itself.
 The map is virtually small precisely when the bound is 0 on the maximal
 type and strictly negative elsewhere; ``certify_virtual_smallness``
-checks this exhaustively over all types of (r, d).
+checks this exhaustively over all types of (r, d).  It is a theorem
+only for slopes d/r > 2g-2: outside that range the arithmetic still
+runs, the report notes the range, and the CLI prints the warning line.
 
 The curve-specific value chi_ii <= 0 is the default; ``generic=True``
 substitutes the weaker generic-quiver estimate chi_ii <= 1 (bound
@@ -29,7 +31,6 @@ suffices.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -248,8 +249,9 @@ def certify_virtual_smallness(
 
     Each type passes iff its bound is exactly 0 (maximal type) or
     strictly negative (every other type).  The slope hypothesis
-    d/r > 2g-2 is advisory: outside it the arithmetic still runs, a
-    warning is emitted, and the report notes the range.  Structural
+    d/r > 2g-2 is advisory: outside it the arithmetic still runs and
+    the report notes the range in ``in_theorem_range``, from which the
+    CLI prints its warning line; no warning is raised.  Structural
     impossibilities (several maximal types, zero codimension off the
     dense stratum, non-positive framing in range) raise instead of
     being reported.  A type costs one pass of integer sums over its
@@ -257,12 +259,6 @@ def certify_virtual_smallness(
     """
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
-    if not in_range:
-        warnings.warn(
-            f"slope {slope} is not above {2 * g - 2}: smallness is certified "
-            "arithmetic only, outside the theorem's hypothesis",
-            stacklevel=2,
-        )
     records = []
     n_maximal = 0
     table = {}  # part -> _shares(g, part, generic), filled the first time it is seen

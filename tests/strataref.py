@@ -139,7 +139,7 @@ def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
 
 def certify_records(g: int, r: int, d: int, generic: bool = False):
     """(records, d0, in_theorem_range) of the certificate; raises as the
-    certificate did.  The out-of-range warning is left out."""
+    certificate did."""
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
     records = []

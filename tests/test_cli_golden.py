@@ -1,11 +1,12 @@
-"""Byte-exact CLI output: stdout of fixed commands, each of which exits 0.
+"""Byte-exact CLI output: stdout and stderr of fixed commands, each exiting 0.
 
 Each command's stdout is stored in ``tests/golden/<name>.txt``, or, for
-an output too large to store, its sha256 is pinned in ``DIGESTS``.  The
-commands run in-process through ``curvedt.cli.main``; one per subcommand,
-and the full verify suite besides (``COLD``), run again as
-``python -m curvedt.cli`` in a fresh interpreter, where each command
-imports only the modules it runs.  To record the files again after a
+an output too large to store, its sha256 is pinned in ``DIGESTS``.  Its
+stderr is pinned in ``STDERR``: empty but for the out-of-range stratum
+warning.  The commands run in-process through ``curvedt.cli.main``; one
+per subcommand, the full verify suite and the out-of-range warning
+besides (``COLD``), run again as ``python -m curvedt.cli`` in a fresh
+interpreter, where each command imports only the modules it runs.  To record the files again after a
 deliberate output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
@@ -80,17 +81,24 @@ COMMANDS = [
 ]
 
 
+# name -> the stderr of its command; every other command writes none
+STDERR = {
+    "strata_out_of_range_json": "warning: slope 1/2 is not above 4: smallness is certified "
+                                "arithmetic only, outside the theorem's hypothesis\n",
+}
+
+
 def _run(argv: str):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv.split())
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name, argv", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_cli_output_is_byte_identical(name, argv):
-    code, got = _run(argv)
-    assert code == 0
+    code, got, err = _run(argv)
+    assert (code, err) == (0, STDERR.get(name, ""))
     assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
@@ -105,20 +113,20 @@ DIGESTS = [
 
 @pytest.mark.parametrize("argv, digest", DIGESTS, ids=[a for a, _ in DIGESTS])
 def test_cli_output_digest(argv, digest):
-    code, got = _run(argv)
+    code, got, _ = _run(argv)
     assert code == 0
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 COLD = ("betti_table", "hdt_json", "detfactor_table", "strata_table", "verify_quick_json",
-        "verify_json")
+        "verify_json", "strata_out_of_range_json")
 
 
 @pytest.mark.parametrize("name", COLD)
 def test_cold_process_output_is_byte_identical(name):
     proc = cold_cli(*dict(COMMANDS)[name].split())
     out, err = proc.communicate()
-    assert (proc.returncode, err) == (0, b"")
+    assert (proc.returncode, err) == (0, STDERR.get(name, "").encode())
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
 
 
@@ -131,7 +139,7 @@ if __name__ == "__main__":
     for name, argv in COMMANDS:
         if names and name not in names:
             continue
-        code, got = _run(argv)
+        code, got, _ = _run(argv)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.txt").write_bytes(got.encode())

@@ -88,12 +88,6 @@ def assert_same_text(got: str, want: str) -> None:
         raise AssertionError(f"texts differ at {i}: {got[i - 60:i + 60]!r} != {want[i - 60:i + 60]!r}")
 
 
-def certify(g, r, d, generic):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return certify_virtual_smallness(g, r, d, generic=generic)
-
-
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -110,7 +104,7 @@ def run_cli(*argv):
 )
 def test_strata_text_equals_canonical_dump(g, r, slope, generic):
     d = int(slope * r)  # either sign, in and out of the theorem range
-    rep = certify(g, r, d, generic)
+    rep = certify_virtual_smallness(g, r, d, generic)
     assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
 
 
@@ -125,7 +119,7 @@ def test_strata_text_low_genus_coprime(g, r, d, generic):
     assume(Fraction(d, r).denominator == r)
     # at genus 0 the framing d + r is not positive on slopes in (-2, -1]
     assume(not (g == 0 and -2 * r < d <= -r))
-    rep = certify(g, r, d, generic)
+    rep = certify_virtual_smallness(g, r, d, generic)
     assert len(rep.records) == 1
     assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
 
@@ -143,7 +137,8 @@ def test_strata_cli_matches_canonical_dump(g, slope, extra, generic):
     flags = ["--generic-bound"] if generic else []
     code, out = run_cli("strata", "-g", str(g), f"--slope={slope}", "--rmax", str(rmax),
                         "--format", "json", *flags)
-    reports = [certify(g, r, r * slope.numerator // q, generic) for r in range(q, rmax + 1, q)]
+    reports = [certify_virtual_smallness(g, r, r * slope.numerator // q, generic)
+               for r in range(q, rmax + 1, q)]
     assert code == 0
     assert_same_text(out, canonical([strata_dict(rep) for rep in reports]) + "\n")
     last = reports[-1]

@@ -12,7 +12,6 @@ test compares a few classes of benchmark size (ranks 16 to 20, up to
 14,750 types), where the per-part table is reused most.
 """
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -37,28 +36,26 @@ def _outcome(certify, g, r, d, generic):
 
 def test_certificate_matches_reference_on_every_small_class():
     errors = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for g, r, d in _classes():
-            for generic in (False, True):
-                where = (g, r, d, generic)
-                want, want_err = _outcome(ref.certify_records, g, r, d, generic)
-                rep, err = _outcome(certify_virtual_smallness, g, r, d, generic)
-                if want_err is not None:
-                    errors += 1
-                    assert err == f"class (g, r, d) = ({g}, {r}, {d}): {want_err}", where
-                    continue
-                assert err is None, where
-                records, d0, in_range = want
-                assert (rep.d0, rep.in_theorem_range) == (d0, in_range), where
-                assert [
-                    (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
-                    for rec in rep.records
-                ] == [
-                    (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
-                    for rec in records
-                ], where
-                assert all(type(rec.bound) is Fraction for rec in rep.records), where
+    for g, r, d in _classes():
+        for generic in (False, True):
+            where = (g, r, d, generic)
+            want, want_err = _outcome(ref.certify_records, g, r, d, generic)
+            rep, err = _outcome(certify_virtual_smallness, g, r, d, generic)
+            if want_err is not None:
+                errors += 1
+                assert err == f"class (g, r, d) = ({g}, {r}, {d}): {want_err}", where
+                continue
+            assert err is None, where
+            records, d0, in_range = want
+            assert (rep.d0, rep.in_theorem_range) == (d0, in_range), where
+            assert [
+                (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+                for rec in rep.records
+            ] == [
+                (rec.stratum.parts, rec.codim, rec.bound, rec.is_maximal, rec.passes)
+                for rec in records
+            ], where
+            assert all(type(rec.bound) is Fraction for rec in rep.records), where
     assert errors > 0  # genus 0 and 1 reach the structural checks
 
 
