@@ -44,6 +44,7 @@ from .invariants import (
     DTResult,
     VerificationError,
     betti_numbers,
+    check_domain,
     class_label,
     determinant_factor,
     dim_moduli,
@@ -51,7 +52,7 @@ from .invariants import (
     ih_poincare,
     torsion_dt,
 )
-from .ring import LaurentPoly, NotDivisibleError, Scalar, UniPoly
+from .ring import DomainError, LaurentPoly, NotDivisibleError, Scalar, UniPoly
 
 if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
     from .strata import SmallnessReport
@@ -164,13 +165,7 @@ def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
     parser.add_argument(
         "--force-genus",
         action="store_true",
-        help="allow genus < 2 (consistency checks downgrade to warnings)",
-    )
-    parser.add_argument(
-        "--checks",
-        choices=("on", "warn", "off"),
-        default="on",
-        help="consistency-assertion mode (default: on)",
+        help="allow genus < 2 for exploratory runs (the consistency checks still run)",
     )
 
 
@@ -181,7 +176,7 @@ def _add_half_args(parser: argparse.ArgumentParser, half_help: str, full_help: s
 
 
 def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """args, validated; --force-genus below genus 2 turns checks "on" into "warn"."""
+    """args, validated: any class outside the command's domain is a usage error."""
     slope_mode = args.slope is not None or args.rmax is not None
     class_mode = args.rank is not None or args.degree is not None
     if slope_mode and class_mode:
@@ -199,25 +194,20 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argpar
         parser.error(
             f"genus {args.genus} is below 2; pass --force-genus for exploratory runs"
         )
-    if args.force_genus and args.genus < 2 and args.checks == "on":
-        args.checks = "warn"
     torsion_ok = args.command == "hdt"
     for r, d in _classes(args):
         where = class_label(args.genus, r, d)
-        if args.genus < 0:
-            parser.error(f"{where}: genus must be >= 0")
-        if r < 1 and not (torsion_ok and r == 0):
-            parser.error(
-                f"{where}: rank must be >= 1" + (" (0 selects torsion mode)" if torsion_ok else "")
-            )
-        if r == 0 and d < 1:
-            parser.error(f"{where}: torsion mode (rank 0) needs degree >= 1")
-        dim = dim_moduli(args.genus, r)
-        if dim < 0:
-            parser.error(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
-        if args.genus <= 1 and gcd(r, d) != 1 and args.command != "hdt":
-            parser.error(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
-                         "dim M(r,d) = (g-1)r^2 + 1 does not hold")
+        try:
+            check_domain(args.genus, r, d)
+            if r < 1 and not (torsion_ok and r == 0):
+                parser.error(f"{where}: rank must be >= 1"
+                             + (" (0 selects torsion mode)" if torsion_ok else ""))
+            if r == 0 and d < 1:
+                parser.error(f"{where}: torsion mode (rank 0) needs degree >= 1")
+            # hdt needs dim M(r,d) >= 0 only: where the formula fails, it prints HDT alone
+            check_domain(args.genus, r, d, moduli=not torsion_ok or dim_moduli(args.genus, r) < 0)
+        except DomainError as exc:
+            parser.error(str(exc))
         framing = d + (1 - args.genus) * r
         if args.command == "strata" and d > (2 * args.genus - 2) * r and framing <= 0:
             parser.error(f"{where}: framing d + (1-g)r = {framing} is not positive although "
@@ -282,7 +272,9 @@ def _strata_chunks(rep: SmallnessReport, pad: str = "") -> Iterator[str]:
     nl = "\n" + pad
     row, sep, part_json = _STRATUM_JSON.replace("\n", nl), "," + nl, _part_json(pad)
     lead = (
-        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n  "genus": {rep.genus},\n'
+        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n'
+        f'  "generic": {_JSON_BOOL[rep.generic]},\n  "genus": {rep.genus},\n'
+        f'  "in_theorem_range": {_JSON_BOOL[rep.in_theorem_range]},\n'
         f'  "rank": {rep.rank},\n  "strata": [\n'
     ).replace("\n", nl)
     for rec in rep.records:
@@ -336,13 +328,13 @@ def _sequence_block(args: argparse.Namespace, head: str, name: str, column: str,
 def cmd_betti(args: argparse.Namespace) -> int:
     g = args.genus
     if args.fmt == "json":  # the payload carries hdt and ih_epoly: the bivariate path
-        _report(args, [ih_poincare(g, *rd, args.checks) for rd in _classes(args)], _dt_json, None)
+        _report(args, [ih_poincare(g, *rd) for rd in _classes(args)], _dt_json, None)
         return 0
 
     def block(rd) -> str:
         r, d = rd
         return _sequence_block(args, f"genus={g} rank={r} degree={d} dim={dim_moduli(g, r)}",
-                               "Betti", "b_k", betti_numbers(g, r, d, args.checks))
+                               "Betti", "b_k", betti_numbers(g, r, d))
 
     _report(args, _classes(args), None, block)
     return 0
@@ -354,11 +346,11 @@ def cmd_hdt(args: argparse.Namespace) -> int:
     items = []
     for r, d in _classes(args):
         if r == 0:
-            items.append((r, d, None, torsion_dt(args.genus, d, checks=args.checks)[d]))
+            items.append((r, d, None, torsion_dt(args.genus, d)[d]))
         elif args.genus <= 1 and gcd(r, d) != 1:
-            items.append((r, d, None, hdt(args.genus, r, d, checks=args.checks)))
+            items.append((r, d, None, hdt(args.genus, r, d)))
         else:
-            res = ih_poincare(args.genus, r, d, checks=args.checks)
+            res = ih_poincare(args.genus, r, d)
             items.append((r, d, res, res.hdt))
 
     def payload(item) -> str:
@@ -396,8 +388,7 @@ def cmd_hdt(args: argparse.Namespace) -> int:
 
 def cmd_detfactor(args: argparse.Namespace) -> int:
     g = args.genus
-    items = [(r, d, determinant_factor(g, betti_numbers(g, r, d, args.checks)))
-             for r, d in _classes(args)]
+    items = [(r, d, determinant_factor(g, betti_numbers(g, r, d))) for r, d in _classes(args)]
 
     def payload(item) -> str:
         r, d, coeffs = item

@@ -177,7 +177,7 @@ def q_rank_closed_form_check(g: int, r: int) -> bool:
     """
     num_p, den_p = specialize_elem(q_rank(g, r, False))  # the pipeline's cache key
     e = (1 - g) * r * r
-    closed_num = UniPoly.y_pow(2 * e, (-1) ** e) * (_y(2 * r) - UniPoly.one())
+    closed_num = UniPoly.y_pow(2 * e, -1 if e % 2 else 1) * (_y(2 * r) - UniPoly.one())
     closed_den = UniPoly.one()
     for i in range(1, r + 1):
         closed_num = closed_num * _om(2 * i - 1) ** (2 * g)

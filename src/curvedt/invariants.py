@@ -25,21 +25,20 @@ For a smooth projective curve of genus g the computation chains through:
    images under u, v -> (uv)^(1/2), a ring map that fixes L^(1/2) and
    commutes with Adams operations, duality and u = v = y.
 
-Everything is exact.  The always-on consistency checks (integrality,
-self-duality, non-negativity, palindromicity) can be downgraded to
-warnings with checks="warn" for exploratory genus values.  On the u = v
-image they are: every division exact, the image of HDT self-dual, the
-Betti numbers integral, non-negative, in range, palindromic.  The check
-that L^(dim/2) HDT has integer exponents in u and v has no meaning there;
-it runs in hdt and ih_poincare (commands hdt, betti --format json, verify).
+Everything is exact.  The consistency checks (integrality, self-duality,
+non-negativity, palindromicity) always run and raise VerificationError.
+On the u = v image they are: every division exact, the image of HDT
+self-dual, the Betti numbers integral, non-negative, in range,
+palindromic.  The check that L^(dim/2) HDT has integer exponents in u and
+v has no meaning there; it runs in hdt and ih_poincare (commands hdt,
+betti --format json, verify).  A class outside check_domain raises DomainError.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .ring import (
@@ -61,12 +60,8 @@ class VerificationError(AssertionError):
     """A structural consistency check of the computation failed."""
 
 
-def _ensure(ok: bool, message: str, checks: str) -> None:
-    if ok or checks == "off":
-        return
-    if checks == "warn":
-        warnings.warn(message, stacklevel=3)
-    else:
+def _ensure(ok: bool, message: str) -> None:
+    if not ok:
         raise VerificationError(message)
 
 
@@ -78,6 +73,23 @@ def class_label(g: int, r: int, d: int) -> str:
 def dim_moduli(g: int, r: int) -> int:
     """Complex dimension of M(r,d): (g-1) r^2 + 1."""
     return (g - 1) * r * r + 1
+
+
+def check_domain(g: int, r: int, d: int, moduli: bool = False) -> None:
+    """Raise DomainError for a negative genus or, with moduli, for a class whose
+    dim M(r,d) = (g-1) r^2 + 1 is negative or, at genus <= 1 with gcd(r, d) != 1,
+    does not hold; the texts are those of the CLI's usage errors."""
+    where = class_label(g, r, d)
+    if g < 0:
+        raise DomainError(f"{where}: genus must be >= 0")
+    if not moduli:
+        return
+    dim = dim_moduli(g, r)
+    if dim < 0:
+        raise DomainError(f"{where}: dim M(r,d) = (g-1)r^2 + 1 = {dim} is negative")
+    if g <= 1 and gcd(r, d) != 1:
+        raise DomainError(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
+                          "dim M(r,d) = (g-1)r^2 + 1 does not hold")
 
 
 def curve_epoly(g: int) -> LaurentPoly:
@@ -196,27 +208,26 @@ def _hdt(g: int, tau: Fraction, r: int, diagonal: bool = False) -> LaurentPoly:
     return (pleth_log(slope_series(g, tau, r, diagonal))[r] * _kappa()).to_polynomial()
 
 
-def hdt(g: int, r: int, d: int, checks: str = "on", diagonal: bool = False) -> LaurentPoly:
+def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
     """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or its u = v image.
 
-    Integrality (clearing the cyclotomic denominators) is structural and
-    always enforced; self-duality under u,v -> 1/u,1/v is a consistency
-    check governed by the checks mode.
+    Both integrality (clearing the cyclotomic denominators) and
+    self-duality under u,v -> 1/u,1/v are checked.
     """
     if r < 1:
         raise DomainError("hdt needs rank >= 1; rank 0 is the torsion case")
+    check_domain(g, r, d)
     tau = Fraction(d, r)
     try:
         p = _hdt(g, tau, r, diagonal)
     except NotDivisibleError as exc:
         stage = "integrality of HDT" + (" on the u = v image" if diagonal else "")
         raise NotDivisibleError(f"{class_label(g, r, d)}, {stage}: {exc}") from exc
-    if checks != "off":
-        _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual", checks)
+    _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual")
     return p
 
 
-def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
+def torsion_dt(g: int, dmax: int) -> Dict[int, LaurentPoly]:
     """Rank-0 invariants HDT_{0,d} for 1 <= d <= dmax.
 
     The degree series of torsion sheaves is Exp(E(X)/(L-1) * t); its
@@ -225,6 +236,7 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
     """
     if dmax < 1:
         raise DomainError("dmax >= 1")
+    check_domain(g, 0, dmax)
     coeffs = [RingElem.zero()] * (dmax + 1)
     coeffs[1] = RingElem(-curve_epoly(g), CycloDenominator.of(1))
     f = pleth_exp(tuple(coeffs))
@@ -237,13 +249,8 @@ def torsion_dt(g: int, dmax: int, checks: str = "on") -> Dict[int, LaurentPoly]:
         except NotDivisibleError as exc:
             raise NotDivisibleError(f"{class_label(g, 0, d)}, "
                                     f"integrality of torsion HDT: {exc}") from exc
-    if checks != "off":
-        for d, p in out.items():
-            _ensure(
-                p.dual() == p,
-                f"torsion HDT at degree {d}, genus {g} is not self-dual",
-                checks,
-            )
+    for d, p in out.items():
+        _ensure(p.dual() == p, f"torsion HDT at degree {d}, genus {g} is not self-dual")
     return out
 
 
@@ -259,52 +266,46 @@ class DTResult(NamedTuple):
     betti: Tuple[int, ...]
 
 
-def ih_poincare(g: int, r: int, d: int, checks: str = "on") -> DTResult:
+def ih_poincare(g: int, r: int, d: int) -> DTResult:
     """Betti numbers of IH*(M(r,d)): shift to the IH polynomial, specialize, flip signs.
 
     The IH polynomial HDT_{r,d} * L^(dim/2) has integer powers of u and v only:
     the half-integer contributions of HDT must cancel against the shift.
     """
-    h = hdt(g, r, d, checks)
+    check_domain(g, r, d, moduli=True)
+    h = hdt(g, r, d)
     ih = h * half_lefschetz(dim_moduli(g, r))
     _ensure(all(a % 2 == 0 and b % 2 == 0 for a, b in ih.terms),
-            f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents", checks)
-    return DTResult(g, r, d, dim_moduli(g, r), h, ih, _betti(ih, g, r, d, checks))
+            f"IH Euler polynomial of M({r},{d}), genus {g} has half-integer exponents")
+    return DTResult(g, r, d, dim_moduli(g, r), h, ih, _betti(ih, g, r, d))
 
 
-def betti_numbers(g: int, r: int, d: int, checks: str = "on") -> Tuple[int, ...]:
-    """ih_poincare(g, r, d, checks).betti, computed on the u = v image."""
-    ih = hdt(g, r, d, checks, diagonal=True) * half_lefschetz(dim_moduli(g, r))
-    return _betti(ih, g, r, d, checks)
+def betti_numbers(g: int, r: int, d: int) -> Tuple[int, ...]:
+    """ih_poincare(g, r, d).betti, computed on the u = v image."""
+    check_domain(g, r, d, moduli=True)
+    ih = hdt(g, r, d, diagonal=True) * half_lefschetz(dim_moduli(g, r))
+    return _betti(ih, g, r, d)
 
 
-def _betti(ih: LaurentPoly, g: int, r: int, d: int, checks: str) -> Tuple[int, ...]:
+def _betti(ih: LaurentPoly, g: int, r: int, d: int) -> Tuple[int, ...]:
     """The Betti numbers read off specialize_y(ih), with their checks."""
     dim = dim_moduli(g, r)
     betti = [0] * (2 * dim + 1)
     # in ascending powers of y, so that failed checks report in degree order
     for e2, c in sorted(specialize_y(ih).terms.items()):
         if e2 % 2:
-            _ensure(False, f"specialized HDT of M({r},{d}) has a half-integer power", checks)
-            continue
+            raise VerificationError(f"specialized HDT of M({r},{d}) has a half-integer power")
         k = e2 // 2
         value = -c if k % 2 else c
         if not (0 <= k <= 2 * dim):
-            _ensure(False, f"Betti index {k} of M({r},{d}) out of range [0, {2*dim}]", checks)
-            continue
+            raise VerificationError(f"Betti index {k} of M({r},{d}) out of range [0, {2*dim}]")
         if value.denominator != 1 or value < 0:
-            _ensure(
-                False,
-                f"Betti number b_{k} of M({r},{d}), genus {g} is {value}",
-                checks,
-            )
-            continue
+            raise VerificationError(f"Betti number b_{k} of M({r},{d}), genus {g} is {value}")
         betti[k] = int(value)
     for k in range(2 * dim + 1):
         _ensure(
             betti[k] == betti[2 * dim - k],
             f"Betti sequence of M({r},{d}), genus {g} is not palindromic at {k}",
-            checks,
         )
     return tuple(betti)
 

@@ -23,10 +23,11 @@ Conventions used throughout the package:
 
 All arithmetic is exact and fraction-free, as in FLINT's fmpq_poly: a
 polynomial stores nonzero int coefficients over one positive int scale.
-The public constructor clears denominators once; every operation works
-on the ints and carries the scale unreduced (a product multiplies the
-scales, a Fraction scalar p/q multiplies the ints by p and the scale by
-q).  A value leaves the ring through RingElem.to_polynomial: one exact
+The public constructor takes int keys and int or Fraction coefficients
+only (else DomainError) and clears denominators once; every operation
+works on the ints and carries the scale unreduced (a product multiplies
+the scales, a Fraction scalar p/q multiplies the ints by p and the scale
+by q).  A value leaves the ring through RingElem.to_polynomial: one exact
 division by the whole denominator over dense lines (exact_divide_cyclo),
 then the scale reduced by its gcd with the ints.  ``terms`` is the canonical
 view: an int where a coefficient is integral, else a Fraction.
@@ -96,9 +97,6 @@ def _sign(e: int) -> int:
 
 def _canon(c: Scalar) -> Scalar:
     """The canonical coefficient: an int when c is integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    c = c if type(c) is Fraction else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -250,7 +248,7 @@ class _SparsePoly:
     may store different ints: ``terms``, the canonical read-only view (the
     int dict itself at scale 1), is what equality compares.  A subclass
     fixes the monomial type by declaring ``_UNIT`` (the key of the
-    constant 1), ``_key`` (coercion of an input key) and
+    constant 1), ``_key`` (validation of an input key) and
     ``_columns``/``_from_columns`` (a key list as one exponent list per
     variable, and back).  Operands of two different subclasses never mix:
     equality is False and +, -, * raise TypeError.
@@ -266,6 +264,8 @@ class _SparsePoly:
         if terms:
             key = self._key
             for mon, c in terms.items():
+                if type(c) is not int and type(c) is not Fraction:
+                    raise DomainError(f"coefficient {c!r} is neither an int nor a Fraction")
                 c = _canon(c)
                 if c:
                     clean[key(mon)] = c
@@ -366,7 +366,9 @@ class LaurentPoly(_SparsePoly):
 
     @staticmethod
     def _key(mon) -> Monomial:
-        return (int(mon[0]), int(mon[1]))
+        if type(mon) is tuple and len(mon) == 2 and type(mon[0]) is int and type(mon[1]) is int:
+            return mon
+        raise DomainError(f"monomial key {mon!r} is not a pair of ints")
 
     _columns = _from_columns = staticmethod(lambda rows: list(zip(*rows)))  # a transpose
 
@@ -389,7 +391,9 @@ class UniPoly(_SparsePoly):
 
     @staticmethod
     def _key(e) -> int:
-        return int(e)
+        if type(e) is int:
+            return e
+        raise DomainError(f"monomial key {e!r} is not an int")
 
     _columns = staticmethod(lambda keys: [keys])
     _from_columns = staticmethod(lambda columns: columns[0])

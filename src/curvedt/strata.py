@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
-from .invariants import VerificationError, class_label
+from .invariants import VerificationError, check_domain, class_label
 from .ring import DomainError
 
 Part = Tuple[Tuple[int, int], int]  # ((rank, degree), multiplicity)
@@ -255,8 +255,10 @@ def certify_virtual_smallness(
     impossibilities (several maximal types, zero codimension off the
     dense stratum, non-positive framing in range) raise instead of
     being reported.  A type costs one pass of integer sums over its
-    parts, whose shares are computed once per part and call.
+    parts, whose shares are computed once per part and call.  A negative
+    genus raises DomainError.
     """
+    check_domain(g, r, d)
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
     records = []

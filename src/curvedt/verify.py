@@ -326,7 +326,7 @@ def check_elliptic() -> CheckResult:
     """
     def mismatch(r, d):
         try:
-            h = hdt(1, r, d, checks="off")
+            h = hdt(1, r, d)
         except _CASE_ERRORS as exc:  # a case error warns with its type only
             return f": {type(exc).__name__}"
         if gcd(r, d) == 1:

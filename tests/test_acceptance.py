@@ -213,7 +213,7 @@ def test_criterion_9_elliptic_exploratory():
     for r in (1, 2, 3):
         for d in range(r):
             try:
-                h = hdt(1, r, d, checks="off")
+                h = hdt(1, r, d)
             except Exception as exc:
                 mismatches.append(f"({r},{d}): {type(exc).__name__}")
                 continue

@@ -145,6 +145,22 @@ def test_strata_json(capsys):
     assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert obj["verdict"] == "PASS" and obj["d0"] == 2
     assert obj["strata"][0]["parts"] == [[[2, 5], 1]]
+    assert list(obj) == ["d0", "degree", "generic", "genus", "in_theorem_range", "rank",
+                         "strata", "verdict"]
+    assert (obj["generic"], obj["in_theorem_range"]) == (False, True)
+
+
+def test_strata_json_states_the_range_and_the_bound(capsys):
+    # a PASS outside d/r > 2g-2 says so in the JSON itself, not on stderr only
+    code, out, err = run(capsys, "strata", "-g", "3", "-r", "4", "-d", "2", "--format", "json")
+    obj = json.loads(out)
+    assert (code, obj["verdict"], obj["in_theorem_range"], obj["generic"]) == (0, "PASS", False, False)
+    assert err.startswith("warning: slope 1/2 is not above 4:")
+    code, out, _ = run(capsys, "strata", "-g", "2", "--slope=5/2", "--rmax", "4", "--generic-bound",
+                       "--format", "json")
+    assert code == 0
+    assert [(o["rank"], o["generic"], o["in_theorem_range"]) for o in json.loads(out)] == [
+        (2, True, True), (4, True, True)]
 
 
 def test_strata_generic_bound_flag(capsys):
@@ -155,19 +171,27 @@ def test_strata_generic_bound_flag(capsys):
     assert "(generic bound)" in out and "verdict: PASS" in out
 
 
-def test_strata_ignores_checks(capsys, monkeypatch):
-    """--checks does not reach the certificate: same bytes, and a failure still exits 1."""
+def test_strata_failed_bounds_exit_one(capsys, monkeypatch):
     import curvedt.strata as strata
 
-    argv = ("strata", "-g", "2", "-r", "2", "-d", "6")
-    default = run(capsys, *argv)
-    assert default[0] == 0
-    for mode in ("off", "warn"):
-        assert run(capsys, *argv, "--checks", mode) == default
     monkeypatch.setattr(strata, "_half", lambda twice: Fraction(1, 2))  # every bound fails
-    for mode in ("on", "off", "warn"):
-        code, out, _ = run(capsys, *argv, "--checks", mode)
-        assert code == 1 and out.endswith("verdict: FAIL\n")
+    code, out, _ = run(capsys, "strata", "-g", "2", "-r", "2", "-d", "6")
+    assert code == 1 and out.endswith("verdict: FAIL\n")
+
+
+@pytest.mark.parametrize("command", ["betti", "hdt", "detfactor", "strata"])
+def test_checks_option_is_gone(capsys, command):
+    # every consistency check always runs: no option turns one into a warning or off
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-g", "2", "-r", "2", "-d", "1", "--checks", "on"])
+    # argparse reports an option no subcommand knows with the program's usage line
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: curvedt [-h] {betti,hdt,detfactor,strata,verify} ...\n"
+        "curvedt: error: unrecognized arguments: --checks on\n")
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert "--checks" not in capsys.readouterr().out
 
 
 def test_verify_quick(capsys):
@@ -254,7 +278,7 @@ def test_class_errors_print_the_subcommand_usage(capsys, argv):
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
-    def not_self_dual(g, r, d, checks="on"):
+    def not_self_dual(g, r, d):
         raise VerificationError(f"HDT at rank {r}, slope {d}/{r}, genus {g} is not self-dual")
 
     monkeypatch.setattr(cli, "ih_poincare", not_self_dual)
@@ -280,7 +304,7 @@ def test_failed_division_names_the_class_and_stage(capsys, monkeypatch, argv, wh
 
 
 def test_library_value_error_exits_two(capsys, monkeypatch):
-    def out_of_domain(g, r, d, checks="on"):
+    def out_of_domain(g, r, d):
         raise ValueError(f"class ({g}, {r}, {d}) is outside the domain")
 
     monkeypatch.setattr(cli, "ih_poincare", out_of_domain)

@@ -1,6 +1,7 @@
 """Every name a curvedt module imports is used in that module, every
 module-level private definition is referenced somewhere in the package,
-and a polynomial's storage is read and written by ``ring.py`` only.
+a polynomial's storage is read and written by ``ring.py`` only, and no
+module imports ``warnings`` or takes a ``checks`` parameter.
 
 Parsed with the standard-library ``ast``, so nothing is imported or run.
 ``from __future__`` imports are exempt, and so are names a module lists in
@@ -79,6 +80,19 @@ def test_no_unused_private_definitions():
         if private not in referenced
     ]
     assert not unused, "private definitions never referenced: " + ", ".join(unused)
+
+
+def test_no_module_imports_warnings_and_no_function_takes_checks():
+    """Every consistency check raises: nothing warns, and no mode turns a check off."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+        or (isinstance(node, ast.arg) and node.arg == "checks")
+    ]
+    assert not found, "warnings imported or a checks parameter: " + ", ".join(found)
 
 
 STORAGE = ("_ints", "_scale")

@@ -25,6 +25,7 @@ import polyref as ref
 from compref import composition_weight, compositions
 from curvedt.invariants import (
     VerificationError,
+    betti_numbers,
     composition_prefactors,
     curve_epoly,
     determinant_factor,
@@ -40,6 +41,7 @@ from curvedt.invariants import (
 )
 from curvedt.ring import (
     CycloDenominator,
+    DomainError,
     LaurentPoly,
     RingElem,
     half_lefschetz,
@@ -48,6 +50,7 @@ from curvedt.ring import (
     specialize_y,
 )
 from curvedt.series import pleth_exp, pleth_log
+from curvedt.strata import certify_virtual_smallness
 
 
 def one_minus_u(g):
@@ -225,17 +228,66 @@ def test_determinant_factor_not_divisible():
         determinant_factor(2, [1, 0, 1])
 
 
-def test_checks_warn_mode_is_quiet_on_valid_input():
+def test_valid_classes_at_genus_one_and_two_raise_nothing():
+    # every check runs at every genus: valid classes pass them and warn of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ih_poincare(2, 2, 1, checks="warn")
+        for g, r, d in ((2, 2, 1), (2, 2, 0), (1, 2, 1), (1, 3, -1)):
+            assert ih_poincare(g, r, d).betti == betti_numbers(g, r, d)
+        assert hdt(1, 2, 0).is_zero()  # genus 1, gcd 2: HDT without a moduli space
+        assert torsion_dt(1, 2)[2].is_zero()
 
 
-def test_checks_off_skips_soft_assertions():
-    # identical output with checks off (assertions hold anyway)
-    a = ih_poincare(2, 2, 0, checks="off")
-    b = ih_poincare(2, 2, 0, checks="on")
-    assert a.betti == b.betti
+def test_failed_self_duality_exits_one_at_genus_one(capsys, monkeypatch):
+    # --force-genus no longer softens a check: a failed one is exit 1, not a warning
+    monkeypatch.setattr(LaurentPoly, "dual", lambda p: -p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["hdt", "-g", "1", "-r", "1", "-d", "0", "--force-genus"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: HDT at rank 1, slope 0, genus 1 is not self-dual\n"
+
+
+# (call, the class it names, the CLI's usage error for that class)
+DOMAIN_ERRORS = [
+    (lambda: hdt(-1, 1, 0), "(-1, 1, 0)", "genus must be >= 0"),
+    (lambda: torsion_dt(-1, 2), "(-1, 0, 2)", "genus must be >= 0"),
+    (lambda: ih_poincare(-1, 2, 1), "(-1, 2, 1)", "genus must be >= 0"),
+    (lambda: betti_numbers(-1, 2, 1), "(-1, 2, 1)", "genus must be >= 0"),
+    (lambda: certify_virtual_smallness(-1, 2, 1), "(-1, 2, 1)", "genus must be >= 0"),
+    (lambda: ih_poincare(0, 3, 1), "(0, 3, 1)", "dim M(r,d) = (g-1)r^2 + 1 = -8 is negative"),
+    (lambda: betti_numbers(0, 2, 1), "(0, 2, 1)", "dim M(r,d) = (g-1)r^2 + 1 = -3 is negative"),
+    (lambda: ih_poincare(1, 2, 0), "(1, 2, 0)",
+     "gcd(r, d) = 2 at genus <= 1, where dim M(r,d) = (g-1)r^2 + 1 does not hold"),
+    (lambda: betti_numbers(1, 2, 0), "(1, 2, 0)",
+     "gcd(r, d) = 2 at genus <= 1, where dim M(r,d) = (g-1)r^2 + 1 does not hold"),
+]
+
+
+@pytest.mark.parametrize("call, where, message", DOMAIN_ERRORS,
+                         ids=[f"{i}-{w}" for i, (_, w, _) in enumerate(DOMAIN_ERRORS)])
+def test_a_class_outside_the_domain_is_a_domain_error(call, where, message):
+    # no nonsense answer (dim -8 with no Betti numbers, (0, 0, 0), a PASS at
+    # genus -1) and no kernel error: the class and the reason, as the CLI says them
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == f"class (g, r, d) = {where}: {message}"
+
+
+@pytest.mark.parametrize("argv, call", [
+    ("betti -g -1 -r 2 -d 1", lambda: betti_numbers(-1, 2, 1)),
+    ("betti -g 0 -r 3 -d 1 --force-genus", lambda: ih_poincare(0, 3, 1)),
+    ("detfactor -g 1 -r 2 -d 0 --force-genus", lambda: betti_numbers(1, 2, 0)),
+    ("hdt -g 0 -r 2 -d 0 --force-genus", lambda: betti_numbers(0, 2, 0)),
+])
+def test_library_domain_errors_read_as_the_cli_usage_errors(capsys, argv, call):
+    with pytest.raises(SystemExit):
+        cli.main(argv.split())
+    err = capsys.readouterr().err
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert err.endswith(f": error: {exc.value}\n")
 
 
 def test_dtresult_json_shape():

@@ -16,6 +16,7 @@ import pytest
 from curvedt import cli
 from curvedt.ring import (
     CycloDenominator,
+    DomainError,
     LaurentPoly,
     NotDivisibleError,
     RingElem,
@@ -56,6 +57,27 @@ def test_construction_drops_zeros_and_coerces():
     assert (0, 0) not in p.terms
     assert p.terms[(2, 0)] == Fraction(1)
     assert isinstance(p.terms[(0, 2)], Fraction)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly({(1.5, 0): 1}),  # once stored as the key (1, 0)
+    lambda: LaurentPoly({(0, 0): 0.1}),  # once stored as 3602879701896397/2^55
+    lambda: LaurentPoly({(0, 0): "1/3"}),
+    lambda: LaurentPoly({(0, 0): 1.0}),
+    lambda: LaurentPoly({(True, 0): 1}),
+    lambda: LaurentPoly({(0, 0, 0): 1}),
+    lambda: LaurentPoly({0: 1}),
+    lambda: UniPoly({1.9: 2}),
+    lambda: UniPoly({(0, 0): 1}),
+    lambda: UniPoly.y_pow(2, 0.5),
+    lambda: monomial(2, 0, Fraction(1, 2) + 0.0),
+], ids=["float-key", "float-coeff", "str-coeff", "integral-float-coeff", "bool-key",
+        "long-key", "int-key", "uni-float-key", "uni-pair-key", "uni-float-coeff",
+        "monomial-float-coeff"])
+def test_construction_takes_int_keys_and_exact_coefficients_only(make):
+    with pytest.raises(DomainError, match="is not a pair of ints|is not an int|"
+                                          "is neither an int nor a Fraction"):
+        make()
 
 
 def test_zero_is_empty():

@@ -204,8 +204,10 @@ def test_certify_exhaustive_low_rank():
 
 def test_report_json_shape():
     obj = json.loads(cli._strata_json(certify_virtual_smallness(2, 2, 6)))
-    assert list(obj) == ["d0", "degree", "genus", "rank", "strata", "verdict"]
+    assert list(obj) == ["d0", "degree", "generic", "genus", "in_theorem_range", "rank",
+                         "strata", "verdict"]
     assert obj["verdict"] == "PASS" and obj["d0"] == 3
+    assert obj["generic"] is False and obj["in_theorem_range"] is True
     assert len(obj["strata"]) == 3
     row = obj["strata"][0]
     assert list(row) == ["bound", "codim", "maximal", "parts", "pass"]

@@ -107,14 +107,14 @@ def test_a_raising_identity_names_the_case_and_the_error(monkeypatch):
 
 
 def test_the_exploratory_check_warns_on_a_case_error_only(monkeypatch):
-    def hdt(g, r, d, checks):
+    def hdt(g, r, d):
         raise NotDivisibleError("not divisible by 1 - L^2")
 
     monkeypatch.setattr(verify, "hdt", hdt)
     res = verify.check_elliptic()
     assert res.status == "WARN" and res.detail.startswith("(1,0): NotDivisibleError; (2,0): ")
 
-    def buggy(g, r, d, checks):
+    def buggy(g, r, d):
         raise TypeError("a bug, not a mismatch")
 
     monkeypatch.setattr(verify, "hdt", buggy)
