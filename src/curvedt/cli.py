@@ -36,9 +36,10 @@ import io
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .invariants import (
     DTResult,
@@ -222,27 +223,29 @@ def _classes(args: argparse.Namespace) -> List[Tuple[int, int]]:
     return [(r, r * p // q) for r in range(q, args.rmax + 1, q)]
 
 
-def _report(args: argparse.Namespace, items: list, payload: Callable, block: Callable,
+def _report(args: argparse.Namespace, items: Iterable, payload: Callable, block: Callable,
             nested: Optional[Callable] = None) -> None:
     """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
 
     payload(item) is canonical JSON text; payload and block are only called
-    for the format printed.  A list is written one item at a time: nested(item)
-    gives payload(item) in pieces, every line after the first indented, by
-    default by indenting its newlines (JSON escapes every newline in a string).
+    for the format printed.  items is any iterable, each item written and
+    dropped before the next is drawn, so a generator streams.  In a list,
+    nested(item) gives payload(item) in pieces, every line after the first
+    indented, by default by indenting its newlines (JSON escapes every
+    newline in a string).
     """
-    if args.fmt != "json":
-        print("\n\n".join(block(item) for item in items))
-    elif args.slope is None:
-        print(payload(items[0]))
-    else:
-        nested = nested or (lambda item: (payload(item).replace("\n", "\n  "),))
-        sep = "[\n  "
-        for item in items:
-            sys.stdout.write(sep)
-            sys.stdout.writelines(nested(item))
-            sep = ",\n  "
-        print("\n]")
+    if args.fmt == "json" and args.slope is not None:
+        pieces = nested or (lambda item: (payload(item).replace("\n", "\n  "),))
+        sep, head, tail = ",\n  ", "[\n  ", "\n]\n"
+    else:  # JSON outside slope mode has one item
+        text = payload if args.fmt == "json" else block
+        pieces, sep, head, tail = lambda item: (text(item),), "\n\n", "", "\n"
+    for item in items:
+        sys.stdout.write(head)
+        sys.stdout.writelines(pieces(item))
+        head = sep
+        del item
+    sys.stdout.write(tail)
 
 
 class _PartJSON(dict):
@@ -265,10 +268,11 @@ _STRATUM_JSON = (  # first %s: the report's head, then the separator
 )
 
 
-def _strata_chunks(rep: SmallnessReport, pad: str = "") -> Iterator[str]:
-    """rep as canonical JSON filled into a template, one piece per stratum: no
-    dict is built.  pad starts every line after the first, so a slope-mode
-    list is written as it is made, never held whole nor indented by a copy."""
+def _strata_chunks(rep: SmallnessReport, verdict: str, pad: str = "") -> Iterator[str]:
+    """rep with its verdict as canonical JSON filled into a template, one piece
+    per stratum: no dict is built.  pad starts every line after the first, so a
+    slope-mode list is written as it is made, never held whole nor indented by
+    a copy.  The certificate checks that codimension 0 marks the maximal type."""
     nl = "\n" + pad
     row, sep, part_json = _STRATUM_JSON.replace("\n", nl), "," + nl, _part_json(pad)
     lead = (
@@ -277,17 +281,13 @@ def _strata_chunks(rep: SmallnessReport, pad: str = "") -> Iterator[str]:
         f'  "in_theorem_range": {_JSON_BOOL[rep.in_theorem_range]},\n'
         f'  "rank": {rep.rank},\n  "strata": [\n'
     ).replace("\n", nl)
-    for rec in rep.records:
+    for stratum, codim, bound, passes in rep.records:
         yield row % (
-            lead, rec.bound, rec.codim, _JSON_BOOL[rec.is_maximal],
-            sep.join(map(part_json.__getitem__, rec.stratum.parts)), _JSON_BOOL[rec.passes],
+            lead, bound, codim, _JSON_BOOL[codim == 0],
+            sep.join(map(part_json.__getitem__, stratum.parts)), _JSON_BOOL[passes],
         )
         lead = sep
-    yield f'\n  ],\n  "verdict": "{rep.verdict}"\n}}'.replace("\n", nl)
-
-
-def _strata_json(rep: SmallnessReport) -> str:
-    return "".join(_strata_chunks(rep))
+    yield f'\n  ],\n  "verdict": "{verdict}"\n}}'.replace("\n", nl)
 
 
 def _terms_json(p: LaurentPoly) -> str:
@@ -405,20 +405,26 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 def cmd_strata(args: argparse.Namespace) -> int:
     from .strata import certify_virtual_smallness
 
-    reports = [certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
-               for r, d in _classes(args)]
-    for rep in reports:
-        if not rep.in_theorem_range:
-            print(f"warning: slope {Fraction(rep.degree, rep.rank)} is not above "
-                  f"{2 * rep.genus - 2}: smallness is certified arithmetic only, "
-                  "outside the theorem's hypothesis", file=sys.stderr)
+    classes, verdicts = _classes(args), set()
 
-    def block(rep) -> str:
+    def reports() -> Iterator[Tuple[SmallnessReport, str]]:  # certified as the writer draws
+        for k, (r, d) in enumerate(classes):
+            rep = certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
+            if k == 0 and not rep.in_theorem_range:  # one slope: every warning before stdout
+                sys.stderr.write(len(classes) * (
+                    f"warning: slope {Fraction(rep.degree, rep.rank)} is not above "
+                    f"{2 * rep.genus - 2}: smallness is certified arithmetic only, "
+                    "outside the theorem's hypothesis\n"))
+            verdicts.add(verdict := rep.verdict)
+            yield rep, verdict
+            del rep  # dropped before the next class is certified
+
+    def block(item) -> str:
+        rep, verdict = item
         yes_no = ("no", "yes")
         table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), tuple(
-            (rec.stratum.label(), str(rec.codim), str(rec.bound),
-             yes_no[rec.is_maximal], yes_no[rec.passes])
-            for rec in rep.records
+            (stratum.label(), str(codim), str(bound), yes_no[codim == 0], yes_no[passes])
+            for stratum, codim, bound, passes in rep.records
         ))
         if args.fmt == "csv":
             return table.render_csv()
@@ -426,11 +432,12 @@ def cmd_strata(args: argparse.Namespace) -> int:
             f"genus={rep.genus} rank={rep.rank} degree={rep.degree} "
             f"d0={rep.d0} in-theorem-range={'yes' if rep.in_theorem_range else 'no'}"
             f"{' (generic bound)' if rep.generic else ''}\n"
-            f"{table.render()}\nverdict: {rep.verdict}"
+            f"{table.render()}\nverdict: {verdict}"
         )
 
-    _report(args, reports, _strata_json, block, partial(_strata_chunks, pad="  "))
-    return 0 if all(rep.passes for rep in reports) else 1
+    _report(args, reports(), lambda item: "".join(_strata_chunks(*item)), block,
+            lambda item: _strata_chunks(*item, "  "))
+    return 1 if "FAIL" in verdicts else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .invariants import VerificationError, check_domain, class_label
@@ -235,7 +236,7 @@ class SmallnessReport(NamedTuple):
 
     @property
     def passes(self) -> bool:
-        return all(rec.passes for rec in self.records)
+        return all(map(attrgetter("passes"), self.records))
 
     @property
     def verdict(self) -> str:
@@ -255,8 +256,9 @@ def certify_virtual_smallness(
     impossibilities (several maximal types, zero codimension off the
     dense stratum, non-positive framing in range) raise instead of
     being reported.  A type costs one pass of integer sums over its
-    parts, whose shares are computed once per part and call.  A negative
-    genus raises DomainError.
+    parts, whose shares are computed, and framing checked, once per part
+    and call: with d/r = p/q, part (kq, kp) has framing k(p - (g-1)q), so
+    the maximal type fails first if any does.  Negative genus: DomainError.
     """
     check_domain(g, r, d)
     slope = Fraction(d, r)
@@ -266,15 +268,19 @@ def certify_virtual_smallness(
     table = {}  # part -> _shares(g, part, generic), filled the first time it is seen
     for s in enumerate_strata(r, d):
         rank = drop = 0
-        twice = low = 1  # low: the least framing, if below 1
+        twice = 1
         for part in s.parts:
-            shares = table.get(part) or table.setdefault(part, _shares(g, part, generic))
-            rank_i, drop_i, twice_i, framing_i = shares
+            shares = table.get(part)
+            if shares is None:
+                shares = table[part] = _shares(g, part, generic)
+                if in_range and shares[3] <= 0:  # one sign for all parts: see above
+                    raise VerificationError(f"{class_label(g, r, d)}: non-positive framing "
+                                            f"{build_fiber_quiver(g, s).framing} for {s.label()} "
+                                            f"despite slope {slope} > {2 * g - 2}")
+            rank_i, drop_i, twice_i, _ = shares
             rank += rank_i
             drop += drop_i
             twice += twice_i
-            if framing_i < low:
-                low = framing_i
         codim = (g - 1) * rank * rank + 1 - drop
         if codim < 0:
             codim_stratum(g, s)  # raises, naming the class and the stratum
@@ -285,11 +291,6 @@ def certify_virtual_smallness(
             raise VerificationError(
                 f"{class_label(g, r, d)}: codimension {codim} inconsistent with "
                 f"maximality of {s.label()}"
-            )
-        if in_range and low <= 0:
-            raise VerificationError(
-                f"{class_label(g, r, d)}: non-positive framing {build_fiber_quiver(g, s).framing} "
-                f"for {s.label()} despite slope {slope} > {2 * g - 2}"
             )
         passes = bound.numerator == 0 if maximal else bound.numerator < 0
         records.append(StratumRecord(s, codim, bound, passes))

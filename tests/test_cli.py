@@ -1,5 +1,7 @@
 """Command-line surface: formats, flags, exit codes, JSON round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -134,6 +136,61 @@ def test_strata_slope_mode_warnings_are_pinned(capsys):
     assert [ln for ln in out.splitlines() if ln.startswith("genus=")] == [
         f"genus=2 rank={r} degree={r} d0=-1 in-theorem-range=no" for r in range(1, 5)
     ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_slope_warnings_come_before_any_stdout(fmt):
+    # one slope, one range: every class's warning is out before the first class is written
+    line = (
+        "warning: slope 1 is not above 2: smallness is certified arithmetic only, "
+        "outside the theorem's hypothesis\n"
+    )
+    merged = io.StringIO()
+    with contextlib.redirect_stdout(merged), contextlib.redirect_stderr(merged):
+        code = main(["strata", "-g", "2", "--slope=1", "--rmax", "4", "--format", fmt])
+    text = merged.getvalue()
+    assert code == 0 and text.startswith(4 * line) and text.count("warning:") == 4
+
+
+SLOPE_FIVE = ["strata", "-g", "2", "--slope=5", "--rmax", "4"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_slope_mode_writes_each_class_before_certifying_the_next(monkeypatch, fmt):
+    import curvedt.strata as strata
+
+    out, seen, certify = io.StringIO(), [], strata.certify_virtual_smallness
+
+    def recording(*args, **kwargs):
+        seen.append(out.tell())
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(strata, "certify_virtual_smallness", recording)
+    with contextlib.redirect_stdout(out):
+        code = main([*SLOPE_FIVE, "--format", fmt])
+    assert code == 0 and len(seen) == 4
+    assert all(before < after for before, after in zip(seen, seen[1:])), seen
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, fmt):
+    import curvedt.strata as strata
+
+    # the first class (g, r, d) = (2, 1, 5) alone, as slope mode writes it
+    _, single, _ = run(capsys, "strata", "-g", "2", "-r", "1", "-d", "5", "--format", fmt)
+    first = "[\n  " + single[:-1].replace("\n", "\n  ") if fmt == "json" else single[:-1]
+    calls, certify = [], strata.certify_virtual_smallness
+
+    def failing_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise VerificationError("injected fault")
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(strata, "certify_virtual_smallness", failing_second)
+    code, out, err = run(capsys, *SLOPE_FIVE, "--format", fmt)
+    assert (code, err) == (1, "error: injected fault\n")
+    assert out == first and len(calls) == 2
 
 
 def test_strata_json(capsys):

@@ -101,7 +101,7 @@ def run_cli(*argv):
 def test_strata_text_equals_canonical_dump(g, r, slope, generic):
     d = int(slope * r)  # either sign, in and out of the theorem range
     rep = certify_virtual_smallness(g, r, d, generic)
-    assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
+    assert_same_text("".join(cli._strata_chunks(rep, rep.verdict)), canonical(strata_dict(rep)))
 
 
 @SETTINGS
@@ -117,7 +117,7 @@ def test_strata_text_low_genus_coprime(g, r, d, generic):
     assume(not (g == 0 and -2 * r < d <= -r))
     rep = certify_virtual_smallness(g, r, d, generic)
     assert len(rep.records) == 1
-    assert_same_text(cli._strata_json(rep), canonical(strata_dict(rep)))
+    assert_same_text("".join(cli._strata_chunks(rep, rep.verdict)), canonical(strata_dict(rep)))
 
 
 @SETTINGS

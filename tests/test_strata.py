@@ -203,7 +203,8 @@ def test_certify_exhaustive_low_rank():
 
 
 def test_report_json_shape():
-    obj = json.loads(cli._strata_json(certify_virtual_smallness(2, 2, 6)))
+    rep = certify_virtual_smallness(2, 2, 6)
+    obj = json.loads("".join(cli._strata_chunks(rep, rep.verdict)))
     assert list(obj) == ["d0", "degree", "generic", "genus", "in_theorem_range", "rank",
                          "strata", "verdict"]
     assert obj["verdict"] == "PASS" and obj["d0"] == 3
@@ -329,6 +330,18 @@ def test_framing_error_names_the_class():
         "class (g, r, d) = (0, 1, -1): non-positive framing (0,) for 1*(1,-1) "
         "despite slope -1 > -2"
     )
+
+
+@pytest.mark.parametrize("r, d, text", [
+    (2, -2, "non-positive framing (0,) for 1*(2,-2) despite slope -1 > -2"),
+    (2, -3, "non-positive framing (-1,) for 1*(2,-3) despite slope -3/2 > -2"),
+])
+def test_framing_error_names_the_first_type_of_a_rank_two_class(r, d, text):
+    # each part's framing is checked once, when its shares are first computed;
+    # all parts of a class share the framing's sign, so the maximal type fails first
+    with pytest.raises(VerificationError) as exc:
+        certify_virtual_smallness(0, r, d)
+    assert str(exc.value) == f"class (g, r, d) = (0, {r}, {d}): {text}"
 
 
 @pytest.mark.parametrize("types, count", [([], 0), ([(((2, 6), 1),)] * 2, 2)])
