@@ -11,9 +11,11 @@ Subcommands:
 * ``verify`` — the built-in golden-table and property suites.
 
 A class is selected either by ``-r/-d`` or by ``--slope p/q --rmax N``
-(all ranks up to N along one slope).  Output formats: a human table
-(default), canonical JSON (sorted keys, two-space indent, no floats —
-re-serializing parsed output is byte-identical), or CSV.
+(all ranks up to N along one slope).  Slope mode writes each class as
+soon as it is computed, in every command and format, so a later class's
+fault leaves the earlier classes on stdout.  Output formats: a human
+table (default), canonical JSON (sorted keys, two-space indent, no
+floats — re-serializing parsed output is byte-identical), or CSV.
 
 Exit codes: 0 success; 1 verification failure only (a consistency
 assertion tripped, a division left a remainder, a certificate or suite
@@ -38,8 +40,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     DTResult,
@@ -176,8 +177,9 @@ def _add_half_args(parser: argparse.ArgumentParser, half_help: str, full_help: s
     half.add_argument("--full", dest="half", action="store_false", help=full_help)
 
 
-def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _config(args: argparse.Namespace) -> argparse.Namespace:
     """args, validated: any class outside the command's domain is a usage error."""
+    parser = args.parser
     slope_mode = args.slope is not None or args.rmax is not None
     class_mode = args.rank is not None or args.degree is not None
     if slope_mode and class_mode:
@@ -223,29 +225,29 @@ def _classes(args: argparse.Namespace) -> List[Tuple[int, int]]:
     return [(r, r * p // q) for r in range(q, args.rmax + 1, q)]
 
 
-def _report(args: argparse.Namespace, items: Iterable, payload: Callable, block: Callable,
-            nested: Optional[Callable] = None) -> None:
-    """JSON: one payload, or a list in slope mode; else blocks joined by blank lines.
+def _report(args: argparse.Namespace, compute: Callable, payload: Callable,
+            block: Callable) -> None:
+    """Each class computed, written and dropped before the next is computed.
 
-    payload(item) is canonical JSON text; payload and block are only called
-    for the format printed.  items is any iterable, each item written and
-    dropped before the next is drawn, so a generator streams.  In a list,
-    nested(item) gives payload(item) in pieces, every line after the first
-    indented, by default by indenting its newlines (JSON escapes every
-    newline in a string).
+    JSON: one payload, or a list in slope mode; else blocks joined by blank
+    lines.  item = compute((r, d)); payload(item, pad) is its canonical JSON
+    in pieces, every line after the first starting with pad ("  " in a list);
+    payload and block are only called for the format printed.
     """
-    if args.fmt == "json" and args.slope is not None:
-        pieces = nested or (lambda item: (payload(item).replace("\n", "\n  "),))
-        sep, head, tail = ",\n  ", "[\n  ", "\n]\n"
-    else:  # JSON outside slope mode has one item
-        text = payload if args.fmt == "json" else block
-        pieces, sep, head, tail = lambda item: (text(item),), "\n\n", "", "\n"
-    for item in items:
+    pad = "  " if args.fmt == "json" and args.slope is not None else ""
+    head, sep, tail = ("[\n  ", ",\n  ", "\n]\n") if pad else ("", "\n\n", "\n")
+    for rd in _classes(args):
+        item = compute(rd)
         sys.stdout.write(head)
-        sys.stdout.writelines(pieces(item))
+        sys.stdout.writelines(payload(item, pad) if args.fmt == "json" else (block(item),))
         head = sep
         del item
     sys.stdout.write(tail)
+
+
+def _padded(text: str, pad: str) -> Tuple[str]:
+    """text as payload pieces, pad after each newline (JSON escapes those in strings)."""
+    return (text.replace("\n", "\n" + pad) if pad else text,)
 
 
 class _PartJSON(dict):
@@ -327,38 +329,35 @@ def _sequence_block(args: argparse.Namespace, head: str, name: str, column: str,
 
 def cmd_betti(args: argparse.Namespace) -> int:
     g = args.genus
-    if args.fmt == "json":  # the payload carries hdt and ih_epoly: the bivariate path
-        _report(args, [ih_poincare(g, *rd) for rd in _classes(args)], _dt_json, None)
-        return 0
+    if args.fmt == "json":  # the payload carries hdt and ih_epoly: hdt's JSON on betti's domain
+        return cmd_hdt(args)
 
-    def block(rd) -> str:
-        r, d = rd
+    def block(item) -> str:
+        (r, d), betti = item
         return _sequence_block(args, f"genus={g} rank={r} degree={d} dim={dim_moduli(g, r)}",
-                               "Betti", "b_k", betti_numbers(g, r, d))
+                               "Betti", "b_k", betti)
 
-    _report(args, _classes(args), None, block)
+    _report(args, lambda rd: (rd, betti_numbers(g, *rd)), None, block)
     return 0
 
 
 def cmd_hdt(args: argparse.Namespace) -> int:
-    # one (rank, degree, DTResult, HDT polynomial) per class; no DTResult, so no
-    # dim or Betti numbers, in torsion mode and at genus <= 1 with gcd(r, d) != 1
-    items = []
-    for r, d in _classes(args):
+    def compute(rd):
+        # (rank, degree, DTResult, HDT polynomial); no DTResult, so no dim or
+        # Betti numbers, in torsion mode and at genus <= 1 with gcd(r, d) != 1
+        r, d = rd
         if r == 0:
-            items.append((r, d, None, torsion_dt(args.genus, d)[d]))
-        elif args.genus <= 1 and gcd(r, d) != 1:
-            items.append((r, d, None, hdt(args.genus, r, d)))
-        else:
-            res = ih_poincare(args.genus, r, d)
-            items.append((r, d, res, res.hdt))
+            return r, d, None, torsion_dt(args.genus, d)[d]
+        if args.genus <= 1 and gcd(r, d) != 1:
+            return r, d, None, hdt(args.genus, r, d)
+        res = ih_poincare(args.genus, r, d)
+        return r, d, res, res.hdt
 
-    def payload(item) -> str:
+    def payload(item, pad: str) -> Tuple[str]:
         r, d, res, h = item
-        if res is None:
-            return (f'{{\n  "degree": {d},\n  "genus": {args.genus},\n'
-                    f'  "hdt": {_terms_json(h)},\n  "rank": {r}\n}}')
-        return _dt_json(res)
+        return _padded(_dt_json(res) if res is not None else (
+            f'{{\n  "degree": {d},\n  "genus": {args.genus},\n'
+            f'  "hdt": {_terms_json(h)},\n  "rank": {r}\n}}'), pad)
 
     def block(item) -> str:
         r, d, res, h = item
@@ -382,42 +381,39 @@ def cmd_hdt(args: argparse.Namespace) -> int:
             f"HDT(-y,-y) = {render_uni(neg)}"
         )
 
-    _report(args, items, payload, block)
+    _report(args, compute, payload, block)
     return 0
 
 
 def cmd_detfactor(args: argparse.Namespace) -> int:
     g = args.genus
-    items = [(r, d, determinant_factor(g, betti_numbers(g, r, d))) for r, d in _classes(args)]
 
-    def payload(item) -> str:
+    def payload(item, pad: str) -> Tuple[str]:
         r, d, coeffs = item
-        return _canonical_json({"genus": g, "rank": r, "degree": d, "detfactor": coeffs})
+        return _padded(_canonical_json(dict(genus=g, rank=r, degree=d, detfactor=coeffs)), pad)
 
     def block(item) -> str:
         r, d, coeffs = item
         return _sequence_block(args, f"genus={g} rank={r} degree={d}", "factor", "c_k", coeffs)
 
-    _report(args, items, payload, block)
+    _report(args, lambda rd: (*rd, determinant_factor(g, betti_numbers(g, *rd))), payload, block)
     return 0
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
     from .strata import certify_virtual_smallness
 
-    classes, verdicts = _classes(args), set()
+    verdicts = set()
 
-    def reports() -> Iterator[Tuple[SmallnessReport, str]]:  # certified as the writer draws
-        for k, (r, d) in enumerate(classes):
-            rep = certify_virtual_smallness(args.genus, r, d, generic=args.generic_bound)
-            if k == 0 and not rep.in_theorem_range:  # one slope: every warning before stdout
-                sys.stderr.write(len(classes) * (
-                    f"warning: slope {Fraction(rep.degree, rep.rank)} is not above "
-                    f"{2 * rep.genus - 2}: smallness is certified arithmetic only, "
-                    "outside the theorem's hypothesis\n"))
-            verdicts.add(verdict := rep.verdict)
-            yield rep, verdict
-            del rep  # dropped before the next class is certified
+    def certify(rd) -> Tuple[SmallnessReport, str]:
+        rep = certify_virtual_smallness(args.genus, *rd, generic=args.generic_bound)
+        if not verdicts and not rep.in_theorem_range:  # one slope: every warning before stdout
+            sys.stderr.write(len(_classes(args)) * (
+                f"warning: slope {Fraction(rep.degree, rep.rank)} is not above "
+                f"{2 * rep.genus - 2}: smallness is certified arithmetic only, "
+                "outside the theorem's hypothesis\n"))
+        verdicts.add(verdict := rep.verdict)
+        return rep, verdict
 
     def block(item) -> str:
         rep, verdict = item
@@ -435,8 +431,7 @@ def cmd_strata(args: argparse.Namespace) -> int:
             f"{table.render()}\nverdict: {verdict}"
         )
 
-    _report(args, reports(), lambda item: "".join(_strata_chunks(*item)), block,
-            lambda item: _strata_chunks(*item, "  "))
+    _report(args, certify, lambda item, pad: _strata_chunks(*item, pad), block)
     return 1 if "FAIL" in verdicts else 0
 
 
@@ -479,11 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_args(p_betti)
     _add_half_args(p_betti, "print b_0..b_dim only (table and CSV; JSON prints all)",
                    "print the whole palindrome (default)")
-    p_betti.set_defaults(func=lambda a: cmd_betti(_config(a, p_betti)))
+    p_betti.set_defaults(func=lambda a: cmd_betti(_config(a)), parser=p_betti)
 
     p_hdt = sub.add_parser("hdt", help="Donaldson-Thomas invariant HDT_{r,d}")
     _add_class_args(p_hdt, torsion_ok=True)
-    p_hdt.set_defaults(func=lambda a: cmd_hdt(_config(a, p_hdt)))
+    p_hdt.set_defaults(func=lambda a: cmd_hdt(_config(a)), parser=p_hdt)
 
     p_det = sub.add_parser(
         "detfactor",
@@ -492,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_args(p_det)
     _add_half_args(p_det, "print the first half only (table and CSV; JSON prints all)",
                    "print everything (default)")
-    p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a, p_det)))
+    p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a)), parser=p_det)
 
     p_strata = sub.add_parser("strata", help="Luna-stratum virtual-smallness certificate")
     _add_class_args(p_strata)
@@ -500,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--generic-bound", dest="generic_bound", action="store_true",
         help="use the generic quiver estimate instead of the curve Euler form",
     )
-    p_strata.set_defaults(func=lambda a: cmd_strata(_config(a, p_strata)))
+    p_strata.set_defaults(func=lambda a: cmd_strata(_config(a)), parser=p_strata)
 
     p_verify = sub.add_parser("verify", help="run the built-in check suites")
     p_verify.add_argument(
@@ -512,13 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for --format json",
     )
     fmt.add_argument("--format", dest="fmt", choices=("table", "json", "csv"))
-    p_verify.set_defaults(fmt="table", func=cmd_verify)
+    p_verify.set_defaults(fmt="table", func=cmd_verify, parser=p_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # under the subcommand's usage line, like its other usage errors
+        args.parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         code = args.func(args)
         sys.stdout.flush()

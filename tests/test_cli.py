@@ -152,45 +152,82 @@ def test_strata_slope_warnings_come_before_any_stdout(fmt):
     assert code == 0 and text.startswith(4 * line) and text.count("warning:") == 4
 
 
-SLOPE_FIVE = ["strata", "-g", "2", "--slope=5", "--rmax", "4"]
+# command -> (a slope, its number of classes, its first class alone)
+SLOPE_RUNS = {
+    "betti": ("-g 2 --slope=1/2 --rmax 6", 3, "-g 2 -r 2 -d 1"),
+    "hdt": ("-g 2 --slope=1/2 --rmax 6", 3, "-g 2 -r 2 -d 1"),
+    "detfactor": ("-g 3 --slope=5/2 --rmax 6", 3, "-g 3 -r 2 -d 5"),
+    "strata": ("-g 2 --slope=5 --rmax 4", 4, "-g 2 -r 1 -d 5"),
+}
+STREAMED = [(command, fmt) for command in ("betti", "hdt", "detfactor")
+            for fmt in ("table", "csv", "json")]
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_strata_slope_mode_writes_each_class_before_certifying_the_next(monkeypatch, fmt):
-    import curvedt.strata as strata
+def per_class_computation(command, fmt):
+    """(module, name) of the library function a command calls once per class."""
+    if command == "strata":
+        import curvedt.strata as strata
+        return strata, "certify_virtual_smallness"
+    if command == "hdt" or (command, fmt) == ("betti", "json"):  # JSON of the whole DTResult
+        return cli, "ih_poincare"
+    return cli, "betti_numbers"
 
-    out, seen, certify = io.StringIO(), [], strata.certify_virtual_smallness
+
+def assert_each_class_is_written_before_the_next_is_computed(monkeypatch, command, fmt):
+    module, name = per_class_computation(command, fmt)
+    out, seen, compute = io.StringIO(), [], getattr(module, name)
 
     def recording(*args, **kwargs):
         seen.append(out.tell())
-        return certify(*args, **kwargs)
+        return compute(*args, **kwargs)
 
-    monkeypatch.setattr(strata, "certify_virtual_smallness", recording)
+    monkeypatch.setattr(module, name, recording)
+    slope, classes, _ = SLOPE_RUNS[command]
     with contextlib.redirect_stdout(out):
-        code = main([*SLOPE_FIVE, "--format", fmt])
-    assert code == 0 and len(seen) == 4
+        code = main([command, *slope.split(), "--format", fmt])
+    assert code == 0 and len(seen) == classes
     assert all(before < after for before, after in zip(seen, seen[1:])), seen
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_strata_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, fmt):
-    import curvedt.strata as strata
-
-    # the first class (g, r, d) = (2, 1, 5) alone, as slope mode writes it
-    _, single, _ = run(capsys, "strata", "-g", "2", "-r", "1", "-d", "5", "--format", fmt)
+def assert_a_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, command, fmt):
+    slope, _, first_class = SLOPE_RUNS[command]
+    _, single, _ = run(capsys, command, *first_class.split(), "--format", fmt)
+    # the first class alone, as slope mode writes it: for JSON, the list head and its payload
     first = "[\n  " + single[:-1].replace("\n", "\n  ") if fmt == "json" else single[:-1]
-    calls, certify = [], strata.certify_virtual_smallness
+    module, name = per_class_computation(command, fmt)
+    calls, compute = [], getattr(module, name)
 
     def failing_second(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
             raise VerificationError("injected fault")
-        return certify(*args, **kwargs)
+        return compute(*args, **kwargs)
 
-    monkeypatch.setattr(strata, "certify_virtual_smallness", failing_second)
-    code, out, err = run(capsys, *SLOPE_FIVE, "--format", fmt)
+    monkeypatch.setattr(module, name, failing_second)
+    code, out, err = run(capsys, command, *slope.split(), "--format", fmt)
     assert (code, err) == (1, "error: injected fault\n")
     assert out == first and len(calls) == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_slope_mode_writes_each_class_before_certifying_the_next(monkeypatch, fmt):
+    assert_each_class_is_written_before_the_next_is_computed(monkeypatch, "strata", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, fmt):
+    assert_a_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, "strata", fmt)
+
+
+@pytest.mark.parametrize("command, fmt", STREAMED)
+def test_slope_mode_writes_each_class_before_computing_the_next(monkeypatch, command, fmt):
+    # no command computes every class first: class k+1 starts after class k is on stdout
+    assert_each_class_is_written_before_the_next_is_computed(monkeypatch, command, fmt)
+
+
+@pytest.mark.parametrize("command, fmt", STREAMED)
+def test_a_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, command, fmt):
+    assert_a_fault_mid_slope_leaves_the_first_class_written(capsys, monkeypatch, command, fmt)
 
 
 def test_strata_json(capsys):
@@ -236,19 +273,43 @@ def test_strata_failed_bounds_exit_one(capsys, monkeypatch):
     assert code == 1 and out.endswith("verdict: FAIL\n")
 
 
+def subcommand_usage(capsys, command):
+    """The usage line(s) that open ``curvedt COMMAND -h``, and the help itself."""
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    out = capsys.readouterr().out
+    return out[: out.index("\n\n") + 1], out
+
+
 @pytest.mark.parametrize("command", ["betti", "hdt", "detfactor", "strata"])
 def test_checks_option_is_gone(capsys, command):
     # every consistency check always runs: no option turns one into a warning or off
+    usage, help_text = subcommand_usage(capsys, command)
+    assert "--checks" not in help_text
     with pytest.raises(SystemExit) as exc:
         main([command, "-g", "2", "-r", "2", "-d", "1", "--checks", "on"])
-    # argparse reports an option no subcommand knows with the program's usage line
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "usage: curvedt [-h] {betti,hdt,detfactor,strata,verify} ...\n"
-        "curvedt: error: unrecognized arguments: --checks on\n")
-    with pytest.raises(SystemExit):
-        main([command, "-h"])
-    assert "--checks" not in capsys.readouterr().out
+        f"{usage}curvedt {command}: error: unrecognized arguments: --checks on\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "betti -g 2 -r 2 -d 1",
+    "hdt -g 2 -r 2 -d 1",
+    "detfactor -g 2 -r 2 -d 1",
+    "strata -g 2 -r 2 -d 5",
+    "verify --quick",
+])
+def test_unknown_option_is_reported_by_the_subcommand(capsys, argv):
+    # under the subcommand's own usage line, like every other usage error of the subcommand
+    command = argv.split()[0]
+    usage, _ = subcommand_usage(capsys, command)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--bogus"])
+    assert exc.value.code == 2
+    assert usage.startswith(f"usage: curvedt {command} [-h]")
+    assert capsys.readouterr().err == (
+        f"{usage}curvedt {command}: error: unrecognized arguments: --bogus\n")
 
 
 def test_verify_quick(capsys):
