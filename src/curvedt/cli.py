@@ -54,7 +54,7 @@ from .invariants import (
     ih_poincare,
     torsion_dt,
 )
-from .ring import DomainError, LaurentPoly, NotDivisibleError, Scalar, UniPoly
+from .ring import DomainError, LaurentPoly, NotDivisibleError, Scalar
 
 if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
     from .strata import SmallnessReport
@@ -132,15 +132,6 @@ def render_poly(p: LaurentPoly) -> str:
     return _join_terms(terms)
 
 
-def render_uni(p: UniPoly) -> str:
-    """Human form of a one-variable Laurent polynomial in y."""
-    terms = []
-    for e2, c in sorted(p.terms.items()):
-        mono = "y" + _exp_str(e2) if e2 else ""
-        terms.append((c, mono))
-    return _join_terms(terms)
-
-
 def _parse_slope(text: str) -> Fraction:
     try:
         if "/" in text:
@@ -169,12 +160,6 @@ def _add_class_args(parser: argparse.ArgumentParser, torsion_ok: bool = False):
         action="store_true",
         help="allow genus < 2 for exploratory runs (the consistency checks still run)",
     )
-
-
-def _add_half_args(parser: argparse.ArgumentParser, half_help: str, full_help: str):
-    half = parser.add_mutually_exclusive_group()
-    half.add_argument("--half", action="store_true", help=half_help)
-    half.add_argument("--full", dest="half", action="store_false", help=full_help)
 
 
 def _config(args: argparse.Namespace) -> argparse.Namespace:
@@ -373,12 +358,13 @@ def cmd_hdt(args: argparse.Namespace) -> int:
         if res is None:
             torsion = " (torsion)" if r == 0 else ""
             return f"genus={args.genus} rank={r} degree={d}{torsion}\nHDT = {render_poly(h)}"
-        # HDT(-y,-y) = sum of b_k y^(k - dim), the main theorem's reading of res.betti
-        neg = UniPoly({2 * (k - res.dim): b for k, b in enumerate(res.betti)})
+        # HDT(-y,-y) = sum of nonzero b_k y^(k - dim), the main theorem's reading of res.betti
+        neg = [(b, "y" + _exp_str(2 * (k - res.dim)) if k != res.dim else "")
+               for k, b in enumerate(res.betti) if b]
         return (
             f"genus={res.genus} rank={res.rank} degree={res.degree} dim={res.dim}\n"
             f"HDT = {render_poly(h)}\n"
-            f"HDT(-y,-y) = {render_uni(neg)}"
+            f"HDT(-y,-y) = {_join_terms(neg)}"
         )
 
     _report(args, compute, payload, block)
@@ -472,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         "betti", help="Betti numbers of IH*(M(r,d))"
     )
     _add_class_args(p_betti)
-    _add_half_args(p_betti, "print b_0..b_dim only (table and CSV; JSON prints all)",
-                   "print the whole palindrome (default)")
+    p_betti.add_argument("--half", action="store_true",
+                         help="print b_0..b_dim only (table and CSV; JSON prints all)")
     p_betti.set_defaults(func=lambda a: cmd_betti(_config(a)), parser=p_betti)
 
     p_hdt = sub.add_parser("hdt", help="Donaldson-Thomas invariant HDT_{r,d}")
@@ -485,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed-determinant factor: Poincare polynomial over (1-y)^(2g)",
     )
     _add_class_args(p_det)
-    _add_half_args(p_det, "print the first half only (table and CSV; JSON prints all)",
-                   "print everything (default)")
+    p_det.add_argument("--half", action="store_true",
+                       help="print the first half only (table and CSV; JSON prints all)")
     p_det.set_defaults(func=lambda a: cmd_detfactor(_config(a)), parser=p_det)
 
     p_strata = sub.add_parser("strata", help="Luna-stratum virtual-smallness certificate")

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from curvedt import cli, invariants, ring
-from curvedt.cli import main, render_poly, render_uni
+from curvedt.cli import main, render_poly
 from curvedt.invariants import VerificationError
-from curvedt.ring import LaurentPoly, NotDivisibleError, UniPoly, monomial
+from curvedt.ring import LaurentPoly, NotDivisibleError, monomial
 
 
 def run(capsys, *argv):
@@ -293,23 +293,32 @@ def test_checks_option_is_gone(capsys, command):
         f"{usage}curvedt {command}: error: unrecognized arguments: --checks on\n")
 
 
-@pytest.mark.parametrize("argv", [
-    "betti -g 2 -r 2 -d 1",
-    "hdt -g 2 -r 2 -d 1",
-    "detfactor -g 2 -r 2 -d 1",
-    "strata -g 2 -r 2 -d 5",
-    "verify --quick",
-])
-def test_unknown_option_is_reported_by_the_subcommand(capsys, argv):
+UNKNOWN_OPTIONS = [
+    ("betti -g 2 -r 2 -d 1", "--bogus"),
+    ("hdt -g 2 -r 2 -d 1", "--bogus"),
+    ("detfactor -g 2 -r 2 -d 1", "--bogus"),
+    ("strata -g 2 -r 2 -d 5", "--bogus"),
+    ("verify --quick", "--bogus"),
+    # --half is a plain switch: the whole palindrome is the default, with no option of its own
+    ("betti -g 2 -r 2 -d 1", "--full"),
+    ("detfactor -g 2 -r 2 -d 1", "--full"),
+]
+
+
+@pytest.mark.parametrize("argv, option", UNKNOWN_OPTIONS, ids=[
+    argv if option == "--bogus" else f"{argv} {option}" for argv, option in UNKNOWN_OPTIONS])
+def test_unknown_option_is_reported_by_the_subcommand(capsys, argv, option):
     # under the subcommand's own usage line, like every other usage error of the subcommand
     command = argv.split()[0]
-    usage, _ = subcommand_usage(capsys, command)
+    usage, help_text = subcommand_usage(capsys, command)
+    assert option not in help_text
+    assert ("--half" in help_text) == (command in ("betti", "detfactor"))
     with pytest.raises(SystemExit) as exc:
-        main([*argv.split(), "--bogus"])
+        main([*argv.split(), option])
     assert exc.value.code == 2
     assert usage.startswith(f"usage: curvedt {command} [-h]")
     assert capsys.readouterr().err == (
-        f"{usage}curvedt {command}: error: unrecognized arguments: --bogus\n")
+        f"{usage}curvedt {command}: error: unrecognized arguments: {option}\n")
 
 
 def test_verify_quick(capsys):
@@ -451,9 +460,13 @@ def test_render_poly_ordering_and_halves():
     assert render_poly(LaurentPoly.zero()) == "0"
 
 
-def test_render_uni():
-    p = UniPoly({-2: 1, 0: 2, 3: -3})
-    assert render_uni(p) == "y^(-1) + 2 - 3y^(3/2)"
+def test_hdt_table_skips_zero_betti_numbers(capsys, monkeypatch):
+    # no golden has a zero Betti number: HDT(-y,-y) = sum of b_k y^(k - dim) over b_k != 0
+    res = invariants.DTResult(2, 2, 1, 2, LaurentPoly.one(), LaurentPoly.one(), (1, 0, 3, 0, 1))
+    monkeypatch.setattr(cli, "ih_poincare", lambda g, r, d: res)
+    code, out, _ = run(capsys, "hdt", "-g", "2", "-r", "2", "-d", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "HDT(-y,-y) = y^(-2) + 3 + y^2"
 
 
 @pytest.mark.parametrize(

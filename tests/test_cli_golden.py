@@ -78,6 +78,8 @@ COMMANDS = [
     ("verify_json", "verify --json"),
     ("verify_table", "verify"),
     ("verify_csv", "verify --format csv"),
+    ("hdt_table_genus_three", "hdt -g 3 -r 3 -d 1"),
+    ("hdt_slope_table", "hdt -g 2 --slope=1/2 --rmax 4"),
 ]
 
 

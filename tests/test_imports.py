@@ -1,7 +1,8 @@
 """Every name a curvedt module imports is used in that module, every
 module-level private definition is referenced somewhere in the package,
-a polynomial's storage is read and written by ``ring.py`` only, and no
-module imports ``warnings`` or takes a ``checks`` parameter.
+a polynomial's storage is read and written by ``ring.py`` only, no
+module imports ``warnings`` or takes a ``checks`` parameter, and
+``UniPoly`` and ``series_mul`` have no consumers beyond their known ones.
 
 Parsed with the standard-library ``ast``, so nothing is imported or run.
 ``from __future__`` imports are exempt, and so are names a module lists in
@@ -109,3 +110,31 @@ def test_polynomial_storage_stays_in_ring():
         or (isinstance(node, ast.Constant) and node.value in STORAGE)
     ]
     assert not leaks, "polynomial storage used outside ring.py: " + ", ".join(leaks)
+
+
+# name -> the only modules that may name it in code; the string export table of
+# __init__ does not count.  Fewer consumers keep a later deletion a pure deletion.
+CONSUMERS = {
+    "UniPoly": ("ring.py", "closedforms.py"),
+    "series_mul": ("series.py",),
+}
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):  # the imported name and its local name
+            yield from ((node.lineno, name) for name in (node.name, node.asname) if name)
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_unipoly_and_series_mul_have_no_new_consumers():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _names(ast.parse(path.read_text(), filename=str(path)))
+        if name in CONSUMERS and path.name not in CONSUMERS[name]
+    ]
+    assert not found, "names used outside their modules: " + ", ".join(found)
