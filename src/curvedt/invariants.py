@@ -318,6 +318,8 @@ def determinant_factor(g: int, betti: Sequence[int]) -> List[int]:
     and the quotient is reported back at -y, which makes it the
     non-negative factor corresponding to fixed-determinant bundles.
     """
+    if g < 0:
+        raise DomainError(f"genus must be >= 0, got {g}")
     s = [(-b if k % 2 else b) for k, b in enumerate(betti)]
     for _ in range(2 * g):
         if len(s) < 2:

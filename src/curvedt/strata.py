@@ -10,23 +10,35 @@ multiplicity one.
 Attached to a type is a symmetric framed quiver: one vertex per part,
 a_ij = delta_ij + (g-1) r_i r_j arrows between vertices i and j, and
 w_i = d_i + (1-g) r_i framing arrows (the section count of E_i for large
-slope).  Its Euler form computes stratum codimensions, and the
-inequality chain for the framed bundle map pi: M_f(r,d) -> M(r,d) boils
-down to a per-type rational bound:
+slope).  The stratum has codimension (g-1) r^2 + 1 - sum_i ((g-1) r_i^2 + 1),
+and the inequality chain for the framed bundle map pi: M_f(r,d) -> M(r,d)
+boils down to a per-type rational bound:
 
     bound(s) = 1/2 + 1/2 * sum_i ( (m_i - 1) chi_ii + 1 - 2 m_i ),
 
 with chi_ii = -(g-1) r_i^2 the Euler pairing of a vertex with itself.
 The map is virtually small precisely when the bound is 0 on the maximal
 type and strictly negative elsewhere; ``certify_virtual_smallness``
-checks this exhaustively over all types of (r, d).  It is a theorem
-only for slopes d/r > 2g-2: outside that range the arithmetic still
-runs, the report notes the range, and the CLI prints the warning line.
+checks this exhaustively over all types of (r, d), a class of the
+moduli domain of ``check_domain``.  It is a theorem only for slopes
+d/r > 2g-2: outside that range the arithmetic still runs, the report
+notes the range, and the CLI prints the warning line.
 
 The curve-specific value chi_ii <= 0 is the default; ``generic=True``
-substitutes the weaker generic-quiver estimate chi_ii <= 1 (bound
-1/2 - 1/2 sum_i m_i) to cross-check that even the coarse inequality
-suffices.
+substitutes the weaker generic-quiver estimate chi_ii <= 1 to
+cross-check that even the coarse inequality suffices.
+
+The certificate passes on every class of the domain, by these lemmas:
+
+* curve bound, g >= 1: each part adds (m_i - 1) chi_ii + 1 - 2 m_i <= -1
+  to twice the bound, so the bound is 0 at the maximal type and at most
+  -1/2 elsewhere;
+* generic bound: (1 - sum_i m_i)/2 on every type;
+* g >= 2: the codimension is at least 1 off the maximal type;
+* with d/r = p/q in lowest terms, part (kq, kp) has framing
+  k(p - (g-1)q), positive for every slope d/r > 2g-2 at g >= 1; at
+  genus 0 the domain has rank 1 only, and (0, 1, -1) is its one class in
+  range with framing 0, which raises.
 """
 
 from __future__ import annotations
@@ -83,24 +95,12 @@ class StratumType(NamedTuple("StratumType", [("parts", Tuple[Part, ...])])):
 
 
 class FramedQuiver(NamedTuple):
-    """Symmetric framed quiver of a stratum type; arrows are built on each use."""
+    """Symmetric framed quiver of a stratum type: its genus, vertex ranks
+    and framing; the arrows a_ij = delta_ij + (g-1) r_i r_j follow from them."""
 
     genus: int
     ranks: Tuple[int, ...]
     framing: Tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def arrows(self) -> Tuple[Tuple[int, ...], ...]:
-        """a_ij = delta_ij + (g-1) r_i r_j."""
-        g1, ranks = self.genus - 1, self.ranks
-        return tuple(
-            tuple((i == j) + g1 * r_i * r_j for j, r_j in enumerate(ranks))
-            for i, r_i in enumerate(ranks)
-        )
 
 
 def _pair_multisets(total: int, part: Callable = lambda k, m: (k, m)) -> List[tuple]:
@@ -151,17 +151,6 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
     return FramedQuiver(g, ranks, tuple(_shares(g, part)[3] for part in s.parts))
 
 
-def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
-    """chi_Q(m, m') = sum_i m_i m'_i - sum_{ij} a_ij m_i m'_j."""
-    if len(m) != q.n or len(m2) != q.n:
-        raise DomainError(f"dimension vectors must have length {q.n}")
-    diag = sum(a * b for a, b in zip(m, m2))
-    cross = sum(
-        a_ij * m_i * m2_j for row, m_i in zip(q.arrows, m) for a_ij, m2_j in zip(row, m2)
-    )
-    return diag - cross
-
-
 def _shares(g: int, part: Part, generic: bool = False) -> Tuple[int, int, int, int]:
     """One part's shares: m_i r_i of the rank, (g-1) r_i^2 + 1 of the codimension,
     (m_i - 1) chi_ii + 1 - 2 m_i of twice the bound, and its framing d_i + (1-g) r_i."""
@@ -169,31 +158,6 @@ def _shares(g: int, part: Part, generic: bool = False) -> Tuple[int, int, int, i
     square = (g - 1) * r_i * r_i
     chi_ii = 1 if generic else -square
     return m_i * r_i, square + 1, (m_i - 1) * chi_ii + 1 - 2 * m_i, d_i - (g - 1) * r_i
-
-
-def codim_stratum(g: int, s: StratumType) -> int:
-    """Complex codimension of the stratum in M(r, d).
-
-    (g-1) r^2 + 1 - sum_i ((g-1) r_i^2 + 1) over the n parts, where r is
-    the total rank.  Non-negative, zero exactly at the maximal type;
-    a negative value means the formula was misapplied and raises.
-    """
-    rank = sum(_shares(g, part)[0] for part in s.parts)
-    codim = (g - 1) * rank * rank + 1 - sum(_shares(g, part)[1] for part in s.parts)
-    if codim < 0:
-        raise VerificationError(
-            f"{class_label(g, rank, s.degree)}: negative codimension {codim} "
-            f"for stratum {s.label()} at genus {g}"
-        )
-    return codim
-
-
-def d_zero(g: int, r: int, d: int) -> int:
-    """Fiber dimension of the framed map over the dense stratum.
-
-    d0 = (framing dimension of the full class) - 1 = d + (1-g) r - 1.
-    """
-    return d + (1 - g) * r - 1
 
 
 def smallness_bound(g: int, s: StratumType, generic: bool = False) -> Fraction:
@@ -217,10 +181,6 @@ class StratumRecord(NamedTuple):
     codim: int
     bound: Fraction
     passes: bool
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.stratum.is_maximal
 
 
 class SmallnessReport(NamedTuple):
@@ -253,14 +213,15 @@ def certify_virtual_smallness(
     d/r > 2g-2 is advisory: outside it the arithmetic still runs and
     the report notes the range in ``in_theorem_range``, from which the
     CLI prints its warning line; no warning is raised.  Structural
-    impossibilities (several maximal types, zero codimension off the
-    dense stratum, non-positive framing in range) raise instead of
-    being reported.  A type costs one pass of integer sums over its
-    parts, whose shares are computed, and framing checked, once per part
-    and call: with d/r = p/q, part (kq, kp) has framing k(p - (g-1)q), so
-    the maximal type fails first if any does.  Negative genus: DomainError.
+    impossibilities (several maximal types, a negative codimension, a
+    zero one off the dense stratum, a non-positive framing in range)
+    raise instead of being reported.  A type costs one pass of integer
+    sums over its parts, whose shares are computed, and framing checked,
+    once per part and call: with d/r = p/q, part (kq, kp) has framing
+    k(p - (g-1)q), so the maximal type fails first if any does.  A class
+    outside the moduli domain of ``check_domain`` raises its DomainError.
     """
-    check_domain(g, r, d)
+    check_domain(g, r, d, moduli=True)
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
     records = []
@@ -283,7 +244,8 @@ def certify_virtual_smallness(
             twice += twice_i
         codim = (g - 1) * rank * rank + 1 - drop
         if codim < 0:
-            codim_stratum(g, s)  # raises, naming the class and the stratum
+            raise VerificationError(f"{class_label(g, r, d)}: negative codimension {codim} "
+                                    f"for stratum {s.label()} at genus {g}")
         bound = _half(twice)
         maximal = s.is_maximal
         n_maximal += maximal
@@ -302,7 +264,7 @@ def certify_virtual_smallness(
         genus=g,
         rank=r,
         degree=d,
-        d0=d_zero(g, r, d),
+        d0=d + (1 - g) * r - 1,  # fiber dimension over the dense stratum
         in_theorem_range=in_range,
         generic=generic,
         records=tuple(records),

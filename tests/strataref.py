@@ -11,6 +11,10 @@ loop was tuned: ``codim_stratum``, ``smallness_bound``,
 ``certify_virtual_smallness`` as they stood then, over the plain frozen
 dataclasses of that time.  It serves as the oracle for every record,
 ``d0`` and the theorem-range flag.
+
+``FramedQuiver.arrows`` and ``euler_form`` keep the quiver's arrow
+matrix and Euler form, which the library no longer builds: tests read
+them off the ranks and framing of ``curvedt.strata.build_fiber_quiver``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from curvedt.invariants import VerificationError
 
@@ -87,6 +91,18 @@ class FramedQuiver:
             tuple((i == j) + g1 * r_i * r_j for j, r_j in enumerate(ranks))
             for i, r_i in enumerate(ranks)
         )
+
+
+def euler_form(q: FramedQuiver, m: Sequence[int], m2: Sequence[int]) -> int:
+    """chi_Q(m, m') = sum_i m_i m'_i - sum_{ij} a_ij m_i m'_j."""
+    n = len(q.ranks)
+    if len(m) != n or len(m2) != n:
+        raise ValueError(f"dimension vectors must have length {n}")
+    diag = sum(a * b for a, b in zip(m, m2))
+    cross = sum(
+        a_ij * m_i * m2_j for row, m_i in zip(q.arrows, m) for a_ij, m2_j in zip(row, m2)
+    )
+    return diag - cross
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from curvedt.ring import UniPoly, half_lefschetz, specialize_elem, specialize_y
 from curvedt.strata import (
     build_fiber_quiver,
     certify_virtual_smallness,
-    codim_stratum,
     enumerate_strata,
     smallness_bound,
 )
@@ -197,8 +196,8 @@ def test_criterion_8_strata_certification_rank_six():
                 assert rep.passes, f"g={g} ({r},{d})"
                 for rec in rep.records:
                     assert rec.codim >= 0
-                    assert (rec.codim == 0) == rec.is_maximal
-                    if rec.is_maximal:
+                    assert (rec.codim == 0) == rec.stratum.is_maximal
+                    if rec.stratum.is_maximal:
                         assert rec.bound == 0
                     else:
                         assert rec.bound < 0

@@ -228,6 +228,13 @@ def test_determinant_factor_not_divisible():
         determinant_factor(2, [1, 0, 1])
 
 
+def test_determinant_factor_rejects_a_negative_genus():
+    # (1-y)^(2g) has no negative power to divide by: no silent identity at g < 0
+    with pytest.raises(DomainError) as exc:
+        determinant_factor(-1, [1, 2, 1])
+    assert str(exc.value) == "genus must be >= 0, got -1"
+
+
 def test_valid_classes_at_genus_one_and_two_raise_nothing():
     # every check runs at every genus: valid classes pass them and warn of nothing
     with warnings.catch_warnings():

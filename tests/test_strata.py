@@ -4,7 +4,9 @@ All numeric oracles were evaluated by hand from the defining formulas
 before the module was written: the three types of (2,0) and five of
 (3,0); arrow matrix [[2,1],[1,2]] with framing (2,2) for two rank-one
 degree-3 parts at genus 2; codimensions 0/1/3 for the (2,0) types; the
-bound values 0, -1/2, -3/2; and d0 = d + (1-g) r - 1 spot values.
+bound values 0, -1/2, -3/2; and d0 = d + (1-g) r - 1 spot values.  The
+arrow matrix and Euler form are the oracle's (``strataref``), read off
+the ranks and framing of the library's quiver.
 """
 
 import json
@@ -14,25 +16,27 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import strataref as ref
 
 from curvedt import cli
-from curvedt.invariants import VerificationError
+from curvedt.invariants import VerificationError, check_domain
+from curvedt.ring import DomainError
 from curvedt.strata import (
-    FramedQuiver,
-    SmallnessReport,
     StratumType,
     build_fiber_quiver,
     certify_virtual_smallness,
-    codim_stratum,
-    d_zero,
     enumerate_strata,
-    euler_form,
     smallness_bound,
 )
 
 
 def stratum(*parts):
     return StratumType(tuple(parts))
+
+
+def quiver(g, s):
+    """The library's quiver of s, with the oracle's arrows and Euler form."""
+    return ref.FramedQuiver(*build_fiber_quiver(g, s))
 
 
 def test_enumerate_coprime_is_single():
@@ -95,13 +99,13 @@ def test_repeated_parts_are_distinct_from_merged_multiplicity():
 
 
 def test_fiber_quiver_single_rank_one_part():
-    q = build_fiber_quiver(2, stratum(((1, 5), 1)))
+    q = quiver(2, stratum(((1, 5), 1)))
     assert q.arrows == ((2,),)
     assert q.framing == (4,)
 
 
 def test_fiber_quiver_two_parts():
-    q = build_fiber_quiver(2, stratum(((1, 3), 1), ((1, 3), 1)))
+    q = quiver(2, stratum(((1, 3), 1), ((1, 3), 1)))
     assert q.arrows == ((2, 1), (1, 2))
     assert q.framing == (2, 2)
 
@@ -109,53 +113,49 @@ def test_fiber_quiver_two_parts():
 def test_fiber_quiver_symmetry():
     for g in (2, 3):
         for s in enumerate_strata(6, 3):
-            q = build_fiber_quiver(g, s)
+            q = quiver(g, s)
             assert all(
                 q.arrows[i][j] == q.arrows[j][i]
-                for i in range(q.n)
-                for j in range(q.n)
+                for i in range(s.n)
+                for j in range(s.n)
             )
 
 
 def test_euler_form_values():
-    q = build_fiber_quiver(2, stratum(((1, 3), 1), ((1, 3), 1)))
-    assert euler_form(q, (1, 1), (1, 1)) == -4
-    assert euler_form(q, (0, 0), (0, 0)) == 0
+    q = quiver(2, stratum(((1, 3), 1), ((1, 3), 1)))
+    assert ref.euler_form(q, (1, 1), (1, 1)) == -4
+    assert ref.euler_form(q, (0, 0), (0, 0)) == 0
     with pytest.raises(ValueError):
-        euler_form(q, (1,), (1, 1))
+        ref.euler_form(q, (1,), (1, 1))
 
 
 def test_euler_form_diagonal_is_minus_weighted_rank_square():
     s = stratum(((2, 6), 1), ((4, 12), 2))
     for g in (2, 3):
-        q = build_fiber_quiver(g, s)
-        assert euler_form(q, (1, 0), (1, 0)) == -(g - 1) * 4
-        assert euler_form(q, (0, 1), (0, 1)) == -(g - 1) * 16
+        q = quiver(g, s)
+        assert ref.euler_form(q, (1, 0), (1, 0)) == -(g - 1) * 4
+        assert ref.euler_form(q, (0, 1), (0, 1)) == -(g - 1) * 16
 
 
 def test_euler_form_matches_rank_pairing():
     # chi_Q(m, m') = (1-g) (sum m_i r_i)(sum m'_j r_j) on equal-slope quivers
     for g in (2, 3):
         for s in enumerate_strata(4, 2):
-            q = build_fiber_quiver(g, s)
-            ranks = [r_i for (r_i, _), _ in s.parts]
+            q = quiver(g, s)
             m = tuple(range(1, s.n + 1))
-            total = sum(a * b for a, b in zip(m, ranks))
-            assert euler_form(q, m, m) == (1 - g) * total * total
+            total = sum(a * b for a, b in zip(m, q.ranks))
+            assert ref.euler_form(q, m, m) == (1 - g) * total * total
 
 
 def test_codim_examples():
-    types = enumerate_strata(2, 0)
-    by_label = {s.label(): s for s in types}
-    assert codim_stratum(2, by_label["1*(2,0)"]) == 0
-    assert codim_stratum(2, by_label["1*(1,0) + 1*(1,0)"]) == 1
-    assert codim_stratum(2, by_label["2*(1,0)"]) == 3
+    codims = {rec.stratum.label(): rec.codim for rec in certify_virtual_smallness(2, 2, 0).records}
+    assert codims == {"1*(2,0)": 0, "1*(1,0) + 1*(1,0)": 1, "2*(1,0)": 3}
 
 
 def test_d_zero_examples():
-    assert d_zero(2, 2, 5) == 2
-    assert d_zero(2, 1, 3) == 1
-    assert d_zero(3, 1, 5) == 2
+    assert certify_virtual_smallness(2, 2, 5).d0 == 2
+    assert certify_virtual_smallness(2, 1, 3).d0 == 1
+    assert certify_virtual_smallness(3, 1, 5).d0 == 2
 
 
 def test_smallness_bound_values():
@@ -177,10 +177,10 @@ def test_certify_examples_pass():
     for (g, r, d) in [(2, 2, 5), (2, 4, 12), (3, 3, 13)]:
         rep = certify_virtual_smallness(g, r, d)
         assert rep.verdict == "PASS" and rep.in_theorem_range
-        assert sum(rec.is_maximal for rec in rep.records) == 1
+        assert sum(rec.stratum.is_maximal for rec in rep.records) == 1
         for rec in rep.records:
-            assert (rec.codim == 0) == rec.is_maximal
-            assert rec.bound == 0 if rec.is_maximal else rec.bound < 0
+            assert (rec.codim == 0) == rec.stratum.is_maximal
+            assert rec.bound == 0 if rec.stratum.is_maximal else rec.bound < 0
 
 
 def test_certify_out_of_range_does_not_warn():
@@ -295,30 +295,34 @@ def test_certify_calls_layers_through_module_globals(monkeypatch):
 
 def test_fiber_quiver_low_genus():
     s = stratum(((1, 7), 2), ((2, 14), 1), ((3, 21), 1))
-    q1, q0 = build_fiber_quiver(1, s), build_fiber_quiver(0, s)
+    q1, q0 = quiver(1, s), quiver(0, s)
     assert q1.arrows == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and q1.framing == (7, 14, 21)
     assert q0.arrows == ((0, -2, -3), (-2, -3, -6), (-3, -6, -8)) and q0.framing == (8, 16, 24)
 
 
-def test_codim_error_names_the_class():
-    s = stratum(((1, 0), 1), ((1, 0), 1))
+def test_codim_error_names_the_class(monkeypatch):
+    import curvedt.strata as strata
+
+    # a coprime genus-1 class has one type; two parts there would have codimension 1 - 2
+    types = [stratum(((2, 1), 1)), stratum(((1, 1), 1), ((1, 1), 1))]
+    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: types)
     with pytest.raises(VerificationError) as exc:
-        codim_stratum(1, s)
+        strata.certify_virtual_smallness(1, 2, 1)
     assert str(exc.value) == (
-        "class (g, r, d) = (1, 2, 0): negative codimension -1 "
-        "for stratum 1*(1,0) + 1*(1,0) at genus 1"
+        "class (g, r, d) = (1, 2, 1): negative codimension -1 "
+        "for stratum 1*(1,1) + 1*(1,1) at genus 1"
     )
 
 
 def test_maximality_error_names_the_class(monkeypatch):
     import curvedt.strata as strata
 
-    types = [stratum(((2, 0), 1)), stratum(((1, 0), 2))]  # codim 0 off the dense stratum at g = 1
+    types = [stratum(((2, 1), 1)), stratum(((1, 1), 2))]  # codim 0 off the dense stratum at g = 1
     monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: types)
     with pytest.raises(VerificationError) as exc:
-        strata.certify_virtual_smallness(1, 2, 0)
+        strata.certify_virtual_smallness(1, 2, 1)
     assert str(exc.value) == (
-        "class (g, r, d) = (1, 2, 0): codimension 0 inconsistent with maximality of 2*(1,0)"
+        "class (g, r, d) = (1, 2, 1): codimension 0 inconsistent with maximality of 2*(1,1)"
     )
 
 
@@ -332,16 +336,34 @@ def test_framing_error_names_the_class():
     )
 
 
-@pytest.mark.parametrize("r, d, text", [
-    (2, -2, "non-positive framing (0,) for 1*(2,-2) despite slope -1 > -2"),
-    (2, -3, "non-positive framing (-1,) for 1*(2,-3) despite slope -3/2 > -2"),
-])
-def test_framing_error_names_the_first_type_of_a_rank_two_class(r, d, text):
-    # each part's framing is checked once, when its shares are first computed;
-    # all parts of a class share the framing's sign, so the maximal type fails first
+@pytest.mark.parametrize("types, text", [
+    ([(((2, 0), 1),), (((1, 0), 2),)], "non-positive framing (0,) for 1*(2,0)"),
+    ([(((2, 1), 1),), (((1, -1), 1), ((1, 2), 1))], "non-positive framing (-1, 2) for "
+                                                    "1*(1,-1) + 1*(1,2)"),
+], ids=["maximal", "second"])
+def test_framing_error_names_the_first_type_of_a_rank_two_class(monkeypatch, types, text):
+    # each part's framing is checked once, when its shares are first computed, so the
+    # first type with a non-positive part raises; every type of a real class has the
+    # framing's sign, so there the maximal type fails first.  No class of the domain
+    # has a rank-two type with framing <= 0 in range: the types are injected
+    import curvedt.strata as strata
+
+    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: [stratum(*t) for t in types])
     with pytest.raises(VerificationError) as exc:
-        certify_virtual_smallness(0, r, d)
-    assert str(exc.value) == f"class (g, r, d) = (0, {r}, {d}): {text}"
+        strata.certify_virtual_smallness(1, 2, 1)
+    assert str(exc.value) == f"class (g, r, d) = (1, 2, 1): {text} despite slope 1/2 > 0"
+
+
+@pytest.mark.parametrize("g, r, d", [(1, 2, 0), (1, 3, 0), (0, 2, -2), (0, 2, -3)])
+def test_a_class_outside_the_moduli_domain_is_a_domain_error(g, r, d):
+    # not a failed certificate (a negative codimension, a non-positive framing):
+    # the class and the reason, as the CLI's usage error says them
+    with pytest.raises(DomainError) as want:
+        check_domain(g, r, d, moduli=True)
+    for generic in (False, True):
+        with pytest.raises(DomainError) as exc:
+            certify_virtual_smallness(g, r, d, generic)
+        assert str(exc.value) == str(want.value)
 
 
 @pytest.mark.parametrize("types, count", [([], 0), ([(((2, 6), 1),)] * 2, 2)])
@@ -387,7 +409,28 @@ def test_public_per_type_functions_agree_with_the_certificate(g, r, d, generic):
     rep = certify_virtual_smallness(g, r, d, generic)
     assert rep.in_theorem_range == (Fraction(d, r) > 2 * g - 2)
     for rec in rep.records:
-        assert rec.codim == codim_stratum(g, rec.stratum)
+        assert rec.codim == ref.codim_stratum(g, rec.stratum)
         assert rec.bound == smallness_bound(g, rec.stratum, generic)
         if rep.in_theorem_range:
             assert min(build_fiber_quiver(g, rec.stratum).framing) > 0
+
+
+def test_the_lemmas_hold_on_every_record_of_the_domain():
+    """The lemmas of the module docstring, on g = 1..5, r <= 10 and the r
+    degrees just above r(2g-2), a full residue period, in both bound modes."""
+    for g in range(1, 6):
+        for r in range(1, 11):
+            for d in range(r * (2 * g - 2) + 1, r * (2 * g - 1) + 1):
+                if g == 1 and gcd(r, d) != 1:
+                    continue  # outside the domain
+                curve, generic = (certify_virtual_smallness(g, r, d, mode) for mode in (False, True))
+                assert curve.passes and generic.passes and curve.in_theorem_range
+                for rec, rec_generic in zip(curve.records, generic.records, strict=True):
+                    s = rec.stratum
+                    assert rec_generic.stratum == s and rec_generic.codim == rec.codim
+                    if s.is_maximal:
+                        assert rec.bound == 0 and rec.codim == 0
+                    else:
+                        assert rec.bound <= Fraction(-1, 2) and rec.codim >= 1
+                    assert rec_generic.bound == Fraction(1 - sum(m for _, m in s.parts), 2)
+                    assert min(build_fiber_quiver(g, s).framing) > 0
