@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
 from .invariants import ih_poincare, q_rank, composition_prefactors
-from .ring import DomainError, UniPoly, specialize_elem
+from .ring import DomainError, RingElem, UniPoly, specialize_elem
 
 _HALF = Fraction(1, 2)
 _THIRD = Fraction(1, 3)
@@ -175,7 +175,8 @@ def q_rank_closed_form_check(g: int, r: int) -> bool:
     compared by cross-multiplication (the specialize step returns an
     unreduced numerator/denominator pair of its own).
     """
-    num_p, den_p = specialize_elem(q_rank(g, r, False))  # the pipeline's cache key
+    q = q_rank(g, r, False)  # the pipeline's cache key, over a SymPoly numerator
+    num_p, den_p = specialize_elem(RingElem(q.num.to_laurent(), q.den))
     e = (1 - g) * r * r
     closed_num = UniPoly.y_pow(2 * e, -1 if e % 2 else 1) * (_y(2 * r) - UniPoly.one())
     closed_den = UniPoly.one()

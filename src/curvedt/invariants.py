@@ -21,6 +21,8 @@ For a smooth projective curve of genus g the computation chains through:
    (-1)^dim (dim = (g-1)r^2 + 1), then flip y -> -y.  The coefficients
    are the intersection-cohomology Betti numbers of the moduli space
    M(r,d) of semistable bundles, Poincare-dual and starting at 1.
+   Every input of steps 1-4 is symmetric in u, v, so they run in
+   s = u + v and (uv)^(1/2) (SymPoly); _hdt converts HDT to u, v once.
    betti_numbers (betti table and CSV, detfactor) runs steps 1-4 on the
    images under u, v -> (uv)^(1/2), a ring map that fixes L^(1/2) and
    commutes with Adams operations, duality and u = v = y.
@@ -47,9 +49,9 @@ from .ring import (
     LaurentPoly,
     NotDivisibleError,
     RingElem,
+    SymPoly,
     half_lefschetz,
     lefschetz,
-    monomial,
     ring_sum,
     specialize_y,
 )
@@ -97,9 +99,9 @@ def curve_epoly(g: int) -> LaurentPoly:
     return LaurentPoly({(0, 0): 1, (2, 0): -g, (0, 2): -g, (2, 2): 1})
 
 
-def _kappa() -> LaurentPoly:
-    """L^(1/2) - L^(-1/2) = (uv)^(-1/2) - (uv)^(1/2)."""
-    return half_lefschetz(1) - half_lefschetz(-1)
+def _kappa(kind=LaurentPoly):
+    """L^(1/2) - L^(-1/2) = (uv)^(-1/2) - (uv)^(1/2), as a LaurentPoly or a SymPoly."""
+    return half_lefschetz(1, kind) - half_lefschetz(-1, kind)
 
 
 def zeta_series(g: int, rmax: int) -> Series:
@@ -121,16 +123,16 @@ def zeta_series(g: int, rmax: int) -> Series:
     return tuple(RingElem(p) for p in coeffs)
 
 
-def _curve_factor(g: int, i: int, diagonal: bool) -> LaurentPoly:
-    """(1-uL^i)^g (1-vL^i)^g, or with diagonal its image (1-(uv)^(1/2) L^i)^(2g)."""
-    one = LaurentPoly.one()
+def _curve_factor(g: int, i: int, diagonal: bool):
+    """(1-uL^i)^g (1-vL^i)^g = (1-sL^i+L^(2i+1))^g as a SymPoly, or with
+    diagonal its image (1-(uv)^(1/2) L^i)^(2g) = (1+L^(i+1/2))^(2g) as a LaurentPoly."""
     if diagonal:
-        return (one - monomial(1 + 2 * i, 1 + 2 * i)) ** (2 * g)
-    return (one - monomial(2 + 2 * i, 2 * i)) ** g * (one - monomial(2 * i, 2 + 2 * i)) ** g
+        return (LaurentPoly.one() + half_lefschetz(1 + 2 * i)) ** (2 * g)
+    return SymPoly({(0, 0): 1, (2 * i + 1, 2 * i - 1): -1, (4 * i + 2, 4 * i + 2): 1}) ** g
 
 
 def zeta_at_lefschetz(g: int, i: int, diagonal: bool = False) -> RingElem:
-    """Z(L^i) = (1-uL^i)^g (1-vL^i)^g / ((1-L^i)(1-L^(i+1))), or its u = v image."""
+    """Z(L^i) = (1-uL^i)^g (1-vL^i)^g / ((1-L^i)(1-L^(i+1))) over a SymPoly, or its u = v image."""
     return RingElem(_curve_factor(g, i, diagonal), CycloDenominator.of(i, i + 1))
 
 
@@ -143,15 +145,16 @@ def q_rank(g: int, r: int, diagonal: bool = False) -> RingElem:
     """
     if r < 1:
         raise DomainError("Q_r is defined for r >= 1")
+    kind = LaurentPoly if diagonal else SymPoly
     if r > 1:
         z = zeta_at_lefschetz(g, r - 1, diagonal)
-        return q_rank(g, r - 1, diagonal) * (z * half_lefschetz((1 - g) * (2 * r - 1)))
-    num = half_lefschetz(1 - g) * _curve_factor(g, 0, diagonal)
+        return q_rank(g, r - 1, diagonal) * (z * half_lefschetz((1 - g) * (2 * r - 1), kind))
+    num = half_lefschetz(1 - g, kind) * _curve_factor(g, 0, diagonal)
     # 1/(L-1) = -1/(1-L)
     return RingElem(-num, CycloDenominator.of(1))
 
 
-def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
+def composition_prefactors(r: int, d: int, kind=LaurentPoly) -> Dict[Tuple[int, ...], RingElem]:
     """Weights summed over the compositions of r with the same multiset of parts.
 
     Keys are sorted part tuples; the values are genus-independent.  The sum
@@ -162,7 +165,7 @@ def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
     if r < 1:
         raise DomainError("compositions of r >= 1 only")
     # layer s starts with the one composition of s into one part
-    layers = {s: {((s,), 0): [RingElem.one()]} for s in range(1, r + 1)}
+    layers = {s: {((s,), 0): [RingElem(kind.one())]} for s in range(1, r + 1)}
     for s in range(1, r):
         for (parts, p), ws in layers.pop(s).items():
             w = ring_sum(ws)
@@ -171,7 +174,7 @@ def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
                 if rest:
                     raise VerificationError(f"composition sum of rank {r}, degree {d}: step "
                                             f"({p}, {s}, {t}) has a non-integer L-exponent")
-                step = RingElem(half_lefschetz(2 * e), CycloDenominator.of(t - p))
+                step = RingElem(half_lefschetz(2 * e, kind), CycloDenominator.of(t - p))
                 key = (tuple(sorted(parts + (t - s,))), s if t < r else 0)
                 layers[t].setdefault(key, []).append(w * step)
     return {parts: ring_sum(ws) for (parts, _), ws in layers[r].items()}
@@ -179,9 +182,9 @@ def composition_prefactors(r: int, d: int) -> Dict[Tuple[int, ...], RingElem]:
 
 @lru_cache(maxsize=None)
 def q_class(g: int, r: int, d: int, diagonal: bool = False) -> RingElem:
-    """The semistable class Q_{r,d} as a composition sum."""
+    """The semistable class Q_{r,d} as a composition sum, in q_rank's numerator class."""
     terms = []
-    for parts, weight in composition_prefactors(r, d).items():
+    for parts, weight in composition_prefactors(r, d, LaurentPoly if diagonal else SymPoly).items():
         prod = weight
         for c in parts:
             prod = prod * q_rank(g, c, diagonal)
@@ -195,8 +198,9 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
     q = tau.denominator
     if rmax < q:
         raise DomainError("rmax must reach the slope denominator")
-    coeffs = [RingElem.zero()] * (rmax + 1)
-    coeffs[0] = RingElem.one()
+    kind = LaurentPoly if diagonal else SymPoly
+    coeffs = [RingElem(kind.zero())] * (rmax + 1)
+    coeffs[0] = RingElem(kind.one())
     for r in range(q, rmax + 1, q):
         coeffs[r] = q_class(g, r, int(r * tau), diagonal)
     return tuple(coeffs)
@@ -204,8 +208,11 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
 
 @lru_cache(maxsize=None)
 def _hdt(g: int, tau: Fraction, r: int, diagonal: bool = False) -> LaurentPoly:
-    """The t^r coefficient of kappa Log(Q_tau), its denominators divided out."""
-    return (pleth_log(slope_series(g, tau, r, diagonal))[r] * _kappa()).to_polynomial()
+    """The t^r coefficient of kappa Log(Q_tau), its denominators divided out,
+    computed in s = u + v and returned in u, v (or on the u = v image)."""
+    x = pleth_log(slope_series(g, tau, r, diagonal))[r]
+    p = (x * _kappa(type(x.num))).to_polynomial()
+    return p if diagonal else p.to_laurent()
 
 
 def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:

@@ -31,18 +31,22 @@ by q).  A value leaves the ring through RingElem.to_polynomial: one exact
 division by the whole denominator over dense lines (exact_divide_cyclo),
 then the scale reduced by its gcd with the ints.  ``terms`` is the canonical
 view: an int where a coefficient is integral, else a Fraction.
-LaurentPoly and UniPoly (one variable y, the image of u = v = y, keyed
-by the doubled exponent of y) share one kernel, _SparsePoly, and differ
-only in their monomial type.  A small product multiplies on the keys;
-otherwise each operand packs into one int with a byte-aligned slot per
-point of the product's exponent box, and a few-term factor adds shifted
-multiples of the other, or a dense product is one big-int product
-(Kronecker substitution, D. Harvey, arXiv:0712.4046).  One codec, _pack
-and _unpack, serves products and packed sums at every slot width: a slot
-of w bytes travels as ceil(w / 8) native 64-bit words, moved by strided
-byte slices and stored or read through a memoryview, so no Python code
-runs per slot.  Packed slots are biased by half of their range, so that
-none borrows from the next.
+LaurentPoly, SymPoly (Z[s, (uv)^(+-1/2)], s = u + v) and UniPoly (one
+variable y, the image of u = v = y, keyed by the doubled exponent of y)
+share one kernel, _SparsePoly, and differ only in their monomial type.
+SymPoly keys are LaurentPoly's under the injective ring map s -> (1, -1),
+(uv)^(1/2) -> (1, 1): s^i (uv)^(e/2) is (e + i, e - i), so an L-power has
+one key in both, and division and sums run on both unchanged; its
+products take the axes (a - b, a + b) = (2i, 2e), an s-degree x L box.
+A small product multiplies on the keys; otherwise each operand packs into
+one int with a byte-aligned slot per point of the product's exponent box,
+and a few-term factor adds shifted multiples of the other, or a dense
+product is one big-int product (Kronecker substitution, D. Harvey,
+arXiv:0712.4046).  One codec, _pack and _unpack, serves products and
+packed sums at every slot width: a slot of w bytes travels as ceil(w / 8)
+native 64-bit words, moved by strided byte slices and stored or read
+through a memoryview, so no Python code runs per slot.  Packed slots are
+biased by half of their range, so that none borrows from the next.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import and_, lshift, or_, rshift, setitem
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -404,14 +408,56 @@ class UniPoly(_SparsePoly):
         return cls({e2: coeff})
 
 
+class SymPoly(_SparsePoly):
+    """Polynomial in s = u + v and (uv)^(+-1/2): the key (e + i, e - i) is s^i (uv)^(e/2), i >= 0."""
+
+    __slots__ = ()
+    _UNIT = (0, 0)
+
+    @staticmethod
+    def _key(mon) -> Monomial:
+        a, b = LaurentPoly._key(mon)
+        if a < b or (a - b) % 2:
+            raise DomainError(f"monomial key {mon!r} is not s^i (uv)^(e/2) with i >= 0")
+        return mon
+
+    _columns = staticmethod(lambda keys: [[a - b for a, b in keys], [a + b for a, b in keys]])
+    _from_columns = staticmethod(lambda columns: [((y + x) // 2, (y - x) // 2) for x, y in zip(*columns)])
+
+    def adams(self, n: int) -> "SymPoly":
+        """psi_n: (uv)^(e/2) -> (uv)^(ne/2), and s -> u^n + v^n, the Lucas polynomial
+        V_n (V_0 = 2, V_1 = s, V_n = s V_(n-1) - uv V_(n-2)), by Horner in s."""
+        if n < 1:
+            raise DomainError("Adams operations are indexed by n >= 1")
+        rows: Dict[int, Dict] = {}
+        for (a, b), c in self._ints.items():
+            rows.setdefault((a - b) // 2, {})[n * (a + b) // 2, n * (a + b) // 2] = c
+        s, uv = SymPoly._raw({(1, -1): 1}), SymPoly._raw({(2, 2): 1})
+        v_prev, v = 2 * SymPoly.one(), s
+        for _ in range(n - 1):
+            v_prev, v = v, s * v - uv * v_prev
+        out = SymPoly.zero()
+        for i in range(max(rows, default=0), -1, -1):
+            out = out * v + SymPoly._raw(rows.get(i, {}), self._scale)
+        return out
+
+    def to_laurent(self) -> LaurentPoly:
+        """s = u + v: s^i (uv)^(e/2) = sum_j C(i, j) u^(j + e/2) v^(i - j + e/2)."""
+        out: Dict[Monomial, int] = {}
+        for (a, b), c in self._ints.items():
+            i, e = (a - b) // 2, (a + b) // 2
+            _accumulate(out, (((e + 2 * j, e + 2 * i - 2 * j), c * comb(i, j)) for j in range(i + 1)))
+        return LaurentPoly._raw(out, self._scale)
+
+
 def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
     """The single term coeff * u^(eu2/2) v^(ev2/2)."""
     return LaurentPoly({(eu2, ev2): coeff})
 
 
-def half_lefschetz(e2: int) -> LaurentPoly:
-    """L^(e2/2) under the convention L^(1/2) = -(uv)^(1/2)."""
-    return LaurentPoly._raw({(e2, e2): _sign(e2)})
+def half_lefschetz(e2: int, kind=LaurentPoly) -> _SparsePoly:
+    """L^(e2/2) under the convention L^(1/2) = -(uv)^(1/2), as a LaurentPoly or a SymPoly."""
+    return kind._raw({(e2, e2): _sign(e2)})
 
 
 def lefschetz(k: int) -> LaurentPoly:
@@ -419,7 +465,7 @@ def lefschetz(k: int) -> LaurentPoly:
     return half_lefschetz(2 * k)
 
 
-def exact_divide_cyclo(p: LaurentPoly, *ks: int) -> LaurentPoly:
+def exact_divide_cyclo(p: _SparsePoly, *ks: int) -> _SparsePoly:
     """Divide p by every (1 - L^k) exactly, raising NotDivisibleError on failure.
 
     Multiplying by (1 - L^k) moves each key (a, b) to (a + 2k, b + 2k), so
@@ -454,7 +500,7 @@ def exact_divide_cyclo(p: LaurentPoly, *ks: int) -> LaurentPoly:
             out.update(((a, a - delta), c) for a, c in zip(range(lo, lo + step * len(row), step), row) if c)
     if failed < len(ks):
         raise NotDivisibleError(f"not divisible by 1 - L^{ks[failed]}")
-    return LaurentPoly._raw(out, p._scale)
+    return type(p)._raw(out, p._scale)
 
 
 class CycloDenominator:
@@ -594,6 +640,8 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
     for x in items[1:]:
         lcd = lcd.lcm(x.den)
     nums = [x.num for x in items]
+    if any(type(p) is not type(nums[0]) for p in nums):
+        raise TypeError("a sum of ring elements mixes two numerator classes")
     den = lcm(*(p._scale for p in nums))
     scales = [sign * (den // p._scale) for sign, p in zip(signs, nums)]
     scaled = [list(p._ints.values()) if f == 1 else [c * f for c in p._ints.values()]
@@ -622,16 +670,17 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
 class RingElem:
     """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0.
 
-    The numerator is a LaurentPoly, so it is held fraction-free: its ints
-    over its scale.  Products multiply numerators (ints and scales) and
-    concatenate the multisets; sums bring the ints to the lcm of the
-    scales (see _cleared_sum); to_polynomial divides the ints by every
-    (1 - L^k) in one pass, then reduces by the scale once.
+    The numerator is a LaurentPoly (as in zero and one) or a SymPoly, held
+    fraction-free: its ints over its scale.  Products multiply numerators
+    (ints and scales) and concatenate the multisets; sums bring the ints to
+    the lcm of the scales (see _cleared_sum) and raise TypeError over two
+    numerator classes; to_polynomial divides the ints by every (1 - L^k) in
+    one pass, then reduces by the scale once.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: CycloDenominator = CycloDenominator()):
+    def __init__(self, num: _SparsePoly, den: CycloDenominator = CycloDenominator()):
         self.num, self.den = num, den
 
     @classmethod
@@ -658,10 +707,10 @@ class RingElem:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["RingElem", LaurentPoly, Scalar]) -> "RingElem":
+    def __mul__(self, other: Union["RingElem", _SparsePoly, Scalar]) -> "RingElem":
         if isinstance(other, RingElem):
             return RingElem(self.num * other.num, self.den * other.den)
-        if isinstance(other, (LaurentPoly, int, Fraction)):
+        if isinstance(other, (_SparsePoly, int, Fraction)):
             return RingElem(self.num * other, self.den)
         return NotImplemented
 
@@ -681,18 +730,18 @@ class RingElem:
     def adams(self, n: int) -> "RingElem":
         return RingElem(self.num.adams(n), self.den.adams(n))
 
-    def to_polynomial(self) -> LaurentPoly:
+    def to_polynomial(self) -> _SparsePoly:
         """Divide out every denominator factor, then reduce by the scale; NotDivisibleError if a factor fails."""
         out = exact_divide_cyclo(self.num, *self.den.factors)
         g = gcd(out._scale, *out._ints.values())
         if g == 1:
             return out
-        return LaurentPoly._raw({m: c // g for m, c in out._ints.items()}, out._scale // g)
+        return type(out)._raw({m: c // g for m, c in out._ints.items()}, out._scale // g)
 
 
 def _sum_elem(items: List[RingElem]) -> RingElem:
     total, den, lcd = _cleared_sum(items, [1] * len(items))
-    return RingElem(LaurentPoly._raw(total, den), lcd)
+    return RingElem(type(items[0].num)._raw(total, den), lcd)
 
 
 def ring_sum(items: Iterable[RingElem]) -> RingElem:

@@ -23,7 +23,8 @@ by n only once per output coefficient, by multiplying its integer scale
 by n (see ``RingElem``); the running P_k and d f_d carry no 1/n.  A Log
 coefficient with no correction terms is E_n itself and is returned as
 it is: the slope series of a coprime class has a single nonzero
-coefficient.  Everything is exact.
+coefficient.  Zero and one take the class of the input's numerators
+(LaurentPoly or SymPoly).  Everything is exact.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def series_mul(f: Series, g: Series) -> Series:
 
 
 def _sum(parts: List[RingElem]) -> RingElem:
-    """Sum of the nonzero parts; a lone nonzero part is returned as it is."""
-    parts = [x for x in parts if not x.is_zero()]
-    return parts[0] if len(parts) == 1 else ring_sum(parts)
+    """Sum of the nonzero parts; a lone nonzero part, or else the first part, is returned as it is."""
+    nonzero = [x for x in parts if not x.is_zero()]
+    return ring_sum(nonzero) if len(nonzero) > 1 else (nonzero or parts)[0]
 
 
 def _convolution(p: List[RingElem], e: Sequence[RingElem], n: int) -> List[RingElem]:
@@ -73,10 +74,10 @@ def _adams_images(scaled: List[RingElem], n: int) -> List[RingElem]:
 def pleth_exp(f: Series) -> Series:
     if not f or not f[0].is_zero():
         raise DomainError("pleth_exp needs constant term 0")
-    rmax = len(f) - 1
+    rmax, kind = len(f) - 1, type(f[0].num)
     scaled = [c * d for d, c in enumerate(f)]
-    p = [RingElem.zero()] * (rmax + 1)
-    e = [RingElem.one()] + [RingElem.zero()] * rmax
+    p = [RingElem(kind.zero())] * (rmax + 1)
+    e = [RingElem(kind.one())] + [RingElem(kind.zero())] * rmax
     for n in range(1, rmax + 1):
         p[n] = _sum(_adams_images(scaled, n) + [scaled[n]])
         e[n] = _sum(_convolution(p, e, n) + [p[n]]) * Fraction(1, n)
@@ -84,10 +85,10 @@ def pleth_exp(f: Series) -> Series:
 
 
 def pleth_log(e: Series) -> Series:
-    if not (e and e[0] == RingElem.one()):
+    if not (e and e[0] == RingElem(type(e[0].num).one())):
         raise DomainError("pleth_log needs constant term 1")
     rmax = len(e) - 1
-    p = [RingElem.zero()] * (rmax + 1)
+    p = [RingElem(type(e[0].num).zero())] * (rmax + 1)
     scaled = list(p)
     out = list(p)
     for n in range(1, rmax + 1):

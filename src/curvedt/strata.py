@@ -222,6 +222,8 @@ def certify_virtual_smallness(
     outside the moduli domain of ``check_domain`` raises its DomainError.
     """
     check_domain(g, r, d, moduli=True)
+    if r < 1:
+        raise DomainError(f"{class_label(g, r, d)}: rank must be positive")
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
     records = []

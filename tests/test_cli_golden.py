@@ -110,6 +110,11 @@ def test_cli_output_is_byte_identical(name, argv):
 DIGESTS = [
     ("hdt -g 5 -r 6 -d 1 --format json",
      "2457baa461fe36b66eabc8dc061cc5033b38c7a008a7697e1852a583919dacb9"),
+    # non-coprime classes: the Log subtracts Adams images of lower ranks
+    ("hdt -g 2 -r 8 -d 0 --format json",
+     "bd9cd3512e58aecea50d5f80dcabc1b0ff307d5afab02185a56b1f3ba607a6c9"),
+    ("hdt -g 3 -r 6 -d 0 --format json",
+     "a5b239dbaa15dea08f2551835c11bee4aac01657c64d1200e40ef90686aa7a85"),
 ]
 
 

@@ -70,7 +70,7 @@ def _q_class_in_xy(g: int, r: int, d: int, n: int) -> dict:
     shift, lift = (g - 1) * r * r, sum(q.den.factors)
     sign = (-1) ** len(q.den.factors)
     num = {}
-    for (a2, b2), c in q.num.terms.items():  # doubled exponents of u and v
+    for (a2, b2), c in q.num.to_laurent().terms.items():  # doubled exponents of u and v
         assert (shift - a2) % 2 == 0 and (shift - b2) % 2 == 0
         num[(lift + (shift - a2) // 2, lift + (shift - b2) // 2)] = sign * c
     geometric = [1] + [0] * ((n - min(i + j for i, j in num)) // 2)  # 1/prod (1 - (xy)^k)

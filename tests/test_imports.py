@@ -2,7 +2,8 @@
 module-level private definition is referenced somewhere in the package,
 a polynomial's storage is read and written by ``ring.py`` only, no
 module imports ``warnings`` or takes a ``checks`` parameter, and
-``UniPoly`` and ``series_mul`` have no consumers beyond their known ones.
+``UniPoly`` and ``series_mul`` have no consumers beyond their known ones,
+nor ``SymPoly`` and its conversion to u, v beyond the pipeline's.
 
 Parsed with the standard-library ``ast``, so nothing is imported or run.
 ``from __future__`` imports are exempt, and so are names a module lists in
@@ -130,11 +131,25 @@ def _names(tree):
             yield node.lineno, node.attr
 
 
-def test_unipoly_and_series_mul_have_no_new_consumers():
-    found = [
+def _outside(consumers):
+    return [
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))
         for line, name in _names(ast.parse(path.read_text(), filename=str(path)))
-        if name in CONSUMERS and path.name not in CONSUMERS[name]
+        if name in consumers and path.name not in consumers[name]
     ]
+
+
+def test_unipoly_and_series_mul_have_no_new_consumers():
+    found = _outside(CONSUMERS)
+    assert not found, "names used outside their modules: " + ", ".join(found)
+
+
+# The pipeline computes in s = u + v (SymPoly) and converts to u, v in
+# invariants._hdt and closedforms only; nothing else sees the (s, L) form.
+SYMMETRIC = {name: ("ring.py", "invariants.py", "closedforms.py") for name in ("SymPoly", "to_laurent")}
+
+
+def test_symmetric_basis_stays_in_the_pipeline():
+    found = _outside(SYMMETRIC)
     assert not found, "names used outside their modules: " + ", ".join(found)

@@ -53,6 +53,11 @@ from curvedt.series import pleth_exp, pleth_log
 from curvedt.strata import certify_virtual_smallness
 
 
+def in_uv(x):
+    """A pipeline element, whose numerator is in s = u + v, with its numerator in u, v."""
+    return RingElem(x.num.to_laurent(), x.den)
+
+
 def one_minus_u(g):
     return (LaurentPoly.one() - monomial(2, 0)) ** g
 
@@ -91,14 +96,14 @@ def test_zeta_at_lefschetz():
     want = (LaurentPoly.one() - monomial(4, 2)) ** 2 * (
         LaurentPoly.one() - monomial(2, 4)
     ) ** 2
-    assert x.num == want
-    assert zeta_at_lefschetz(0, 3).num == LaurentPoly.one()
+    assert x.num.to_laurent() == want
+    assert zeta_at_lefschetz(0, 3).num.to_laurent() == LaurentPoly.one()
     assert zeta_at_lefschetz(0, 3).den == CycloDenominator.of(3, 4)
 
 
 def test_q_rank_hand_assembled():
     # Q_1 at g = 2: -L^(-1/2) (1-u)^2 (1-v)^2 / (1-L)
-    got = q_rank(2, 1)
+    got = in_uv(q_rank(2, 1))
     want = RingElem(
         -half_lefschetz(-1) * one_minus_u(2) * one_minus_v(2),
         CycloDenominator.of(1),
@@ -111,7 +116,7 @@ def q_rank_direct(g, r):
     num = half_lefschetz((1 - g) * r * r) * one_minus_u(g) * one_minus_v(g)
     out = RingElem(-num, CycloDenominator.of(1))
     for i in range(1, r):
-        out = out * zeta_at_lefschetz(g, i)
+        out = out * in_uv(zeta_at_lefschetz(g, i))
     return out
 
 
@@ -120,7 +125,7 @@ def test_q_rank_rank_by_rank_matches_direct_product(g):
     # from a cold cache, rank 7 first builds every rank below it
     q_rank.cache_clear()
     for r in range(7, 0, -1):
-        got, want = q_rank(g, r), q_rank_direct(g, r)
+        got, want = in_uv(q_rank(g, r)), q_rank_direct(g, r)
         assert got.num.terms == want.num.terms
         assert got.den.factors == want.den.factors
 
@@ -159,7 +164,7 @@ def test_q_class_periodicity():
 
 def test_slope_series_shape():
     s = slope_series(2, Fraction(1, 2), 4)
-    assert s[0] == RingElem.one()
+    assert in_uv(s[0]) == RingElem.one()
     assert s[1].is_zero() and s[3].is_zero()
     assert s[2] == q_class(2, 2, 1)
     assert s[4] == q_class(2, 4, 2)
@@ -359,4 +364,4 @@ def test_hdt_does_not_depend_on_truncation(g, tau):
     kappa = half_lefschetz(1) - half_lefschetz(-1)
     logf = pleth_log(slope_series(g, tau, 6 if tau.denominator == 3 else 5))
     for r in range(tau.denominator, 5, tau.denominator):
-        assert hdt(g, r, int(r * tau)) == (logf[r] * kappa).to_polynomial()
+        assert hdt(g, r, int(r * tau)) == (in_uv(logf[r]) * kappa).to_polynomial()

@@ -216,6 +216,11 @@ FAR = {
 }
 
 
+def in_uv(x):
+    """A pipeline element, whose numerator is in s = u + v, with its numerator in u, v."""
+    return RingElem(x.num.to_laurent(), x.den)
+
+
 def canonical(p):
     """p's terms, after checking that no integral coefficient is a Fraction."""
     for c in p.terms.values():
@@ -239,10 +244,11 @@ def test_large_products_match_reference(case):
     pa, pb = cls(a), cls(b)
     assert product_path(a, b) == "kronecker"
     assert canonical(pa) == a
+    want = ref.mul(a, b)
     with pack_calls() as calls:
-        assert canonical(pa * pb) == ref.mul(a, b)
+        assert canonical(pa * pb) == want
     assert len(calls) == 2
-    assert canonical(pb * pa) == ref.mul(a, b)
+    assert canonical(pb * pa) == want
 
 
 @SETTINGS
@@ -504,12 +510,12 @@ def test_q_rank_products_take_shift_adds(g):
     # Q_(r-1) * Z(L^(r-1)) L^((1-g)(2r-1)/2) by the (g+1)^2-term factor: the
     # product of every rank that is past the key loop is a shift-add
     for r in range(3, 7):
-        factor = zeta_at_lefschetz(g, r - 1) * half_lefschetz((1 - g) * (2 * r - 1))
-        prev = q_rank(g, r - 1)
+        factor = in_uv(zeta_at_lefschetz(g, r - 1)) * half_lefschetz((1 - g) * (2 * r - 1))
+        prev = in_uv(q_rank(g, r - 1))
         assert len(factor.num) == (g + 1) ** 2
         got = product_on_its_path(LaurentPoly, prev.num.terms, factor.num.terms, "shift")
         assert got == ref.mul(prev.num.terms, factor.num.terms)
-        assert prev * factor == q_rank(g, r)
+        assert prev * factor == in_uv(q_rank(g, r))
 
 
 @SETTINGS

@@ -99,12 +99,13 @@ def test_operations_on_unreduced_storage_match_reference(case, c, n):
     ]
     if cls is LaurentPoly:
         k = n + 1
-        product = x * LaurentPoly(ref.one_minus_lefschetz(k))
+        factor = ref.one_minus_lefschetz(k)
+        product = x * LaurentPoly(factor)
         checks += [
             (x.adams(k), ref.adams(a, k)),
             (x.dual(), ref.dual(a)),
             (specialize_y(x), ref.specialize(a)),
-            (product, ref.mul(a, ref.one_minus_lefschetz(k))),
+            (product, ref.mul(a, factor)),
             (exact_divide_cyclo(product, k), a),
         ]
     for p, want in checks:

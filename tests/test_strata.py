@@ -366,6 +366,14 @@ def test_a_class_outside_the_moduli_domain_is_a_domain_error(g, r, d):
         assert str(exc.value) == str(want.value)
 
 
+@pytest.mark.parametrize("g, r, d", [(2, 0, 1), (1, 0, 1), (2, -1, 1)])
+def test_a_rank_below_one_is_a_domain_error_naming_the_class(g, r, d):
+    for generic in (False, True):
+        with pytest.raises(DomainError) as exc:
+            certify_virtual_smallness(g, r, d, generic)
+        assert str(exc.value) == f"class (g, r, d) = ({g}, {r}, {d}): rank must be positive"
+
+
 @pytest.mark.parametrize("types, count", [([], 0), ([(((2, 6), 1),)] * 2, 2)])
 def test_maximal_count_error_names_the_class(monkeypatch, types, count):
     import curvedt.strata as strata
