@@ -37,22 +37,22 @@ _QUARTER = Fraction(1, 4)
 
 def _y(k: int) -> UniPoly:
     """y^k (k may be negative)."""
-    return UniPoly.y_pow(2 * k)
+    return UniPoly({2 * k: 1})
 
 
 def _om(k: int) -> UniPoly:
     """1 - y^k."""
-    return UniPoly.one() - UniPoly.y_pow(2 * k)
+    return UniPoly.one() - _y(k)
 
 
 def _op(k: int) -> UniPoly:
     """1 + y^k."""
-    return UniPoly.one() + UniPoly.y_pow(2 * k)
+    return UniPoly.one() + _y(k)
 
 
 def _cyclo3(k: int) -> UniPoly:
     """1 + y^k + y^(2k)."""
-    return UniPoly.one() + UniPoly.y_pow(2 * k) + UniPoly.y_pow(4 * k)
+    return UniPoly.one() + _y(k) + _y(2 * k)
 
 
 def _poincare_den(r: int) -> UniPoly:
@@ -178,7 +178,7 @@ def q_rank_closed_form_check(g: int, r: int) -> bool:
     q = q_rank(g, r, False)  # the pipeline's cache key, over a SymPoly numerator
     num_p, den_p = specialize_elem(RingElem(q.num.to_laurent(), q.den))
     e = (1 - g) * r * r
-    closed_num = UniPoly.y_pow(2 * e, -1 if e % 2 else 1) * (_y(2 * r) - UniPoly.one())
+    closed_num = UniPoly({2 * e: -1 if e % 2 else 1}) * (_y(2 * r) - UniPoly.one())
     closed_den = UniPoly.one()
     for i in range(1, r + 1):
         closed_num = closed_num * _om(2 * i - 1) ** (2 * g)

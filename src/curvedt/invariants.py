@@ -22,7 +22,7 @@ For a smooth projective curve of genus g the computation chains through:
    are the intersection-cohomology Betti numbers of the moduli space
    M(r,d) of semistable bundles, Poincare-dual and starting at 1.
    Every input of steps 1-4 is symmetric in u, v, so they run in
-   s = u + v and (uv)^(1/2) (SymPoly); _hdt converts HDT to u, v once.
+   s = u + v and (uv)^(1/2) (SymPoly); hdt converts HDT to u, v once.
    betti_numbers (betti table and CSV, detfactor) runs steps 1-4 on the
    images under u, v -> (uv)^(1/2), a ring map that fixes L^(1/2) and
    commutes with Adams operations, duality and u = v = y.
@@ -80,7 +80,8 @@ def dim_moduli(g: int, r: int) -> int:
 def check_domain(g: int, r: int, d: int, moduli: bool = False) -> None:
     """Raise DomainError for a negative genus or, with moduli, for a class whose
     dim M(r,d) = (g-1) r^2 + 1 is negative or, at genus <= 1 with gcd(r, d) != 1,
-    does not hold; the texts are those of the CLI's usage errors."""
+    does not hold, or whose rank is below 1; the texts are those of the CLI's
+    usage errors and of the stratum certificate."""
     where = class_label(g, r, d)
     if g < 0:
         raise DomainError(f"{where}: genus must be >= 0")
@@ -92,6 +93,8 @@ def check_domain(g: int, r: int, d: int, moduli: bool = False) -> None:
     if g <= 1 and gcd(r, d) != 1:
         raise DomainError(f"{where}: gcd(r, d) = {gcd(r, d)} at genus <= 1, where "
                           "dim M(r,d) = (g-1)r^2 + 1 does not hold")
+    if r < 1:
+        raise DomainError(f"{where}: rank must be positive")
 
 
 def curve_epoly(g: int) -> LaurentPoly:
@@ -207,29 +210,27 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
 
 
 @lru_cache(maxsize=None)
-def _hdt(g: int, tau: Fraction, r: int, diagonal: bool = False) -> LaurentPoly:
-    """The t^r coefficient of kappa Log(Q_tau), its denominators divided out,
-    computed in s = u + v and returned in u, v (or on the u = v image)."""
-    x = pleth_log(slope_series(g, tau, r, diagonal))[r]
-    p = (x * _kappa(type(x.num))).to_polynomial()
-    return p if diagonal else p.to_laurent()
-
-
 def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
-    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or its u = v image.
+    """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or with diagonal its
+    u = v image: the t^r coefficient of kappa Log(Q_tau), computed in s = u + v and
+    returned in u, v.
 
-    Both integrality (clearing the cyclotomic denominators) and
-    self-duality under u,v -> 1/u,1/v are checked.
+    Cached per class and path, so integrality (clearing the cyclotomic
+    denominators) and self-duality under u,v -> 1/u,1/v are checked once.
     """
     if r < 1:
-        raise DomainError("hdt needs rank >= 1; rank 0 is the torsion case")
+        raise DomainError(f"{class_label(g, r, d)}: hdt needs rank >= 1; "
+                          "rank 0 is the torsion case")
     check_domain(g, r, d)
     tau = Fraction(d, r)
     try:
-        p = _hdt(g, tau, r, diagonal)
+        x = pleth_log(slope_series(g, tau, r, diagonal))[r]
+        p = (x * _kappa(type(x.num))).to_polynomial()
     except NotDivisibleError as exc:
         stage = "integrality of HDT" + (" on the u = v image" if diagonal else "")
         raise NotDivisibleError(f"{class_label(g, r, d)}, {stage}: {exc}") from exc
+    if not diagonal:
+        p = p.to_laurent()
     _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual")
     return p
 
@@ -242,7 +243,7 @@ def torsion_dt(g: int, dmax: int) -> Dict[int, LaurentPoly]:
     single term E(X)/L^(1/2) at d = 1.
     """
     if dmax < 1:
-        raise DomainError("dmax >= 1")
+        raise DomainError(f"{class_label(g, 0, dmax)}: torsion mode (rank 0) needs degree >= 1")
     check_domain(g, 0, dmax)
     coeffs = [RingElem.zero()] * (dmax + 1)
     coeffs[1] = RingElem(-curve_epoly(g), CycloDenominator.of(1))

@@ -402,11 +402,6 @@ class UniPoly(_SparsePoly):
     _columns = staticmethod(lambda keys: [keys])
     _from_columns = staticmethod(lambda columns: columns[0])
 
-    @classmethod
-    def y_pow(cls, e2: int, coeff: Scalar = 1) -> "UniPoly":
-        """coeff * y^(e2/2)."""
-        return cls({e2: coeff})
-
 
 class SymPoly(_SparsePoly):
     """Polynomial in s = u + v and (uv)^(+-1/2): the key (e + i, e - i) is s^i (uv)^(e/2), i >= 0."""
@@ -448,11 +443,6 @@ class SymPoly(_SparsePoly):
             i, e = (a - b) // 2, (a + b) // 2
             _accumulate(out, (((e + 2 * j, e + 2 * i - 2 * j), c * comb(i, j)) for j in range(i + 1)))
         return LaurentPoly._raw(out, self._scale)
-
-
-def monomial(eu2: int, ev2: int, coeff: Scalar = 1) -> LaurentPoly:
-    """The single term coeff * u^(eu2/2) v^(ev2/2)."""
-    return LaurentPoly({(eu2, ev2): coeff})
 
 
 def half_lefschetz(e2: int, kind=LaurentPoly) -> _SparsePoly:

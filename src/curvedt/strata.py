@@ -75,18 +75,6 @@ class StratumType(NamedTuple("StratumType", [("parts", Tuple[Part, ...])])):
         return super().__new__(cls, parts)
 
     @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    @property
-    def rank(self) -> int:
-        return sum(m * r_i for (r_i, _), m in self.parts)
-
-    @property
-    def degree(self) -> int:
-        return sum(m * d_i for (_, d_i), m in self.parts)
-
-    @property
     def is_maximal(self) -> bool:
         return len(self.parts) == 1 and self.parts[0][1] == 1
 
@@ -222,8 +210,6 @@ def certify_virtual_smallness(
     outside the moduli domain of ``check_domain`` raises its DomainError.
     """
     check_domain(g, r, d, moduli=True)
-    if r < 1:
-        raise DomainError(f"{class_label(g, r, d)}: rank must be positive")
     slope = Fraction(d, r)
     in_range = slope > 2 * g - 2
     records = []

@@ -46,7 +46,6 @@ from .ring import (
     NotDivisibleError,
     RingElem,
     half_lefschetz,
-    monomial,
 )
 from .series import Series, pleth_exp, pleth_log
 from .strata import certify_virtual_smallness
@@ -99,9 +98,7 @@ GOLDEN_DETFACTOR: Dict[int, Dict[Tuple[int, int], List[int]]] = {
 }
 
 # HDT of every coprime class on a genus-1 curve: -(1-u)(1-v)(uv)^(-1/2)
-ELLIPTIC_COPRIME_HDT: LaurentPoly = (
-    monomial(-1, -1, -1) + monomial(1, -1) + monomial(-1, 1) + monomial(1, 1, -1)
-)
+ELLIPTIC_COPRIME_HDT = LaurentPoly({(-1, -1): -1, (1, -1): 1, (-1, 1): 1, (1, 1): -1})
 
 
 class CheckResult(NamedTuple):

@@ -63,16 +63,8 @@ class StratumType:
                 raise ValueError(f"invalid part (({r_i},{d_i}),{m_i})")
 
     @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    @property
-    def rank(self) -> int:
-        return sum(m * r_i for (r_i, _), m in self.parts)
-
-    @property
     def is_maximal(self) -> bool:
-        return self.n == 1 and self.parts[0][1] == 1
+        return len(self.parts) == 1 and self.parts[0][1] == 1
 
     def label(self) -> str:
         return " + ".join(f"{m}*({r_i},{d_i})" for (r_i, d_i), m in self.parts)
@@ -131,7 +123,8 @@ def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
 
 
 def codim_stratum(g: int, s: StratumType) -> int:
-    codim = dim_moduli(g, s.rank) - sum(
+    rank = sum(m * r_i for (r_i, _), m in s.parts)
+    codim = dim_moduli(g, rank) - sum(
         dim_moduli(g, r_i) for (r_i, _), _ in s.parts
     )
     if codim < 0:

@@ -69,9 +69,9 @@ def test_resolution_checks():
 def test_resolution_specific_coefficient():
     # coefficient of Q_1^2 Q_2 in Q_{4,1} is y^4 (1+y^2)^2 / (1-y^6)^2
     num, den = specialize_elem(composition_prefactors(4, 1)[(1, 1, 2)])
-    y2 = UniPoly.y_pow(4)
-    want_num = UniPoly.y_pow(8) * (UniPoly.one() + y2) ** 2
-    want_den = (UniPoly.one() - UniPoly.y_pow(12)) ** 2
+    y2 = UniPoly({4: 1})
+    want_num = UniPoly({8: 1}) * (UniPoly.one() + y2) ** 2
+    want_den = (UniPoly.one() - UniPoly({12: 1})) ** 2
     assert num * want_den == want_num * den
 
 

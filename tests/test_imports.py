@@ -146,7 +146,7 @@ def test_unipoly_and_series_mul_have_no_new_consumers():
 
 
 # The pipeline computes in s = u + v (SymPoly) and converts to u, v in
-# invariants._hdt and closedforms only; nothing else sees the (s, L) form.
+# invariants.hdt and closedforms only; nothing else sees the (s, L) form.
 SYMMETRIC = {name: ("ring.py", "invariants.py", "closedforms.py") for name in ("SymPoly", "to_laurent")}
 
 

@@ -20,7 +20,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvedt import cli, invariants
+from curvedt import cli, invariants, ring
 import polyref as ref
 from compref import composition_weight, compositions
 from curvedt.invariants import (
@@ -46,7 +46,6 @@ from curvedt.ring import (
     RingElem,
     half_lefschetz,
     lefschetz,
-    monomial,
     specialize_y,
 )
 from curvedt.series import pleth_exp, pleth_log
@@ -59,11 +58,11 @@ def in_uv(x):
 
 
 def one_minus_u(g):
-    return (LaurentPoly.one() - monomial(2, 0)) ** g
+    return (LaurentPoly.one() - LaurentPoly({(2, 0): 1})) ** g
 
 
 def one_minus_v(g):
-    return (LaurentPoly.one() - monomial(0, 2)) ** g
+    return (LaurentPoly.one() - LaurentPoly({(0, 2): 1})) ** g
 
 
 def test_dim_moduli_examples():
@@ -74,7 +73,7 @@ def test_dim_moduli_examples():
 
 def test_curve_epoly():
     assert curve_epoly(2) == (
-        LaurentPoly.one() - monomial(2, 0) * 2 - monomial(0, 2) * 2 + monomial(2, 2)
+        LaurentPoly.one() - LaurentPoly({(2, 0): 2}) - LaurentPoly({(0, 2): 2}) + LaurentPoly({(2, 2): 1})
     )
 
 
@@ -93,8 +92,8 @@ def test_zeta_series_is_plethystic_exp():
 def test_zeta_at_lefschetz():
     x = zeta_at_lefschetz(2, 1)
     assert x.den == CycloDenominator.of(1, 2)
-    want = (LaurentPoly.one() - monomial(4, 2)) ** 2 * (
-        LaurentPoly.one() - monomial(2, 4)
+    want = (LaurentPoly.one() - LaurentPoly({(4, 2): 1})) ** 2 * (
+        LaurentPoly.one() - LaurentPoly({(2, 4): 1})
     ) ** 2
     assert x.num.to_laurent() == want
     assert zeta_at_lefschetz(0, 3).num.to_laurent() == LaurentPoly.one()
@@ -206,7 +205,7 @@ def test_ih_epoly_even_exponents_and_symmetry():
         assert all(a % 2 == 0 and b % 2 == 0 for a, b in p.terms)
         dim = dim_moduli(g, r)
         # coefficients symmetric under (i,j) -> (dim-i, dim-j)
-        assert p == p.dual() * monomial(2 * dim, 2 * dim)
+        assert p == p.dual() * LaurentPoly({(2 * dim, 2 * dim): 1})
         # lowest total degree is the constant 1 (one-dimensional IH^0)
         low = min(a + b for a, b in p.terms)
         bottom = [m for m in p.terms if m[0] + m[1] == low]
@@ -253,6 +252,7 @@ def test_valid_classes_at_genus_one_and_two_raise_nothing():
 def test_failed_self_duality_exits_one_at_genus_one(capsys, monkeypatch):
     # --force-genus no longer softens a check: a failed one is exit 1, not a warning
     monkeypatch.setattr(LaurentPoly, "dual", lambda p: -p)
+    hdt.cache_clear()  # a cached HDT would skip the check
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(["hdt", "-g", "1", "-r", "1", "-d", "0", "--force-genus"])
@@ -274,6 +274,12 @@ DOMAIN_ERRORS = [
      "gcd(r, d) = 2 at genus <= 1, where dim M(r,d) = (g-1)r^2 + 1 does not hold"),
     (lambda: betti_numbers(1, 2, 0), "(1, 2, 0)",
      "gcd(r, d) = 2 at genus <= 1, where dim M(r,d) = (g-1)r^2 + 1 does not hold"),
+    # a rank below 1 has dim M(r,d) = 1 at r = 0, so only the rank rule refuses it
+    (lambda: ih_poincare(2, 0, 1), "(2, 0, 1)", "rank must be positive"),
+    (lambda: betti_numbers(2, 0, 1), "(2, 0, 1)", "rank must be positive"),
+    (lambda: ih_poincare(3, -2, 1), "(3, -2, 1)", "rank must be positive"),
+    (lambda: hdt(2, 0, 1), "(2, 0, 1)", "hdt needs rank >= 1; rank 0 is the torsion case"),
+    (lambda: torsion_dt(2, 0), "(2, 0, 0)", "torsion mode (rank 0) needs degree >= 1"),
 ]
 
 
@@ -354,6 +360,18 @@ def test_slope_mode_divides_each_class_once(monkeypatch):
     for r in range(1, 5):
         ih_poincare(2, r, 0)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("diagonal", (False, True))
+def test_a_second_hdt_is_the_cached_object(monkeypatch, diagonal):
+    # hdt is cached per class and path: a hit neither divides nor checks again
+    hdt.cache_clear()
+    first = hdt(2, 3, 1, diagonal)
+    calls = []
+    monkeypatch.setattr(ring, "exact_divide_cyclo", lambda *args: calls.append(args))
+    monkeypatch.setattr(type(first), "dual", lambda p: calls.append(p))
+    assert hdt(2, 3, 1, diagonal) is first
+    assert calls == []
 
 
 @pytest.mark.parametrize("g", (2, 3))
