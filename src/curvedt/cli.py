@@ -13,9 +13,11 @@ Subcommands:
 A class is selected either by ``-r/-d`` or by ``--slope p/q --rmax N``
 (all ranks up to N along one slope).  Slope mode writes each class as
 soon as it is computed, in every command and format, so a later class's
-fault leaves the earlier classes on stdout.  Output formats: a human
-table (default), canonical JSON (sorted keys, two-space indent, no
-floats — re-serializing parsed output is byte-identical), or CSV.
+fault leaves the earlier classes on stdout; ``strata`` JSON and CSV write
+each row as it is certified, so a fault within a class leaves its rows so
+far.  Output formats: a human table (default), canonical JSON (sorted
+keys, two-space indent, no floats — re-serializing parsed output is
+byte-identical), or CSV.
 
 Exit codes: 0 success; 1 verification failure only (a consistency
 assertion tripped, a division left a remainder, a certificate or suite
@@ -34,13 +36,12 @@ print with terms sorted by total degree, then by u-degree (u before v).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     DTResult,
@@ -57,7 +58,7 @@ from .invariants import (
 from .ring import DomainError, LaurentPoly, NotDivisibleError, Scalar
 
 if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
-    from .strata import SmallnessReport
+    from .strata import StratumRecord
 
 __all__ = ["main", "ReportTable"]
 
@@ -74,12 +75,17 @@ class ReportTable(NamedTuple):
         return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in lines)
 
     def render_csv(self) -> str:
+        return "".join(self.csv_lines())
+
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV text a line at a time, as the rows come (they may be an
+        iterator): each line after the first starts with its newline."""
         import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buf.getvalue().rstrip("\n")
+        from types import SimpleNamespace
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns write's value
+        yield line(self.headers)[:-1]
+        for row in self.rows:
+            yield "\n" + line(row)[:-1]
 
 
 def _canonical_json(obj) -> str:
@@ -217,14 +223,16 @@ def _report(args: argparse.Namespace, compute: Callable, payload: Callable,
     JSON: one payload, or a list in slope mode; else blocks joined by blank
     lines.  item = compute((r, d)); payload(item, pad) is its canonical JSON
     in pieces, every line after the first starting with pad ("  " in a list);
-    payload and block are only called for the format printed.
+    block(item) is its text, or the text in pieces; payload and block are
+    only called for the format printed.
     """
     pad = "  " if args.fmt == "json" and args.slope is not None else ""
     head, sep, tail = ("[\n  ", ",\n  ", "\n]\n") if pad else ("", "\n\n", "\n")
     for rd in _classes(args):
         item = compute(rd)
         sys.stdout.write(head)
-        sys.stdout.writelines(payload(item, pad) if args.fmt == "json" else (block(item),))
+        pieces = payload(item, pad) if args.fmt == "json" else block(item)
+        sys.stdout.writelines((pieces,) if isinstance(pieces, str) else pieces)
         head = sep
         del item
     sys.stdout.write(tail)
@@ -249,32 +257,39 @@ class _PartJSON(dict):
 
 _part_json = lru_cache(maxsize=None)(_PartJSON)
 _JSON_BOOL = ("false", "true")
+_VERDICT = ("FAIL", "PASS")
 _STRATUM_JSON = (  # first %s: the report's head, then the separator
     '%s    {\n      "bound": "%s",\n      "codim": %d,\n      "maximal": %s,\n'
     '      "parts": [\n%s\n      ],\n      "pass": %s\n    }'
 )
 
 
-def _strata_chunks(rep: SmallnessReport, verdict: str, pad: str = "") -> Iterator[str]:
-    """rep with its verdict as canonical JSON filled into a template, one piece
-    per stratum: no dict is built.  pad starts every line after the first, so a
-    slope-mode list is written as it is made, never held whole nor indented by
-    a copy.  The certificate checks that codimension 0 marks the maximal type."""
+def _strata_chunks(head: tuple, records: Iterable[StratumRecord], verdicts: List[str],
+                   pad: str = "") -> Iterator[str]:
+    """A class's report as canonical JSON filled into a template, one piece per
+    record as the records come: no dict is built, nor the class held.  head is
+    (genus, rank, degree, d0, in_theorem_range, generic); the verdict, written
+    last, is also appended to verdicts.  pad starts every line after the first,
+    so a slope-mode list is never indented by a copy.  The certificate checks
+    that codimension 0 marks the maximal type."""
+    genus, rank, degree, d0, in_range, generic = head
     nl = "\n" + pad
     row, sep, part_json = _STRATUM_JSON.replace("\n", nl), "," + nl, _part_json(pad)
     lead = (
-        f'{{\n  "d0": {rep.d0},\n  "degree": {rep.degree},\n'
-        f'  "generic": {_JSON_BOOL[rep.generic]},\n  "genus": {rep.genus},\n'
-        f'  "in_theorem_range": {_JSON_BOOL[rep.in_theorem_range]},\n'
-        f'  "rank": {rep.rank},\n  "strata": [\n'
+        f'{{\n  "d0": {d0},\n  "degree": {degree},\n'
+        f'  "generic": {_JSON_BOOL[generic]},\n  "genus": {genus},\n'
+        f'  "in_theorem_range": {_JSON_BOOL[in_range]},\n'
+        f'  "rank": {rank},\n  "strata": [\n'
     ).replace("\n", nl)
-    for stratum, codim, bound, passes in rep.records:
+    ok = True
+    for stratum, codim, bound, passes in records:
         yield row % (
             lead, bound, codim, _JSON_BOOL[codim == 0],
             sep.join(map(part_json.__getitem__, stratum.parts)), _JSON_BOOL[passes],
         )
-        lead = sep
-    yield f'\n  ],\n  "verdict": "{verdict}"\n}}'.replace("\n", nl)
+        lead, ok = sep, ok and passes
+    verdicts.append(_VERDICT[ok])
+    yield f'\n  ],\n  "verdict": "{verdicts[-1]}"\n}}'.replace("\n", nl)
 
 
 def _terms_json(p: LaurentPoly) -> str:
@@ -387,37 +402,36 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    from .strata import certify_virtual_smallness
+    from .strata import report_head, stratum_records
 
-    verdicts = set()
+    g, generic, verdicts = args.genus, args.generic_bound, []
 
-    def certify(rd) -> Tuple[SmallnessReport, str]:
-        rep = certify_virtual_smallness(args.genus, *rd, generic=args.generic_bound)
-        if not verdicts and not rep.in_theorem_range:  # one slope: every warning before stdout
+    def certify(rd) -> Tuple[tuple, Iterator[StratumRecord]]:
+        head = (g, *rd, *report_head(g, *rd), generic)
+        if not verdicts and not head[4]:  # one slope: every warning before stdout
             sys.stderr.write(len(_classes(args)) * (
-                f"warning: slope {Fraction(rep.degree, rep.rank)} is not above "
-                f"{2 * rep.genus - 2}: smallness is certified arithmetic only, "
-                "outside the theorem's hypothesis\n"))
-        verdicts.add(verdict := rep.verdict)
-        return rep, verdict
+                f"warning: slope {Fraction(rd[1], rd[0])} is not above {2 * g - 2}: "
+                "smallness is certified arithmetic only, outside the theorem's hypothesis\n"))
+        return head, stratum_records(g, *rd, generic)
 
-    def block(item) -> str:
-        rep, verdict = item
-        yes_no = ("no", "yes")
-        table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), tuple(
-            (stratum.label(), str(codim), str(bound), yes_no[codim == 0], yes_no[passes])
-            for stratum, codim, bound, passes in rep.records
-        ))
+    def rows(records: Iterable[StratumRecord]) -> Iterator[Tuple[str, ...]]:
+        yes_no, ok = ("no", "yes"), True
+        for stratum, codim, bound, passes in records:
+            yield stratum.label(), str(codim), str(bound), yes_no[codim == 0], yes_no[passes]
+            ok = ok and passes
+        verdicts.append(_VERDICT[ok])
+
+    def block(item):  # CSV as the records come; a table needs every row for its widths
+        (_, r, d, d0, in_range, _), records = item
+        table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), rows(records))
         if args.fmt == "csv":
-            return table.render_csv()
-        return (
-            f"genus={rep.genus} rank={rep.rank} degree={rep.degree} "
-            f"d0={rep.d0} in-theorem-range={'yes' if rep.in_theorem_range else 'no'}"
-            f"{' (generic bound)' if rep.generic else ''}\n"
-            f"{table.render()}\nverdict: {verdict}"
+            return table.csv_lines()
+        return (  # the table's rows, then the verdict they leave
+            f"genus={g} rank={r} degree={d} d0={d0} in-theorem-range={'yes' if in_range else 'no'}"
+            f"{' (generic bound)' if generic else ''}\n{table.render()}\nverdict: {verdicts[-1]}"
         )
 
-    _report(args, certify, lambda item, pad: _strata_chunks(*item, pad), block)
+    _report(args, certify, lambda item, pad: _strata_chunks(*item, verdicts, pad), block)
     return 1 if "FAIL" in verdicts else 0
 
 

@@ -18,9 +18,9 @@ boils down to a per-type rational bound:
 
 with chi_ii = -(g-1) r_i^2 the Euler pairing of a vertex with itself.
 The map is virtually small precisely when the bound is 0 on the maximal
-type and strictly negative elsewhere; ``certify_virtual_smallness``
-checks this exhaustively over all types of (r, d), a class of the
-moduli domain of ``check_domain``.  It is a theorem only for slopes
+type and strictly negative elsewhere; ``stratum_records`` checks this
+on every type of (r, d), a class of the domain of ``check_domain``, with
+running sums along one walk of the types.  It is a theorem only for slopes
 d/r > 2g-2: outside that range the arithmetic still runs, the report
 notes the range, and the CLI prints the warning line.
 
@@ -43,11 +43,12 @@ The certificate passes on every class of the domain, by these lemmas:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from operator import attrgetter
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .invariants import VerificationError, check_domain, class_label
 from .ring import DomainError
@@ -91,23 +92,57 @@ class FramedQuiver(NamedTuple):
     framing: Tuple[int, ...]
 
 
-def _pair_multisets(total: int, part: Callable = lambda k, m: (k, m)) -> List[tuple]:
-    """Multisets of (k, m) pairs, k, m >= 1, with sum k*m = total.
+def _walk(g: int, r: int, d: int, generic: bool = False) -> Iterator[tuple]:
+    """Every stratum type of (r, d), maximal first, then in lexicographic
+    order of parts, with running sums: (type, rank, codimension drop,
+    twice its bound, its parts of framing <= 0), the sums of its parts'
+    ``_shares`` (twice the bound starts at 1).
 
-    Each is a tuple of part(k, m) over its pairs in lexicographic order;
-    the list is in lexicographic order of the pairs.  Built bottom up:
-    entry i of row n lists the multisets of n whose pairs all come at or
-    after the i-th pair, so each tuple is one concatenation.
+    With d/r = p/q in lowest terms and t = gcd(r, d), a type is a multiset
+    of (k, m) pairs, part ((kq, kp), m), with sum k*m = t.  Each pair's
+    shares are computed once.  Tails of weight <= t // 2 are tabulated
+    bottom up with their sums; the heads above them are walked depth
+    first, and each type is one head plus one tail whose first pair comes
+    at or after the head's last, so a type costs one concatenation and
+    four additions.
     """
-    pairs = [(k * m, part(k, m)) for k in range(1, total + 1) for m in range(1, total // k + 1)]
-    rows = [[[()]] * (len(pairs) + 1)]
-    for n in range(1, total + 1):
-        row = [[]] * (len(pairs) + 1)
-        for i in range(len(pairs) - 1, -1, -1):
-            w, v = pairs[i]
-            row[i] = row[i + 1] if w > n else [(v,) + tail for tail in rows[n - w][i]] + row[i + 1]
-        rows.append(row)
-    return rows[total][0]
+    if r < 1:
+        raise DomainError(f"rank must be positive, got {r}")
+    t = gcd(r, d)
+    q, p, half = r // t, d // t, t // 2
+    pairs = {}  # (k, m) -> ((part,), its three shares, framing <= 0), in lexicographic order
+    for k in range(1, t + 1):
+        for m in range(1, t // k + 1):
+            part = ((k * q, k * p), m)
+            rank, drop, twice, framing = _shares(g, part, generic)
+            pairs[k, m] = ((part,), rank, drop, twice, framing <= 0)
+    # tails[n]: the first pairs and the entries (parts, sums) of the multisets of weight n
+    tails = [([(t + 1, 0)], [((), 0, 0, 0, 0)])]  # the empty tail comes after every pair
+    for n in range(1, half + 1):
+        tails.append(tuple(zip(*(
+            (km, (head + parts, a + ra, b + rb, c + rc, e + re))
+            for km, (head, a, b, c, e) in pairs.items() if km[0] * km[1] <= n
+            for parts, ra, rb, rc, re in _after(tails[n - km[0] * km[1]], km)))))
+    new = partial(tuple.__new__, StratumType)
+    head, a, b, c, e = pairs[t, 1]
+    yield new((head,)), a, b, 1 + c, e
+    stack = [(t, 1, 1, (), 0, 0, 1, 0)]  # (weight left, first pair allowed, head, its sums)
+    while stack:
+        n, k0, m0, head, a, b, c, e = stack.pop()
+        if n <= half:
+            for parts, ra, rb, rc, re in _after(tails[n], (k0, m0)):
+                yield new((head + parts,)), a + ra, b + rb, c + rc, e + re
+            continue
+        stack.extend(reversed([  # the maximal type, pair (t, 1), came first
+            (n - k * m, k, m, head + pair, a + ra, b + rb, c + rc, e + re)
+            for k in range(k0, min(n, t - 1) + 1) for m in range(m0 if k == k0 else 1, n // k + 1)
+            for pair, ra, rb, rc, re in (pairs[k, m],)]))
+
+
+def _after(tails: tuple, km: Tuple[int, int]) -> list:
+    """The tails whose first pair comes at or after km: a suffix, in lexicographic order."""
+    firsts, entries = tails
+    return entries[bisect_left(firsts, km):]
 
 
 def enumerate_strata(r: int, d: int) -> List[StratumType]:
@@ -115,18 +150,10 @@ def enumerate_strata(r: int, d: int) -> List[StratumType]:
 
     Every part slope must equal d/r exactly, so with d/r = p/q in lowest
     terms the parts are (kq, kp) for k >= 1 and the multiset condition
-    is sum m_i k_i = r/q.  Returns canonically sorted types, maximal
-    type first, then by part list.  (k, m) -> ((kq, kp), m) keeps the
-    lexicographic order of the pair multisets, whose last is the maximal
-    ((t, 1),), so the types need no sort.
+    is sum m_i k_i = r/q.  The types of the certificate's walk, maximal
+    first, then by part list, already sorted and valid.
     """
-    if r < 1:
-        raise DomainError(f"rank must be positive, got {r}")
-    t = gcd(r, d)
-    q, p = r // t, d // t
-    types = [StratumType._make((parts,)) for parts in _pair_multisets(t, lambda k, m: ((k * q, k * p), m))]
-    types.insert(0, types.pop())
-    return types
+    return [walked[0] for walked in _walk(0, r, d)]  # the types do not depend on the genus
 
 
 def build_fiber_quiver(g: int, s: StratumType) -> FramedQuiver:
@@ -191,50 +218,42 @@ class SmallnessReport(NamedTuple):
         return "PASS" if self.passes else "FAIL"
 
 
-def certify_virtual_smallness(
-    g: int, r: int, d: int, generic: bool = False
-) -> SmallnessReport:
-    """Certify the smallness inequality over every stratum type of (r, d).
+def report_head(g: int, r: int, d: int) -> Tuple[int, bool]:
+    """What a report states before its records: d0 = d + (1-g) r - 1, the
+    fiber dimension over the dense stratum, and whether d/r > 2g-2."""
+    return d + (1 - g) * r - 1, d > (2 * g - 2) * r
+
+
+def stratum_records(g: int, r: int, d: int, generic: bool = False) -> Iterator[StratumRecord]:
+    """The certificate: one record per stratum type of (r, d), as the walk
+    reaches it, maximal type first.
 
     Each type passes iff its bound is exactly 0 (maximal type) or
     strictly negative (every other type).  The slope hypothesis
-    d/r > 2g-2 is advisory: outside it the arithmetic still runs and
-    the report notes the range in ``in_theorem_range``, from which the
-    CLI prints its warning line; no warning is raised.  Structural
-    impossibilities (several maximal types, a negative codimension, a
-    zero one off the dense stratum, a non-positive framing in range)
-    raise instead of being reported.  A type costs one pass of integer
-    sums over its parts, whose shares are computed, and framing checked,
-    once per part and call: with d/r = p/q, part (kq, kp) has framing
-    k(p - (g-1)q), so the maximal type fails first if any does.  A class
-    outside the moduli domain of ``check_domain`` raises its DomainError.
+    d/r > 2g-2 is advisory: outside it the arithmetic still runs, and
+    ``report_head`` states the range, from which the CLI prints its
+    warning line; no warning is raised.  Structural impossibilities
+    (several maximal types, a negative codimension, a zero one off the
+    dense stratum, a non-positive framing in range) raise instead of
+    being reported, each before the record of the type at fault.  A type
+    costs O(1) integer work: its rank, codimension drop and doubled bound
+    are running sums of the walk.  With d/r = p/q, part (kq, kp) has
+    framing k(p - (g-1)q), so the maximal type fails first if any does.
+    A class outside the moduli domain of ``check_domain`` raises its
+    DomainError, at the first record asked for.
     """
     check_domain(g, r, d, moduli=True)
-    slope = Fraction(d, r)
-    in_range = slope > 2 * g - 2
-    records = []
+    in_range = report_head(g, r, d)[1]
     n_maximal = 0
-    table = {}  # part -> _shares(g, part, generic), filled the first time it is seen
-    for s in enumerate_strata(r, d):
-        rank = drop = 0
-        twice = 1
-        for part in s.parts:
-            shares = table.get(part)
-            if shares is None:
-                shares = table[part] = _shares(g, part, generic)
-                if in_range and shares[3] <= 0:  # one sign for all parts: see above
-                    raise VerificationError(f"{class_label(g, r, d)}: non-positive framing "
-                                            f"{build_fiber_quiver(g, s).framing} for {s.label()} "
-                                            f"despite slope {slope} > {2 * g - 2}")
-            rank_i, drop_i, twice_i, _ = shares
-            rank += rank_i
-            drop += drop_i
-            twice += twice_i
+    for s, rank, drop, twice, nonpositive in _walk(g, r, d, generic):
+        if nonpositive and in_range:  # one sign for all parts of a class: see above
+            raise VerificationError(f"{class_label(g, r, d)}: non-positive framing "
+                                    f"{build_fiber_quiver(g, s).framing} for {s.label()} "
+                                    f"despite slope {Fraction(d, r)} > {2 * g - 2}")
         codim = (g - 1) * rank * rank + 1 - drop
         if codim < 0:
             raise VerificationError(f"{class_label(g, r, d)}: negative codimension {codim} "
                                     f"for stratum {s.label()} at genus {g}")
-        bound = _half(twice)
         maximal = s.is_maximal
         n_maximal += maximal
         if maximal != (codim == 0):
@@ -242,18 +261,15 @@ def certify_virtual_smallness(
                 f"{class_label(g, r, d)}: codimension {codim} inconsistent with "
                 f"maximality of {s.label()}"
             )
-        passes = bound.numerator == 0 if maximal else bound.numerator < 0
-        records.append(StratumRecord(s, codim, bound, passes))
+        bound = _half(twice)
+        yield StratumRecord(s, codim, bound, bound.numerator == 0 if maximal else bound.numerator < 0)
     if n_maximal != 1:
         raise VerificationError(
             f"{class_label(g, r, d)}: expected exactly one maximal type, got {n_maximal}"
         )
-    return SmallnessReport(
-        genus=g,
-        rank=r,
-        degree=d,
-        d0=d + (1 - g) * r - 1,  # fiber dimension over the dense stratum
-        in_theorem_range=in_range,
-        generic=generic,
-        records=tuple(records),
-    )
+
+
+def certify_virtual_smallness(g: int, r: int, d: int, generic: bool = False) -> SmallnessReport:
+    """The report of ``stratum_records`` over every stratum type of (r, d)."""
+    records = tuple(stratum_records(g, r, d, generic))
+    return SmallnessReport(g, r, d, *report_head(g, r, d), generic, records)

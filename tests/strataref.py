@@ -1,9 +1,9 @@
 """Reference stratum enumeration and smallness certificate, for differential tests.
 
-``_pair_multisets`` is ``curvedt.strata._pair_multisets`` as it was
-before the enumeration built its list directly: a recursive generator
-over the list of all (k, m) pairs with k*m <= total.  It serves as the
-oracle for the order and content of the current enumeration.
+``_pair_multisets`` is the enumeration as it was before it built its
+list directly: a recursive generator over the list of all (k, m) pairs
+with k*m <= total.  It serves as the oracle for the order and content of
+the types of the certificate's walk, ``curvedt.strata._walk``.
 
 ``certify_records`` is the certificate as it was before the per-type
 loop was tuned: ``codim_stratum``, ``smallness_bound``,

@@ -167,7 +167,7 @@ def per_class_computation(command, fmt):
     """(module, name) of the library function a command calls once per class."""
     if command == "strata":
         import curvedt.strata as strata
-        return strata, "certify_virtual_smallness"
+        return strata, "stratum_records"
     if command == "hdt" or (command, fmt) == ("betti", "json"):  # JSON of the whole DTResult
         return cli, "ih_poincare"
     return cli, "betti_numbers"
@@ -271,6 +271,67 @@ def test_strata_failed_bounds_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(strata, "_half", lambda twice: Fraction(1, 2))  # every bound fails
     code, out, _ = run(capsys, "strata", "-g", "2", "-r", "2", "-d", "6")
     assert code == 1 and out.endswith("verdict: FAIL\n")
+
+
+def faulty_walk(monkeypatch, after):
+    """strata._walk with the type after the first `after` carrying a codimension
+    drop 1000 too large, so the certificate raises there."""
+    import curvedt.strata as strata
+
+    walk = strata._walk
+
+    def faulty(*args):
+        for i, (s, rank, drop, twice, nonpositive) in enumerate(walk(*args)):
+            yield s, rank, drop + 1000 * (i == after), twice, nonpositive
+
+    monkeypatch.setattr(strata, "_walk", faulty)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_strata_fault_mid_class_leaves_its_rows_so_far(capsys, monkeypatch, fmt):
+    # JSON and CSV write each row as it is certified; a table needs every row first
+    from curvedt.strata import certify_virtual_smallness
+
+    argv = ("strata", "-g", "2", "-r", "6", "-d", "18", "--format", fmt)
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    faulty_walk(monkeypatch, 5)
+    with pytest.raises(VerificationError) as exc:
+        certify_virtual_smallness(2, 6, 18)
+    assert str(exc.value).startswith("class (g, r, d) = (2, 6, 18): negative codimension")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, f"error: {exc.value}\n")
+    if fmt == "json":  # the head and five records, each ending in "\n    }"
+        end = -1
+        for _ in range(5):
+            end = full.index("\n    }", end + 1)
+        assert out == full[: end + 6]
+    else:  # the CSV header and five rows; no table
+        assert out == ("\n".join(full.splitlines()[:6]) if fmt == "csv" else "")
+
+
+class NullText(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_strata_streams_a_class_in_little_memory(fmt):
+    # 14,750 records: held whole, they and their text take 5 MB (JSON) and 12 MB (CSV)
+    import tracemalloc
+
+    argv = ["strata", "-g", "2", "-r", "20", "-d", "60", "--format", fmt]
+    with contextlib.redirect_stdout(NullText()):
+        assert main(["strata", "-g", "2", "-r", "4", "-d", "12", "--format", fmt]) == 0  # imports
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def subcommand_usage(capsys, command):

@@ -39,6 +39,21 @@ def quiver(g, s):
     return ref.FramedQuiver(*build_fiber_quiver(g, s))
 
 
+def walk_over(types):
+    """A stand-in for ``strata._walk`` over the given types (lists of parts):
+    each type with the sums the walk gives it, from its parts' shares."""
+    import curvedt.strata as strata
+
+    def walk(g, r, d, generic=False):
+        for parts in types:
+            s = stratum(*parts)
+            shares = [strata._shares(g, part, generic) for part in s.parts]
+            rank, drop, twice, _ = (sum(column) for column in zip(*shares))
+            yield s, rank, drop, 1 + twice, sum(framing <= 0 for *_, framing in shares)
+
+    return walk
+
+
 def test_enumerate_coprime_is_single():
     assert [s.parts for s in enumerate_strata(2, 1)] == [((((2, 1)), 1),)]
 
@@ -202,7 +217,9 @@ def test_certify_exhaustive_low_rank():
 
 def test_report_json_shape():
     rep = certify_virtual_smallness(2, 2, 6)
-    obj = json.loads("".join(cli._strata_chunks(rep, rep.verdict)))
+    verdicts = []
+    obj = json.loads("".join(cli._strata_chunks(rep[:6], rep.records, verdicts)))
+    assert verdicts == ["PASS"]
     assert list(obj) == ["d0", "degree", "generic", "genus", "in_theorem_range", "rank",
                          "strata", "verdict"]
     assert obj["verdict"] == "PASS" and obj["d0"] == 3
@@ -239,12 +256,45 @@ def test_stratum_type_counts_match_generating_function():
         assert len(enumerate_strata(3 * t, -5 * t)) == counts[t]
 
 
-def test_pair_multisets_match_reference():
-    from curvedt.strata import _pair_multisets
+def test_walk_matches_reference_pair_multisets():
+    # at slope 0 a part ((k, 0), m) is its pair (k, m); the walk moves the
+    # lexicographically last multiset, the maximal ((t, 1),), to the front
     from strataref import _pair_multisets as reference
 
     for t in range(1, 13):
-        assert list(_pair_multisets(t)) == list(reference(t)), f"t = {t}"
+        pairs = [tuple((k, m) for (k, _), m in s.parts) for s in enumerate_strata(t, 0)]
+        want = list(reference(t))
+        assert pairs == want[-1:] + want[:-1], f"t = {t}"
+
+
+@pytest.mark.parametrize("g, r, d, generic", [
+    (2, 12, 36, False), (3, 9, -6, True), (0, 1, -1, False), (4, 1, 7, True), (1, 8, 12, False),
+])
+def test_walk_sums_are_the_sums_of_the_shares(g, r, d, generic):
+    import curvedt.strata as strata
+
+    types = [s.parts for s in enumerate_strata(r, d)]
+    assert list(strata._walk(g, r, d, generic)) == list(walk_over(types)(g, r, d, generic))
+
+
+def test_streamed_records_match_the_report_and_the_reference():
+    """The lemma sweep of the last test: each record as the stream gives it
+    equals the report's and the reference certificate's."""
+    from curvedt.strata import stratum_records
+
+    for g in range(1, 6):
+        for r in range(1, 11):
+            for d in range(r * (2 * g - 2) + 1, r * (2 * g - 1) + 1):
+                if g == 1 and gcd(r, d) != 1:
+                    continue
+                for generic in (False, True):
+                    streamed = list(stratum_records(g, r, d, generic))
+                    assert tuple(streamed) == certify_virtual_smallness(g, r, d, generic).records
+                    records, _, _ = ref.certify_records(g, r, d, generic)
+                    assert [(rec.stratum.parts, rec.codim, rec.bound, rec.passes)
+                            for rec in streamed] == [
+                        (rec.stratum.parts, rec.codim, rec.bound, rec.passes) for rec in records
+                    ], (g, r, d, generic)
 
 
 def test_enumeration_order_matches_reference():
@@ -263,15 +313,15 @@ def test_enumeration_order_matches_reference():
 def test_certify_calls_layers_through_module_globals(monkeypatch):
     """The benchmark's traced child times these by rebinding module globals.
 
-    The certificate enumerates through the module global once per class.
-    A passing class sums the per-part shares itself: it calls neither
-    the per-type bound nor the quiver, which only a framing failure
-    builds, for its message.
+    The certificate walks the types through the module global ``_walk``
+    once per class, reading each type's sums off the walk: it calls
+    neither the enumeration, the per-type bound nor the quiver, which only
+    a framing failure builds, for its message.
     """
     import curvedt.strata as strata
 
     calls = Counter()
-    for name in ("enumerate_strata", "smallness_bound", "build_fiber_quiver"):
+    for name in ("_walk", "enumerate_strata", "smallness_bound", "build_fiber_quiver"):
 
         def counted(*args, _name=name, _fn=getattr(strata, name), **kwargs):
             calls[_name] += 1
@@ -280,15 +330,15 @@ def test_certify_calls_layers_through_module_globals(monkeypatch):
         monkeypatch.setattr(strata, name, counted)
     rep = strata.certify_virtual_smallness(2, 6, 18)
     assert rep.in_theorem_range and len(rep.records) == 34 and rep.passes
-    assert dict(calls) == {"enumerate_strata": 1}
+    assert dict(calls) == {"_walk": 1}
     calls.clear()
     rep = strata.certify_virtual_smallness(3, 6, -6, generic=True)
     assert not rep.in_theorem_range and rep.passes
-    assert dict(calls) == {"enumerate_strata": 1}
+    assert dict(calls) == {"_walk": 1}
     calls.clear()
     with pytest.raises(VerificationError, match="non-positive framing"):
         strata.certify_virtual_smallness(0, 1, -1)
-    assert dict(calls) == {"enumerate_strata": 1, "build_fiber_quiver": 1}
+    assert dict(calls) == {"_walk": 1, "build_fiber_quiver": 1}
 
 
 def test_fiber_quiver_low_genus():
@@ -302,8 +352,8 @@ def test_codim_error_names_the_class(monkeypatch):
     import curvedt.strata as strata
 
     # a coprime genus-1 class has one type; two parts there would have codimension 1 - 2
-    types = [stratum(((2, 1), 1)), stratum(((1, 1), 1), ((1, 1), 1))]
-    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: types)
+    types = [(((2, 1), 1),), (((1, 1), 1), ((1, 1), 1))]
+    monkeypatch.setattr(strata, "_walk", walk_over(types))
     with pytest.raises(VerificationError) as exc:
         strata.certify_virtual_smallness(1, 2, 1)
     assert str(exc.value) == (
@@ -315,8 +365,8 @@ def test_codim_error_names_the_class(monkeypatch):
 def test_maximality_error_names_the_class(monkeypatch):
     import curvedt.strata as strata
 
-    types = [stratum(((2, 1), 1)), stratum(((1, 1), 2))]  # codim 0 off the dense stratum at g = 1
-    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: types)
+    types = [(((2, 1), 1),), (((1, 1), 2),)]  # codim 0 off the dense stratum at g = 1
+    monkeypatch.setattr(strata, "_walk", walk_over(types))
     with pytest.raises(VerificationError) as exc:
         strata.certify_virtual_smallness(1, 2, 1)
     assert str(exc.value) == (
@@ -340,13 +390,13 @@ def test_framing_error_names_the_class():
                                                     "1*(1,-1) + 1*(1,2)"),
 ], ids=["maximal", "second"])
 def test_framing_error_names_the_first_type_of_a_rank_two_class(monkeypatch, types, text):
-    # each part's framing is checked once, when its shares are first computed, so the
-    # first type with a non-positive part raises; every type of a real class has the
+    # each type's count of non-positive framings is a sum of the walk, so the first
+    # type with a non-positive part raises; every type of a real class has the
     # framing's sign, so there the maximal type fails first.  No class of the domain
     # has a rank-two type with framing <= 0 in range: the types are injected
     import curvedt.strata as strata
 
-    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: [stratum(*t) for t in types])
+    monkeypatch.setattr(strata, "_walk", walk_over(types))
     with pytest.raises(VerificationError) as exc:
         strata.certify_virtual_smallness(1, 2, 1)
     assert str(exc.value) == f"class (g, r, d) = (1, 2, 1): {text} despite slope 1/2 > 0"
@@ -376,7 +426,7 @@ def test_a_rank_below_one_is_a_domain_error_naming_the_class(g, r, d):
 def test_maximal_count_error_names_the_class(monkeypatch, types, count):
     import curvedt.strata as strata
 
-    monkeypatch.setattr(strata, "enumerate_strata", lambda r, d: [stratum(*t) for t in types])
+    monkeypatch.setattr(strata, "_walk", walk_over(types))
     with pytest.raises(VerificationError) as exc:
         strata.certify_virtual_smallness(2, 2, 6)
     assert str(exc.value) == (
