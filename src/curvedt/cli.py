@@ -13,9 +13,9 @@ Subcommands:
 A class is selected either by ``-r/-d`` or by ``--slope p/q --rmax N``
 (all ranks up to N along one slope).  Slope mode writes each class as
 soon as it is computed, in every command and format, so a later class's
-fault leaves the earlier classes on stdout; ``strata`` JSON and CSV write
-each row as it is certified, so a fault within a class leaves its rows so
-far.  Output formats: a human table (default), canonical JSON (sorted
+fault leaves the earlier classes on stdout; text leaves in blocks of about
+8 KB, and a fault within a ``strata`` class leaves its JSON or CSV rows
+so far.  Output formats: a human table (default), canonical JSON (sorted
 keys, two-space indent, no floats — re-serializing parsed output is
 byte-identical), or CSV.
 
@@ -36,12 +36,13 @@ print with terms sorted by total degree, then by u-degree (u before v).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .invariants import (
     DTResult,
@@ -56,9 +57,6 @@ from .invariants import (
     torsion_dt,
 )
 from .ring import DomainError, LaurentPoly, NotDivisibleError, Scalar
-
-if TYPE_CHECKING:  # strata and verify are imported by the commands that run them
-    from .strata import StratumRecord
 
 __all__ = ["main", "ReportTable"]
 
@@ -224,17 +222,25 @@ def _report(args: argparse.Namespace, compute: Callable, payload: Callable,
     lines.  item = compute((r, d)); payload(item, pad) is its canonical JSON
     in pieces, every line after the first starting with pad ("  " in a list);
     block(item) is its text, or the text in pieces; payload and block are
-    only called for the format printed.
+    only called for the format printed.  The pieces leave in blocks of at
+    most 8 KB (a longer piece alone); a fault first writes the block so far.
     """
     pad = "  " if args.fmt == "json" and args.slope is not None else ""
     head, sep, tail = ("[\n  ", ",\n  ", "\n]\n") if pad else ("", "\n\n", "\n")
     for rd in _classes(args):
-        item = compute(rd)
-        sys.stdout.write(head)
-        pieces = payload(item, pad) if args.fmt == "json" else block(item)
-        sys.stdout.writelines((pieces,) if isinstance(pieces, str) else pieces)
+        item, out, size = compute(rd), [head], len(head)
+        try:
+            pieces = payload(item, pad) if args.fmt == "json" else block(item)
+            for piece in (pieces,) if isinstance(pieces, str) else pieces:
+                if size + len(piece) > io.DEFAULT_BUFFER_SIZE:
+                    text, out, size = "".join(out), [], 0
+                    sys.stdout.write(text)
+                out.append(piece)
+                size += len(piece)
+        finally:
+            sys.stdout.write("".join(out))
         head = sep
-        del item
+        del item, pieces
     sys.stdout.write(tail)
 
 
@@ -264,14 +270,14 @@ _STRATUM_JSON = (  # first %s: the report's head, then the separator
 )
 
 
-def _strata_chunks(head: tuple, records: Iterable[StratumRecord], verdicts: List[str],
+def _strata_chunks(head: tuple, rows: Iterable[tuple], verdicts: List[str],
                    pad: str = "") -> Iterator[str]:
     """A class's report as canonical JSON filled into a template, one piece per
-    record as the records come: no dict is built, nor the class held.  head is
-    (genus, rank, degree, d0, in_theorem_range, generic); the verdict, written
-    last, is also appended to verdicts.  pad starts every line after the first,
-    so a slope-mode list is never indented by a copy.  The certificate checks
-    that codimension 0 marks the maximal type."""
+    row of ``strata.stratum_rows`` as the rows come: no dict is built, nor the
+    class held.  head is (genus, rank, degree, d0, in_theorem_range, generic);
+    the verdict, written last, is also appended to verdicts.  pad starts every
+    line after the first, so a slope-mode list is never indented by a copy.
+    The certificate checks that codimension 0 marks the maximal type."""
     genus, rank, degree, d0, in_range, generic = head
     nl = "\n" + pad
     row, sep, part_json = _STRATUM_JSON.replace("\n", nl), "," + nl, _part_json(pad)
@@ -281,10 +287,11 @@ def _strata_chunks(head: tuple, records: Iterable[StratumRecord], verdicts: List
         f'  "in_theorem_range": {_JSON_BOOL[in_range]},\n'
         f'  "rank": {rank},\n  "strata": [\n'
     ).replace("\n", nl)
-    ok = True
-    for stratum, codim, bound, passes in records:
+    from .strata import _half  # one table of bound texts per class, one str per value
+    ok, bound = True, lru_cache(maxsize=None)(lambda twice: str(_half(twice)))
+    for stratum, codim, twice, passes in rows:
         yield row % (
-            lead, bound, codim, _JSON_BOOL[codim == 0],
+            lead, bound(twice), codim, _JSON_BOOL[codim == 0],
             sep.join(map(part_json.__getitem__, stratum.parts)), _JSON_BOOL[passes],
         )
         lead, ok = sep, ok and passes
@@ -402,28 +409,29 @@ def cmd_detfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
-    from .strata import report_head, stratum_records
+    from .strata import _half, report_head, stratum_rows
 
     g, generic, verdicts = args.genus, args.generic_bound, []
 
-    def certify(rd) -> Tuple[tuple, Iterator[StratumRecord]]:
+    def certify(rd) -> Tuple[tuple, Iterator[tuple]]:
         head = (g, *rd, *report_head(g, *rd), generic)
         if not verdicts and not head[4]:  # one slope: every warning before stdout
             sys.stderr.write(len(_classes(args)) * (
                 f"warning: slope {Fraction(rd[1], rd[0])} is not above {2 * g - 2}: "
                 "smallness is certified arithmetic only, outside the theorem's hypothesis\n"))
-        return head, stratum_records(g, *rd, generic)
+        return head, stratum_rows(g, *rd, generic)
 
-    def rows(records: Iterable[StratumRecord]) -> Iterator[Tuple[str, ...]]:
+    def rows(certified: Iterable[tuple]) -> Iterator[Tuple[str, ...]]:
         yes_no, ok = ("no", "yes"), True
-        for stratum, codim, bound, passes in records:
-            yield stratum.label(), str(codim), str(bound), yes_no[codim == 0], yes_no[passes]
+        bound = lru_cache(maxsize=None)(lambda twice: str(_half(twice)))  # as in _strata_chunks
+        for stratum, codim, twice, passes in certified:
+            yield stratum.label(), str(codim), bound(twice), yes_no[codim == 0], yes_no[passes]
             ok = ok and passes
         verdicts.append(_VERDICT[ok])
 
     def block(item):  # CSV as the records come; a table needs every row for its widths
-        (_, r, d, d0, in_range, _), records = item
-        table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), rows(records))
+        (_, r, d, d0, in_range, _), certified = item
+        table = ReportTable(("parts", "codim", "bound", "maximal", "pass"), rows(certified))
         if args.fmt == "csv":
             return table.csv_lines()
         return (  # the table's rows, then the verdict they leave

@@ -209,7 +209,6 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
 def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
     """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or with diagonal its
     u = v image: the t^r coefficient of kappa Log(Q_tau), computed in s = u + v and
@@ -218,6 +217,11 @@ def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
     Cached per class and path, so integrality (clearing the cyclotomic
     denominators) and self-duality under u,v -> 1/u,1/v are checked once.
     """
+    return _hdt(g, r, d, bool(diagonal))
+
+
+@lru_cache(maxsize=None)
+def _hdt(g: int, r: int, d: int, diagonal: bool) -> LaurentPoly:
     if r < 1:
         raise DomainError(f"{class_label(g, r, d)}: hdt needs rank >= 1; "
                           "rank 0 is the torsion case")
@@ -233,6 +237,9 @@ def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
         p = p.to_laurent()
     _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual")
     return p
+
+
+hdt.cache_info, hdt.cache_clear = _hdt.cache_info, _hdt.cache_clear  # one key however spelled
 
 
 def torsion_dt(g: int, dmax: int) -> Dict[int, LaurentPoly]:

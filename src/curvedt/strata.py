@@ -18,7 +18,7 @@ boils down to a per-type rational bound:
 
 with chi_ii = -(g-1) r_i^2 the Euler pairing of a vertex with itself.
 The map is virtually small precisely when the bound is 0 on the maximal
-type and strictly negative elsewhere; ``stratum_records`` checks this
+type and strictly negative elsewhere; ``stratum_rows`` checks this
 on every type of (r, d), a class of the domain of ``check_domain``, with
 running sums along one walk of the types.  It is a theorem only for slopes
 d/r > 2g-2: outside that range the arithmetic still runs, the report
@@ -224,9 +224,9 @@ def report_head(g: int, r: int, d: int) -> Tuple[int, bool]:
     return d + (1 - g) * r - 1, d > (2 * g - 2) * r
 
 
-def stratum_records(g: int, r: int, d: int, generic: bool = False) -> Iterator[StratumRecord]:
-    """The certificate: one record per stratum type of (r, d), as the walk
-    reaches it, maximal type first.
+def stratum_rows(g: int, r: int, d: int, generic: bool = False) -> Iterator[tuple]:
+    """The certificate: one row (type, codimension, twice its bound, passes)
+    per stratum type of (r, d), as the walk reaches it, maximal type first.
 
     Each type passes iff its bound is exactly 0 (maximal type) or
     strictly negative (every other type).  The slope hypothesis
@@ -235,12 +235,12 @@ def stratum_records(g: int, r: int, d: int, generic: bool = False) -> Iterator[S
     warning line; no warning is raised.  Structural impossibilities
     (several maximal types, a negative codimension, a zero one off the
     dense stratum, a non-positive framing in range) raise instead of
-    being reported, each before the record of the type at fault.  A type
+    being reported, each before the row of the type at fault.  A type
     costs O(1) integer work: its rank, codimension drop and doubled bound
     are running sums of the walk.  With d/r = p/q, part (kq, kp) has
     framing k(p - (g-1)q), so the maximal type fails first if any does.
     A class outside the moduli domain of ``check_domain`` raises its
-    DomainError, at the first record asked for.
+    DomainError, at the first row asked for.
     """
     check_domain(g, r, d, moduli=True)
     in_range = report_head(g, r, d)[1]
@@ -261,12 +261,17 @@ def stratum_records(g: int, r: int, d: int, generic: bool = False) -> Iterator[S
                 f"{class_label(g, r, d)}: codimension {codim} inconsistent with "
                 f"maximality of {s.label()}"
             )
-        bound = _half(twice)
-        yield StratumRecord(s, codim, bound, bound.numerator == 0 if maximal else bound.numerator < 0)
+        bound = _half(twice).numerator
+        yield s, codim, twice, bound == 0 if maximal else bound < 0
     if n_maximal != 1:
         raise VerificationError(
             f"{class_label(g, r, d)}: expected exactly one maximal type, got {n_maximal}"
         )
+
+
+def stratum_records(g: int, r: int, d: int, generic: bool = False) -> Iterator[StratumRecord]:
+    """The rows of ``stratum_rows`` as records, each bound a shared ``Fraction``."""
+    return (StratumRecord(s, c, _half(t), ok) for s, c, t, ok in stratum_rows(g, r, d, generic))
 
 
 def certify_virtual_smallness(g: int, r: int, d: int, generic: bool = False) -> SmallnessReport:

@@ -167,7 +167,7 @@ def per_class_computation(command, fmt):
     """(module, name) of the library function a command calls once per class."""
     if command == "strata":
         import curvedt.strata as strata
-        return strata, "stratum_records"
+        return strata, "stratum_rows"
     if command == "hdt" or (command, fmt) == ("betti", "json"):  # JSON of the whole DTResult
         return cli, "ih_poincare"
     return cli, "betti_numbers"
@@ -287,27 +287,31 @@ def faulty_walk(monkeypatch, after):
     monkeypatch.setattr(strata, "_walk", faulty)
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_strata_fault_mid_class_leaves_its_rows_so_far(capsys, monkeypatch, fmt):
+@pytest.mark.parametrize("fmt, r, after", [
+    *(pytest.param(fmt, 6, 5, id=fmt) for fmt in ("table", "csv", "json")),
+    # 603 types and 318 KB of JSON: the fault comes many 8 KB blocks into the class
+    *(pytest.param(fmt, 12, 300, id=f"{fmt}-after-300") for fmt in ("csv", "json")),
+])
+def test_strata_fault_mid_class_leaves_its_rows_so_far(capsys, monkeypatch, fmt, r, after):
     # JSON and CSV write each row as it is certified; a table needs every row first
     from curvedt.strata import certify_virtual_smallness
 
-    argv = ("strata", "-g", "2", "-r", "6", "-d", "18", "--format", fmt)
+    argv = ("strata", "-g", "2", "-r", str(r), "-d", str(3 * r), "--format", fmt)
     code, full, _ = run(capsys, *argv)
     assert code == 0
-    faulty_walk(monkeypatch, 5)
+    faulty_walk(monkeypatch, after)
     with pytest.raises(VerificationError) as exc:
-        certify_virtual_smallness(2, 6, 18)
-    assert str(exc.value).startswith("class (g, r, d) = (2, 6, 18): negative codimension")
+        certify_virtual_smallness(2, r, 3 * r)
+    assert str(exc.value).startswith(f"class (g, r, d) = (2, {r}, {3 * r}): negative codimension")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, f"error: {exc.value}\n")
-    if fmt == "json":  # the head and five records, each ending in "\n    }"
+    if fmt == "json":  # the head and the records before the fault, each ending in "\n    }"
         end = -1
-        for _ in range(5):
+        for _ in range(after):
             end = full.index("\n    }", end + 1)
         assert out == full[: end + 6]
-    else:  # the CSV header and five rows; no table
-        assert out == ("\n".join(full.splitlines()[:6]) if fmt == "csv" else "")
+    else:  # the CSV header and the rows before the fault; no table
+        assert out == ("\n".join(full.splitlines()[: after + 1]) if fmt == "csv" else "")
 
 
 class NullText(io.TextIOBase):
@@ -597,11 +601,17 @@ def cold_cli(*argv: str) -> subprocess.Popen:
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def test_closed_stdout_exits_141_quietly():
-    # 310 KB of JSON: more than any pipe buffer holds, so the write fails
-    proc = cold_cli("strata", "-g", "2", "--slope=3", "--rmax", "10", "--format", "json")
-    assert proc.stdout.read(10) == b'[\n  {\n    '
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 141
-    assert err == b""
+def test_closed_stdout_exits_141_quietly(monkeypatch):
+    # 310 KB of JSON: more than any pipe buffer holds, so a write fails, both when
+    # stdout is buffered and when each 8 KB block is its own write (PYTHONUNBUFFERED)
+    for unbuffered in (None, "1"):
+        if unbuffered is None:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = cold_cli("strata", "-g", "2", "--slope=3", "--rmax", "10", "--format", "json")
+        assert proc.stdout.read(10) == b'[\n  {\n    '
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+        assert err == b""

@@ -374,6 +374,14 @@ def test_a_second_hdt_is_the_cached_object(monkeypatch, diagonal):
     assert calls == []
 
 
+def test_hdt_has_one_cache_key_however_diagonal_is_spelled():
+    hdt.cache_clear()
+    first = hdt(2, 4, 1)
+    assert hdt(2, 4, 1, False) is first and hdt(2, 4, 1, diagonal=False) is first
+    info = hdt.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
 @pytest.mark.parametrize("g", (2, 3))
 @pytest.mark.parametrize("tau", (Fraction(0), Fraction(1, 2), Fraction(1, 3)), ids=str)
 def test_hdt_does_not_depend_on_truncation(g, tau):

@@ -55,9 +55,12 @@ def strata_dict(rep) -> dict:
 
 
 def strata_text(rep) -> str:
-    """The CLI's JSON of one strata report, streamed from its records."""
+    """The CLI's JSON of one strata report, streamed from the certificate's rows."""
+    from curvedt.strata import stratum_rows
+
     verdicts = []
-    text = "".join(cli._strata_chunks(rep[:6], rep.records, verdicts))
+    rows = stratum_rows(rep.genus, rep.rank, rep.degree, rep.generic)
+    text = "".join(cli._strata_chunks(rep[:6], rows, verdicts))
     assert verdicts == [rep.verdict]
     return text
 

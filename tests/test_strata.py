@@ -216,9 +216,11 @@ def test_certify_exhaustive_low_rank():
 
 
 def test_report_json_shape():
+    from curvedt.strata import stratum_rows
+
     rep = certify_virtual_smallness(2, 2, 6)
     verdicts = []
-    obj = json.loads("".join(cli._strata_chunks(rep[:6], rep.records, verdicts)))
+    obj = json.loads("".join(cli._strata_chunks(rep[:6], stratum_rows(2, 2, 6), verdicts)))
     assert verdicts == ["PASS"]
     assert list(obj) == ["d0", "degree", "generic", "genus", "in_theorem_range", "rank",
                          "strata", "verdict"]
