@@ -25,7 +25,10 @@ For a smooth projective curve of genus g the computation chains through:
    s = u + v and (uv)^(1/2) (SymPoly); hdt converts HDT to u, v once.
    betti_numbers (betti table and CSV, detfactor) runs steps 1-4 on the
    images under u, v -> (uv)^(1/2), a ring map that fixes L^(1/2) and
-   commutes with Adams operations, duality and u = v = y.
+   commutes with Adams operations, duality and u = v = y.  Its numerators
+   are dense rows in the one variable (uv)^(1/2) (ImagePoly: the kind of
+   every diagonal step), and hdt converts the image of HDT to the
+   diagonal LaurentPoly once.
 
 Everything is exact.  The consistency checks (integrality, self-duality,
 non-negativity, palindromicity) always run and raise VerificationError.
@@ -46,6 +49,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .ring import (
     CycloDenominator,
     DomainError,
+    ImagePoly,
     LaurentPoly,
     NotDivisibleError,
     RingElem,
@@ -103,7 +107,7 @@ def curve_epoly(g: int) -> LaurentPoly:
 
 
 def _kappa(kind=LaurentPoly):
-    """L^(1/2) - L^(-1/2) = (uv)^(-1/2) - (uv)^(1/2), as a LaurentPoly or a SymPoly."""
+    """L^(1/2) - L^(-1/2) = (uv)^(-1/2) - (uv)^(1/2), in the numerator class kind."""
     return half_lefschetz(1, kind) - half_lefschetz(-1, kind)
 
 
@@ -128,9 +132,9 @@ def zeta_series(g: int, rmax: int) -> Series:
 
 def _curve_factor(g: int, i: int, diagonal: bool):
     """(1-uL^i)^g (1-vL^i)^g = (1-sL^i+L^(2i+1))^g as a SymPoly, or with
-    diagonal its image (1-(uv)^(1/2) L^i)^(2g) = (1+L^(i+1/2))^(2g) as a LaurentPoly."""
+    diagonal its image (1-(uv)^(1/2) L^i)^(2g) = (1+L^(i+1/2))^(2g) as an ImagePoly."""
     if diagonal:
-        return (LaurentPoly.one() + half_lefschetz(1 + 2 * i)) ** (2 * g)
+        return (ImagePoly.one() + half_lefschetz(1 + 2 * i, ImagePoly)) ** (2 * g)
     return SymPoly({(0, 0): 1, (2 * i + 1, 2 * i - 1): -1, (4 * i + 2, 4 * i + 2): 1}) ** g
 
 
@@ -148,7 +152,7 @@ def q_rank(g: int, r: int, diagonal: bool = False) -> RingElem:
     """
     if r < 1:
         raise DomainError("Q_r is defined for r >= 1")
-    kind = LaurentPoly if diagonal else SymPoly
+    kind = ImagePoly if diagonal else SymPoly
     if r > 1:
         z = zeta_at_lefschetz(g, r - 1, diagonal)
         return q_rank(g, r - 1, diagonal) * (z * half_lefschetz((1 - g) * (2 * r - 1), kind))
@@ -187,7 +191,7 @@ def composition_prefactors(r: int, d: int, kind=LaurentPoly) -> Dict[Tuple[int, 
 def q_class(g: int, r: int, d: int, diagonal: bool = False) -> RingElem:
     """The semistable class Q_{r,d} as a composition sum, in q_rank's numerator class."""
     terms = []
-    for parts, weight in composition_prefactors(r, d, LaurentPoly if diagonal else SymPoly).items():
+    for parts, weight in composition_prefactors(r, d, ImagePoly if diagonal else SymPoly).items():
         prod = weight
         for c in parts:
             prod = prod * q_rank(g, c, diagonal)
@@ -201,7 +205,7 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
     q = tau.denominator
     if rmax < q:
         raise DomainError("rmax must reach the slope denominator")
-    kind = LaurentPoly if diagonal else SymPoly
+    kind = ImagePoly if diagonal else SymPoly
     coeffs = [RingElem(kind.zero())] * (rmax + 1)
     coeffs[0] = RingElem(kind.one())
     for r in range(q, rmax + 1, q):
@@ -211,8 +215,8 @@ def slope_series(g: int, tau: Fraction, rmax: int, diagonal: bool = False) -> Se
 
 def hdt(g: int, r: int, d: int, diagonal: bool = False) -> LaurentPoly:
     """The Donaldson-Thomas invariant HDT_{r,d} (rank r >= 1), or with diagonal its
-    u = v image: the t^r coefficient of kappa Log(Q_tau), computed in s = u + v and
-    returned in u, v.
+    u = v image: the t^r coefficient of kappa Log(Q_tau), computed in s = u + v, or
+    in the image ring with diagonal, and returned in u, v.
 
     Cached per class and path, so integrality (clearing the cyclotomic
     denominators) and self-duality under u,v -> 1/u,1/v are checked once.
@@ -233,8 +237,7 @@ def _hdt(g: int, r: int, d: int, diagonal: bool) -> LaurentPoly:
     except NotDivisibleError as exc:
         stage = "integrality of HDT" + (" on the u = v image" if diagonal else "")
         raise NotDivisibleError(f"{class_label(g, r, d)}, {stage}: {exc}") from exc
-    if not diagonal:
-        p = p.to_laurent()
+    p = p.to_laurent()
     _ensure(p.dual() == p, f"HDT at rank {r}, slope {tau}, genus {g} is not self-dual")
     return p
 

@@ -38,6 +38,15 @@ SymPoly keys are LaurentPoly's under the injective ring map s -> (1, -1),
 (uv)^(1/2) -> (1, 1): s^i (uv)^(e/2) is (e + i, e - i), so an L-power has
 one key in both, and division and sums run on both unchanged; its
 products take the axes (a - b, a + b) = (2i, 2e), an s-degree x L box.
+The image ring Z[(uv)^(+-1/2)] of u, v -> (uv)^(1/2) has one variable
+w = (uv)^(1/2), and its numerators are dense, so ImagePoly stores one int
+row from its lowest exponent on, over a scale, and works on whole rows:
+a product is a multiply-add per row slice up to _ROW_PAIRS pairs, else one
+Kronecker product on consecutive slots; a sum shift-subtracts rows, or
+from _ROW_SHIFTS entry shifts on packs each row into one int; Adams takes
+every n-th entry, duality reverses the row, and division is the running
+sums on the row.  It converts to the diagonal LaurentPoly (w^e is the key
+(e, e)) by to_laurent.  Two numerator classes never mix.
 A small product multiplies on the keys; otherwise each operand packs into
 one int with a byte-aligned slot per point of the product's exponent box,
 and a few-term factor adds shifted multiples of the other, or a dense
@@ -55,7 +64,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from math import comb, gcd, lcm
-from operator import and_, lshift, or_, rshift, setitem
+from operator import add, and_, lshift, mul, or_, rshift, setitem, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Monomial = Tuple[int, int]
@@ -77,6 +86,18 @@ _SHIFT_TERMS = 64
 # over its items of terms * missing factors), and only into a box of at most one
 # slot per shift; below either the dict loop measured faster.
 _PACK_SHIFTS = 2000
+# Multiply two ImagePoly rows slice by slice up to this many coefficient pairs, else
+# by one Kronecker product.  On the distinct products of 150-3000 pairs that the
+# betti_sweep commands and `betti -g 2 -r 20 -d 1` make (Python 3.11, one core of a
+# 2-core x86-64 host), the two took 98.9 ms at 512, 99.2 at 384, 100.7 at 256 and
+# 103.9 at 1024; at 256-511 pairs the slices took 0.9 times the Kronecker time, at
+# 512-1023 1.2 times.
+_ROW_PAIRS = 512
+# Shift-subtract the rows of an ImagePoly sum below this many entry shifts (the sum
+# over its items of row length * missing factors), else pack each row.  On the sums
+# of those commands, on that host, the rows took 0.81 times the packed time at
+# 256-511 shifts, 1.02 times at 512-1023 and 1.24 times at 1024-2047.
+_ROW_SHIFTS = 1000
 # The Kronecker codec's constants.  _FLIP maps a little-endian byte offset within a
 # 64-bit word to its native offset, and _WORD masks one word.  _TOGGLE flips a
 # byte's top bit, and _EXTEND maps the top byte of a biased slot to the byte
@@ -357,6 +378,11 @@ class _SparsePoly:
             n >>= 1
         return result
 
+    def _reduced(self):
+        """The same polynomial, its ints and scale divided by their gcd."""
+        g = gcd(self._scale, *self._ints.values())
+        return self if g == 1 else self._raw({m: c // g for m, c in self._ints.items()}, self._scale // g)
+
     def __repr__(self) -> str:
         items = ", ".join(f"{m}: {c}" for m, c in sorted(self.terms.items()))
         return f"{type(self).__name__}({{{items}}})"
@@ -445,8 +471,172 @@ class SymPoly(_SparsePoly):
         return LaurentPoly._raw(out, self._scale)
 
 
-def half_lefschetz(e2: int, kind=LaurentPoly) -> _SparsePoly:
-    """L^(e2/2) under the convention L^(1/2) = -(uv)^(1/2), as a LaurentPoly or a SymPoly."""
+class ImagePoly:
+    """w^lo (row[0] + row[1] w + row[2] w^2 + ...) / scale, w = (uv)^(1/2): the image ring.
+
+    Z[(uv)^(+-1/2)] has one variable, so a numerator of the u = v image is
+    one list of ints with nonzero ends (empty for 0), from its lowest
+    doubled exponent lo on, over one positive int scale as in _SparsePoly.
+    w^e is the key (e, e) of the diagonal LaurentPoly, and L^k is w^(2k).
+    Rows are never mutated after construction, so instances may share one.
+    """
+
+    __slots__ = ("_lo", "_row", "_scale")
+
+    def __init__(self, lo: int = 0, row: Iterable[Scalar] = ()):
+        row = list(row)
+        if type(lo) is not int:
+            raise DomainError(f"lowest exponent {lo!r} is not an int")
+        for c in row:
+            if type(c) is not int and type(c) is not Fraction:
+                raise DomainError(f"coefficient {c!r} is neither an int nor a Fraction")
+        ints, scale = _integral(row)
+        p = ImagePoly._trimmed(lo, ints, scale)
+        self._lo, self._row, self._scale = p._lo, p._row, p._scale
+
+    @classmethod
+    def _raw(cls, lo: int, row: List[int], scale: int = 1) -> "ImagePoly":
+        # internal fast path: caller guarantees nonzero ends and a positive scale
+        p = cls.__new__(cls)
+        p._lo, p._row, p._scale = lo, row, scale
+        return p
+
+    @classmethod
+    def _trimmed(cls, lo: int, row: List[int], scale: int) -> "ImagePoly":
+        """w^lo row / scale for a row that may have zero ends."""
+        i, j = 0, len(row)
+        while j and not row[j - 1]:
+            j -= 1
+        if not j:
+            return cls._raw(0, [], scale)
+        while not row[i]:
+            i += 1
+        return cls._raw(lo + i, row[i:j] if i or j < len(row) else row, scale)
+
+    @classmethod
+    def zero(cls) -> "ImagePoly":
+        return cls._raw(0, [])
+
+    @classmethod
+    def one(cls) -> "ImagePoly":
+        return cls._raw(0, [1])
+
+    def is_zero(self) -> bool:
+        return not self._row
+
+    def __bool__(self) -> bool:
+        return bool(self._row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ImagePoly):
+            return NotImplemented
+        s, t = self._scale, other._scale
+        return self._lo == other._lo and [c * t for c in self._row] == [c * s for c in other._row]
+
+    def __neg__(self) -> "ImagePoly":
+        return ImagePoly._raw(self._lo, [-c for c in self._row], self._scale)
+
+    def _plus(self, other, sign: int):
+        if not isinstance(other, ImagePoly):
+            return NotImplemented
+        scale = lcm(self._scale, other._scale)
+        rows = [(p._lo, [c * f for c in p._row])
+                for p, f in ((self, scale // self._scale), (other, sign * (scale // other._scale))) if p._row]
+        return _add_rows(rows, scale)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __mul__(self, other):
+        if isinstance(other, ImagePoly):
+            if not self._row or not other._row:
+                return ImagePoly.zero()
+            return ImagePoly._raw(self._lo + other._lo, _row_product(self._row, other._row),
+                                  self._scale * other._scale)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            if not p:
+                return ImagePoly.zero()
+            row = self._row if p == 1 else [c * p for c in self._row]
+            return ImagePoly._raw(self._lo, row, self._scale * other.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+    __pow__ = _SparsePoly.__pow__
+
+    def adams(self, n: int) -> "ImagePoly":
+        """psi_n: w^e -> w^(ne), every n-th entry of the image row."""
+        if n < 1:
+            raise DomainError("Adams operations are indexed by n >= 1")
+        out = [0] * (n * (len(self._row) - 1) + 1)
+        out[::n] = self._row
+        return ImagePoly._raw(n * self._lo, out, self._scale) if self._row else self
+
+    def dual(self) -> "ImagePoly":
+        """w -> 1/w: the row reversed."""
+        return ImagePoly._raw(1 - self._lo - len(self._row), self._row[::-1], self._scale) if self._row else self
+
+    def _reduced(self) -> "ImagePoly":
+        g = gcd(self._scale, *self._row)
+        return self if g == 1 else ImagePoly._raw(self._lo, [c // g for c in self._row], self._scale // g)
+
+    def to_laurent(self) -> LaurentPoly:
+        """The diagonal LaurentPoly: w^e is the key (e, e)."""
+        return LaurentPoly._raw({(e, e): c for e, c in enumerate(self._row, self._lo) if c}, self._scale)
+
+    def __repr__(self) -> str:
+        return f"ImagePoly({self._lo}, {[_canon(Fraction(c, self._scale)) for c in self._row]!r})"
+
+
+def _add_rows(rows: List[Tuple[int, List[int]]], scale: int) -> ImagePoly:
+    """The sum of w^lo row over the (lo, row) pairs of nonempty rows, over scale."""
+    if not rows:
+        return ImagePoly.zero()
+    lo = min(l for l, _ in rows)
+    out = [0] * (max(l + len(row) for l, row in rows) - lo)
+    for l, row in rows:
+        i = l - lo
+        out[i:i + len(row)] = map(add, out[i:i + len(row)], row)
+    return ImagePoly._trimmed(lo, out, scale)
+
+
+def _row_product(a: List[int], b: List[int]) -> List[int]:
+    """The product of two nonempty rows with nonzero ends.  Up to _ROW_PAIRS
+    coefficient pairs, one multiply-add of a row slice per entry of the shorter
+    row; past it, one Kronecker product with consecutive slots."""
+    a, b = (b, a) if len(a) > len(b) else (a, b)
+    n = len(b)
+    if len(a) == 1:  # a monomial, most often L^e: 1 keeps the row itself
+        return b if a[0] == 1 else [c * a[0] for c in b]
+    if len(a) * n <= _ROW_PAIRS:
+        out = [c * a[0] for c in b] + [0] * (len(a) - 1)
+        for i in range(1, len(a)):
+            c = a[i]
+            if c:
+                out[i:i + n] = map(add, out[i:i + n], map(mul, b, repeat(c)))
+        return out
+    box = len(a) + n - 1
+    width = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 8) // 8
+    slots, values = _unpack(_pack(range(len(a)), a, width) * _pack(range(n), b, width), box, width)
+    return _scatter(slots, values, box)
+
+
+def _scatter(slots: List[int], values: List[int], box: int) -> List[int]:
+    """The dense row of box entries with values at slots, zeros elsewhere."""
+    if len(slots) == box:
+        return values
+    out = [0] * box
+    any(map(setitem, repeat(out), slots, values))  # every store returns None
+    return out
+
+
+def half_lefschetz(e2: int, kind=LaurentPoly):
+    """L^(e2/2) under the convention L^(1/2) = -(uv)^(1/2), as a LaurentPoly, a SymPoly or an ImagePoly."""
+    if kind is ImagePoly:
+        return ImagePoly._raw(e2, [_sign(e2)])
     return kind._raw({(e2, e2): _sign(e2)})
 
 
@@ -455,20 +645,39 @@ def lefschetz(k: int) -> LaurentPoly:
     return half_lefschetz(2 * k)
 
 
-def exact_divide_cyclo(p: _SparsePoly, *ks: int) -> _SparsePoly:
+def _divided(row: List[int], ss: Iterable[int]) -> Optional[int]:
+    """Divide the int row (row[0] != 0) in place by each (1 - x^s), s in ss: the
+    quotient is the running sums along every s-th entry, less the last s, the
+    remainder, which must be 0.  The index of the first s that leaves one, or None."""
+    for i, s in enumerate(ss):
+        for j in range(s):
+            row[j::s] = accumulate(row[j::s])
+        if any(row[-s:]):
+            return i
+        del row[-s:]
+    return None
+
+
+def exact_divide_cyclo(p, *ks: int):
     """Divide p by every (1 - L^k) exactly, raising NotDivisibleError on failure.
 
-    Multiplying by (1 - L^k) moves each key (a, b) to (a + 2k, b + 2k), so
+    An ImagePoly is one row, and 2k is 2k entries of it.  Otherwise,
+    multiplying by (1 - L^k) moves each key (a, b) to (a + 2k, b + 2k), so
     it keeps every line a - b = delta to itself.  Each line is laid out once
     as a dense int row over a, in steps of the gcd of its offsets and every
-    2k, so 2k is s entries.  Per factor, the quotient is the running sums
-    along every s-th entry, less the last s: the remainder, which must be 0.
+    2k, so 2k is 2k / step entries.  Each row is divided by _divided.
     The error names the first factor that fails, as dividing one by one would.
     """
     if any(k < 1 for k in ks):
         raise DomainError("cyclotomic factors are indexed by k >= 1")
     if not ks:
         return p
+    if isinstance(p, ImagePoly):
+        row = list(p._row)
+        failed = _divided(row, [2 * k for k in ks])
+        if failed is None:
+            return ImagePoly._raw(p._lo, row, p._scale)
+        raise NotDivisibleError(f"not divisible by 1 - L^{ks[failed]}")
     lines: Dict[int, Dict[int, int]] = {}
     for (a, b), c in p._ints.items():
         lines.setdefault(a - b, {})[a] = c
@@ -478,16 +687,11 @@ def exact_divide_cyclo(p: _SparsePoly, *ks: int) -> _SparsePoly:
         lo = min(line)
         step = gcd(*(a - lo for a in line), *(2 * k for k in ks))
         row = [line.get(a, 0) for a in range(lo, max(line) + 1, step)]
-        for i, k in enumerate(ks[:failed]):
-            s = 2 * k // step
-            for j in range(s):
-                row[j::s] = accumulate(row[j::s])
-            if any(row[-s:]):  # row[0], the lowest coefficient, is never 0
-                failed = i
-                break
-            del row[-s:]
-        else:
+        i = _divided(row, [2 * k // step for k in ks[:failed]])
+        if i is None:
             out.update(((a, a - delta), c) for a, c in zip(range(lo, lo + step * len(row), step), row) if c)
+        else:
+            failed = i
     if failed < len(ks):
         raise NotDivisibleError(f"not divisible by 1 - L^{ks[failed]}")
     return type(p)._raw(out, p._scale)
@@ -567,7 +771,7 @@ class CycloDenominator:
 
     def expand(self) -> LaurentPoly:
         """The product of the factors as an actual polynomial."""
-        return _sum_elem([RingElem.one(), RingElem(LaurentPoly.zero(), self)]).num
+        return _sum_elem([RingElem.one(), RingElem(LaurentPoly.zero(), self)], (1, 1)).num
 
 
 def _packed_sum(numerators: List[Dict], scaled: List[List[int]], missing: List[Tuple[int, ...]],
@@ -616,30 +820,68 @@ def _packed_sum(numerators: List[Dict], scaled: List[List[int]], missing: List[T
     return out
 
 
-def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, int, CycloDenominator]:
-    """(N, D, lcd) with sum_i sign_i * item_i = N / (D * lcd).
+def _row_sum(nums: List[ImagePoly], factors: List[int], missing: List[Tuple[int, ...]],
+             den: int) -> ImagePoly:
+    """sum_i factors_i * nums_i * prod_{k in missing_i} (1 - w^(2k)), over den.
 
-    lcd is the multiset-max denominator, D the lcm of the items' scales and
-    N a dict of nonzero ints.  Each item's ints are brought to D once; each
-    missing (1 - L^k) is then an integer shift-and-subtract, L^k being the
-    key (2k, 2k) with coefficient +1: on packed ints when _packed_sum takes
-    the sum, else on term dicts.  This is the only place a numerator meets
-    a cyclotomic factor.
+    Multiplying a row by (1 - w^(2k)) subtracts it from itself shifted by
+    2k entries.  Below _ROW_SHIFTS entry shifts this runs on the rows, which
+    then add at their offsets.  Otherwise each row packs into one int, with
+    the slot of w^e at e less the sum's lowest exponent, so each missing
+    factor is y - (y << 2k slots); the ints add and the total unpacks once.
+    As in _packed_sum, sum_i max|c_i| * 2^#missing_i bounds every slot.
+    """
+    live = [(p._lo, p._row if f == 1 else [c * f for c in p._row], ks)
+            for p, f, ks in zip(nums, factors, missing) if p._row]
+    if sum(len(row) * len(ks) for _, row, ks in live) < _ROW_SHIFTS:
+        rows = []
+        for lo, row, ks in live:
+            for k in ks:
+                s = 2 * k
+                row = row + [0] * s
+                row[s:] = map(sub, row[s:], row[:-s])
+            rows.append((lo, row))
+        return _add_rows(rows, den)
+    lo = min(l for l, _, _ in live)
+    box = max(l + len(row) + 2 * sum(ks) for l, row, ks in live) - lo
+    width = (sum(max(map(abs, row)) << len(ks) for _, row, ks in live).bit_length() + 8) // 8
+    total = 0
+    for l, row, ks in live:
+        y = _pack(range(l - lo, l - lo + len(row)), row, width)
+        for k in ks:
+            y -= y << 16 * width * k
+        total += y
+    return ImagePoly._trimmed(lo, _scatter(*_unpack(total, box, width), box), den)
+
+
+def _cleared_sum(items: List["RingElem"], weights: Iterable[int]) -> Tuple[object, CycloDenominator]:
+    """(N, lcd) with sum_i weight_i * item_i = N / lcd.
+
+    lcd is the multiset-max denominator and N a numerator of the items'
+    class over D, the lcm of their scales.  Each item's ints are brought to
+    D and multiplied by its weight once; each missing (1 - L^k) is then an
+    integer shift-and-subtract, L^k being w^(2k) (_row_sum) or the key
+    (2k, 2k) with coefficient +1: on packed ints when _packed_sum takes the
+    sum, else on term dicts.  This is the only place a numerator meets a
+    cyclotomic factor.
     """
     lcd = items[0].den
     for x in items[1:]:
         lcd = lcd.lcm(x.den)
     nums = [x.num for x in items]
-    if any(type(p) is not type(nums[0]) for p in nums):
+    kind = type(nums[0])
+    if any(type(p) is not kind for p in nums):
         raise TypeError("a sum of ring elements mixes two numerator classes")
     den = lcm(*(p._scale for p in nums))
-    scales = [sign * (den // p._scale) for sign, p in zip(signs, nums)]
-    scaled = [list(p._ints.values()) if f == 1 else [c * f for c in p._ints.values()]
-              for p, f in zip(nums, scales)]
+    factors = [w * (den // p._scale) for w, p in zip(weights, nums)]
     missing = [lcd.diff(x.den) for x in items]
+    if kind is ImagePoly:
+        return _row_sum(nums, factors, missing, den), lcd
+    scaled = [list(p._ints.values()) if f == 1 else [c * f for c in p._ints.values()]
+              for p, f in zip(nums, factors)]
     packed = _packed_sum([p._ints for p in nums], scaled, missing, lcd)
     if packed is not None:
-        return packed, den, lcd
+        return kind._raw(packed, den), lcd
     total: Dict[Monomial, int] = {}
     for p, cs, ks in zip(nums, scaled, missing):
         terms = dict(zip(p._ints, cs))
@@ -654,14 +896,14 @@ def _cleared_sum(items: List["RingElem"], signs: Iterable[int]) -> Tuple[Dict, i
         get = total.get
         for m, c in terms.items():
             total[m] = get(m, 0) + c
-    return {m: c for m, c in total.items() if c}, den, lcd
+    return kind._raw({m: c for m, c in total.items() if c}, den), lcd
 
 
 class RingElem:
     """num / prod_k (1 - L^k), never reduced; equal when the difference's numerator is 0.
 
-    The numerator is a LaurentPoly (as in zero and one) or a SymPoly, held
-    fraction-free: its ints over its scale.  Products multiply numerators
+    The numerator is a LaurentPoly (as in zero and one), a SymPoly or an
+    ImagePoly, held fraction-free: its ints over its scale.  Products multiply numerators
     (ints and scales) and concatenate the multisets; sums bring the ints to
     the lcm of the scales (see _cleared_sum) and raise TypeError over two
     numerator classes; to_polynomial divides the ints by every (1 - L^k) in
@@ -682,7 +924,7 @@ class RingElem:
         return cls(LaurentPoly.one())
 
     def is_zero(self) -> bool:
-        return not self.num._ints
+        return not self.num
 
     def __neg__(self) -> "RingElem":
         return RingElem(-self.num, self.den)
@@ -690,7 +932,7 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
             return NotImplemented
-        return _sum_elem([self, other])
+        return _sum_elem([self, other], (1, 1))
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
@@ -700,7 +942,7 @@ class RingElem:
     def __mul__(self, other: Union["RingElem", _SparsePoly, Scalar]) -> "RingElem":
         if isinstance(other, RingElem):
             return RingElem(self.num * other.num, self.den * other.den)
-        if isinstance(other, (_SparsePoly, int, Fraction)):
+        if isinstance(other, (_SparsePoly, ImagePoly, int, Fraction)):
             return RingElem(self.num * other, self.den)
         return NotImplemented
 
@@ -720,24 +962,24 @@ class RingElem:
     def adams(self, n: int) -> "RingElem":
         return RingElem(self.num.adams(n), self.den.adams(n))
 
-    def to_polynomial(self) -> _SparsePoly:
+    def to_polynomial(self):
         """Divide out every denominator factor, then reduce by the scale; NotDivisibleError if a factor fails."""
-        out = exact_divide_cyclo(self.num, *self.den.factors)
-        g = gcd(out._scale, *out._ints.values())
-        if g == 1:
-            return out
-        return type(out)._raw({m: c // g for m, c in out._ints.items()}, out._scale // g)
+        return exact_divide_cyclo(self.num, *self.den.factors)._reduced()
 
 
-def _sum_elem(items: List[RingElem]) -> RingElem:
-    total, den, lcd = _cleared_sum(items, [1] * len(items))
-    return RingElem(type(items[0].num)._raw(total, den), lcd)
+def _sum_elem(items: List[RingElem], weights: Iterable[int]) -> RingElem:
+    return RingElem(*_cleared_sum(items, weights))
 
 
-def ring_sum(items: Iterable[RingElem]) -> RingElem:
-    """Sum with a single expansion to the common (multiset-max) denominator."""
+def ring_sum(items: Iterable[RingElem], weights: Optional[Iterable[int]] = None) -> RingElem:
+    """sum_i weights_i * items_i, the weights ints (1 by default), with a single
+    expansion to the common (multiset-max) denominator; one item alone is returned."""
     items = list(items)
-    return _sum_elem(items) if items else RingElem.zero()
+    if not items:
+        return RingElem.zero()
+    if len(items) == 1 and weights is None:
+        return items[0]
+    return _sum_elem(items, [1] * len(items) if weights is None else weights)
 
 
 def specialize_y(p: LaurentPoly) -> UniPoly:

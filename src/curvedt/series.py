@@ -20,17 +20,20 @@ for f: the k = n term holds P_n, whose d = n part is n f_n, so
 
 Both take O(rmax^2) ring products, skip zero coefficients, and divide
 by n only once per output coefficient, by multiplying its integer scale
-by n (see ``RingElem``); the running P_k and d f_d carry no 1/n.  A Log
+by n (see ``RingElem``); the running P_k and d f_d carry no 1/n.  In the
+Log, the factor n of E_n and the signs of the correction terms are the
+weights of one common-denominator sum (``ring_sum``), so no scaled or
+negated copy of a coefficient is built.  A Log
 coefficient with no correction terms is E_n itself and is returned as
 it is: the slope series of a coprime class has a single nonzero
 coefficient.  Zero and one take the class of the input's numerators
-(LaurentPoly or SymPoly).  Everything is exact.
+(LaurentPoly, SymPoly or ImagePoly).  Everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ring import DomainError, RingElem, ring_sum
 
@@ -51,10 +54,17 @@ def series_mul(f: Series, g: Series) -> Series:
     return tuple(out)
 
 
-def _sum(parts: List[RingElem]) -> RingElem:
-    """Sum of the nonzero parts; a lone nonzero part, or else the first part, is returned as it is."""
-    nonzero = [x for x in parts if not x.is_zero()]
-    return ring_sum(nonzero) if len(nonzero) > 1 else (nonzero or parts)[0]
+def _sum(parts: List[RingElem], weights: Optional[List[int]] = None) -> RingElem:
+    """sum of weight * part (weights 1 by default) over the nonzero parts; a lone nonzero
+    part is scaled by its weight (returned as it is at weight 1), and with none the first
+    part is returned."""
+    live = [(x, w) for x, w in zip(parts, weights or [1] * len(parts)) if not x.is_zero()]
+    if len(live) > 1:
+        return ring_sum(*zip(*live))
+    if not live:
+        return parts[0]
+    x, w = live[0]
+    return x if w == 1 else x * w
 
 
 def _convolution(p: List[RingElem], e: Sequence[RingElem], n: int) -> List[RingElem]:
@@ -99,10 +109,11 @@ def pleth_log(e: Series) -> Series:
             if n < rmax:
                 p[n] = scaled[n] = e[n] * n
             continue
-        parts = [e[n] * n] + [-x for x in conv]
+        # n E_n - sum_k P_k E_(n-k) - sum_d psi_(n/d)(d f_d), n and -1 as the sum's weights
+        parts, weights = [e[n]] + conv, [n] + [-1] * len(conv)
         if n < rmax:  # P_n is read again at higher ranks
-            p[n] = _sum(parts)
-            parts = [p[n]]
-        scaled[n] = _sum(parts + [-x for x in images])
+            p[n] = _sum(parts, weights)
+            parts, weights = [p[n]], [1]
+        scaled[n] = _sum(parts + images, weights + [-1] * len(images))
         out[n] = scaled[n] * Fraction(1, n)
     return tuple(out)

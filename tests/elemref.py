@@ -127,8 +127,9 @@ def _sum_elem(items: List[RefElem]) -> RefElem:
     return RefElem(LaurentPoly(_divided(total, den)), lcd)
 
 
-def ring_sum(items: Iterable[RefElem]) -> RefElem:
-    items = list(items)
+def ring_sum(items: Iterable[RefElem], weights: Iterable[int] = None) -> RefElem:
+    """The sum of weight * item, each weight multiplied in first (1 by default)."""
+    items = list(items) if weights is None else [x * w for x, w in zip(items, weights)]
     return _sum_elem(items) if items else RefElem.zero()
 
 

@@ -97,7 +97,7 @@ def test_no_module_imports_warnings_and_no_function_takes_checks():
     assert not found, "warnings imported or a checks parameter: " + ", ".join(found)
 
 
-STORAGE = ("_ints", "_scale")
+STORAGE = ("_ints", "_scale", "_lo", "_row")  # the dict and the row numerators
 
 
 def test_polynomial_storage_stays_in_ring():
